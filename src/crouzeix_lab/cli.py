@@ -14,10 +14,8 @@ function of the arguments, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .permutation_ext import perm_from_cycles, verify_observation
 from .ratio_search import worst_ratio_search
-from .region_certifier import certify, figure2_data, r1, r3, replay_proofs
+from .region_certifier import certify, figure2_data, open_grid, r1, r3, replay_proofs, sweep_points
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,12 +89,6 @@ class SweepConfig:
             raise DomainError(f"unknown format {self.format!r}")
 
 
-def _grid(lo: float, hi: float, steps: int) -> list:
-    if steps == 1:
-        return [hi]
-    return [min(hi, lo + (hi - lo) * (k + 1) / steps) for k in range(steps)]
-
-
 def _out_of_domain_record(rho: float, r: float) -> dict:
     return {
         "region": "OutOfDomain",
@@ -111,23 +103,6 @@ def _out_of_domain_record(rho: float, r: float) -> dict:
         "verdict": False,
         "failure_reason": "outside admissible domain",
     }
-
-
-def _sweep_row(rho: float, r_spec) -> list:
-    if r_spec[0] == "auto":
-        lo = 1.0 / math.sqrt(rho) + 1e-6
-        if lo >= 1.0:
-            return []
-        rs = _grid(lo, 1.0, r_spec[1])
-    else:
-        rs = _grid(r_spec[1], r_spec[2], r_spec[3])
-    out = []
-    for r in rs:
-        try:
-            out.append(certify(rho, r).to_json())
-        except DomainError:
-            out.append(_out_of_domain_record(rho, r))
-    return out
 
 
 def _default_workers() -> int:
@@ -155,19 +130,11 @@ def _write_output(text: str, path: str | None) -> int:
 
 def run_sweep(config: SweepConfig) -> tuple:
     """All grid records in row-major order plus the all-verdicts flag."""
-    lo, hi, steps = config.rho_range
-    rhos = _grid(lo, hi, steps)
-    if config.r_range == "auto":
-        r_spec = ("auto", config.rho_range[2])
-    else:
-        r_spec = ("range",) + tuple(config.r_range)
-    worker = functools.partial(_sweep_row, r_spec=r_spec)
-    if config.parallel_workers > 1:
-        with multiprocessing.Pool(config.parallel_workers) as pool:
-            rows = pool.map(worker, rhos)
-    else:
-        rows = [worker(rho) for rho in rhos]
-    records = [rec for row in rows for rec in row]
+    r_range = (None, 1.0, config.rho_range[2]) if config.r_range == "auto" else config.r_range
+    records = [
+        cert.to_json() if cert is not None else _out_of_domain_record(rho, r)
+        for rho, r, cert in sweep_points(config.rho_range, r_range, config.parallel_workers)
+    ]
     return records, all(rec["verdict"] for rec in records)
 
 
@@ -236,17 +203,17 @@ def _parse_range(tokens: list, flag: str) -> tuple:
 
 def _figures_regions(grid: int) -> list:
     rows = []
-    for rho in _grid(1.0, 50.0, grid):
+    for rho in open_grid(1.0, 50.0, grid):
         rows.append({"curve": "r_min", "rho": rho, "r": 1.0 / math.sqrt(rho)})
-    for rho in _grid(1.0, 50.0, grid):
+    for rho in open_grid(1.0, 50.0, grid):
         rows.append({"curve": "r1", "rho": rho, "r": r1(rho)})
-    for rho in _grid(1.0, 2.0, grid):
+    for rho in open_grid(1.0, 2.0, grid):
         rows.append({"curve": "r3", "rho": rho, "r": r3(rho)})
-    for r in _grid(0.75, 0.77, grid):
+    for r in open_grid(0.75, 0.77, grid):
         rows.append({"curve": "strip_rho10", "rho": 10.0, "r": r})
-    for rho in _grid(10.0, 50.0, grid):
+    for rho in open_grid(10.0, 50.0, grid):
         rows.append({"curve": "strip_r075", "rho": rho, "r": 0.75})
-    for rho in _grid(10.0, 50.0, grid):
+    for rho in open_grid(10.0, 50.0, grid):
         rows.append({"curve": "strip_r077", "rho": rho, "r": 0.77})
     return rows
 

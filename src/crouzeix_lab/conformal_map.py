@@ -177,6 +177,16 @@ def verify_fA_equals_cA(rho: float, r: float, n_terms: int | None = None) -> flo
     return dense_small.operator_norm(F - c * A)
 
 
+def _poly_mul(a, b) -> list:
+    """Product of two ascending coefficient lists; exact for integers and Fractions."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
 @dataclass(frozen=True)
 class QSignChainResult:
     """Outcome of the q(t) <= 0 verification (truthy on success)."""
@@ -200,22 +210,14 @@ def q_sign_chain_check(t_max: float = 1000.0, grid_points: int = 20001) -> QSign
     t >= 4 once the low-order positive terms are absorbed.
     """
     # (i) exact expansion over the integers
-    def poly_mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return out
-
     def poly_pow(a: list[int], k: int) -> list[int]:
         out = [1]
         for _ in range(k):
-            out = poly_mul(out, a)
+            out = _poly_mul(out, a)
         return out
 
-    first = poly_mul([4, 1], poly_mul(poly_pow([1, 0, 1], 4), poly_pow([1, 0, 0, 0, 1], 4)))
-    second = poly_mul([0] * 9 + [1], poly_mul(poly_pow([1, 1], 4), poly_pow([1, 0, 0, 1], 4)))
+    first = _poly_mul([4, 1], _poly_mul(poly_pow([1, 0, 1], 4), poly_pow([1, 0, 0, 0, 1], 4)))
+    second = _poly_mul([0] * 9 + [1], _poly_mul(poly_pow([1, 1], 4), poly_pow([1, 0, 0, 1], 4)))
     q_exact = [a - b for a, b in zip(first, second)]
     while q_exact and q_exact[-1] == 0:
         q_exact.pop()

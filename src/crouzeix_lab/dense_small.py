@@ -1,12 +1,11 @@
-"""Self-contained dense linear algebra for very small complex matrices.
+"""Dense linear algebra for complex matrices up to 8x8.
 
-Everything here is hand-rolled so that the 3x3 results used by the
-certification pipeline do not depend on an external eigensolver: closed-form
-(trigonometric) eigenvalues for Hermitian 3x3 matrices, Cardano's formula for
-general 3x3 spectra, Gauss-Jordan inverses, power iteration for operator
-norms above 3x3, batched cyclic Jacobi sweeps for Hermitian eigensystems up
-to the 8x8 cap, a small Schur decomposition, and a polynomial/holomorphic
-functional calculus.
+The 3x3 kernels are closed forms: trigonometric eigenvalues for Hermitian
+3x3 matrices, Cardano's formula for general 3x3 spectra, singular values
+from the Gram matrix, and a Schur decomposition whose diagonal order can be
+prescribed, which `normalize` needs and numpy does not offer.  Above 3x3,
+and wherever no ordering control is needed (solves, inverses, Hermitian
+eigensystems, the holomorphic calculus), the work goes to `numpy.linalg`.
 
 Matrices are numpy arrays used as containers; the 3x3 kernels extract plain
 Python scalars so the certification sweep stays cheap on a single core.
@@ -26,10 +25,8 @@ from .errors import ClusteredSpectrumError, SingularMatrixError
 __all__ = [
     "MAX_N",
     "condition_number",
-    "eigen_decomposition_3x3",
     "eigvals_3x3",
     "eigvalsh_3x3",
-    "eigh_batched",
     "eval_poly",
     "holomorphic_calc",
     "inverse",
@@ -43,7 +40,6 @@ __all__ = [
 MAX_N = 8
 
 _TWO_PI_3 = 2.0 * math.pi / 3.0
-_RESTART_SEED = 0x5EED
 
 
 def _as_square(M: np.ndarray) -> np.ndarray:
@@ -203,76 +199,22 @@ def eigvals_3x3(M: np.ndarray) -> tuple[complex, complex, complex]:
 
 
 def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B by Gauss-Jordan elimination with partial pivoting."""
-    M = _as_square(A).copy()
-    n = M.shape[0]
-    rhs = np.asarray(B, dtype=complex)
-    vec = rhs.ndim == 1
-    R = rhs.reshape(n, -1).copy()
-    if R.shape[0] != n:
-        raise ValueError("right-hand side has incompatible shape")
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(M[k:, k])))
-        if abs(M[piv, k]) < 1e-300:
-            raise SingularMatrixError("pivot vanished during elimination")
-        if piv != k:
-            M[[k, piv]] = M[[piv, k]]
-            R[[k, piv]] = R[[piv, k]]
-        inv_p = 1.0 / M[k, k]
-        M[k] *= inv_p
-        R[k] *= inv_p
-        for i in range(n):
-            if i != k and M[i, k] != 0:
-                f = M[i, k]
-                M[i] -= f * M[k]
-                R[i] -= f * R[k]
-    return R[:, 0] if vec else R
+    """Solve A X = B; raises SingularMatrixError when A is singular."""
+    M = _as_square(A)
+    try:
+        return np.linalg.solve(M, np.asarray(B, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix is singular") from exc
 
 
 def inverse(M: np.ndarray) -> np.ndarray:
-    """Matrix inverse through the Gauss-Jordan solver."""
+    """Matrix inverse; raises SingularMatrixError when M is singular."""
     A = _as_square(M)
     return solve(A, np.eye(A.shape[0], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
 # operator norm and condition number
-
-
-def _sigma_sq_max_power(M: np.ndarray) -> float:
-    """Largest eigenvalue of M*M by power iteration.
-
-    Deterministic all-ones start, then one seeded random restart; the max of
-    the two Rayleigh limits is returned.  Relative stopping tolerance 1e-12.
-    """
-    n = M.shape[0]
-    H = M.conj().T @ M
-    best = 0.0
-    starts = [np.ones(n, dtype=complex) / math.sqrt(n)]
-    rng = np.random.default_rng(_RESTART_SEED)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    starts.append(z / math.sqrt(float(np.vdot(z, z).real)))
-    for v in starts:
-        lam_prev = -1.0
-        hits = 0
-        lam = 0.0
-        for _ in range(10000):
-            w = H @ v
-            lam = float(np.vdot(v, w).real)
-            nw = math.sqrt(float(np.vdot(w, w).real))
-            if nw == 0.0:
-                lam = 0.0
-                break
-            v = w / nw
-            if lam_prev >= 0.0 and abs(lam - lam_prev) <= 1e-12 * max(lam, 1e-300):
-                hits += 1
-                if hits >= 2:
-                    break
-            else:
-                hits = 0
-            lam_prev = lam
-        best = max(best, lam)
-    return best
 
 
 def _sigma_bounds_closed(M: np.ndarray) -> tuple[float, float]:
@@ -296,21 +238,15 @@ def _sigma_bounds_closed(M: np.ndarray) -> tuple[float, float]:
     return math.sqrt(max(w2, 0.0)), math.sqrt(max(w0, 0.0))
 
 
-def operator_norm(M: np.ndarray, method: str = "auto") -> float:
+def operator_norm(M: np.ndarray) -> float:
     """Spectral norm ||M||_2.
 
     Closed-form singular values for n <= 3 (characteristic cubic of M*M);
-    power iteration on M*M for 4 <= n <= 8.  ``method`` forces a path:
-    "closed" (n <= 3 only), "power", or "auto".
+    numpy's SVD-based 2-norm for 4 <= n <= 8.
     """
     A = _as_square(M)
-    n = A.shape[0]
-    if method not in ("auto", "closed", "power"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and n > 3:
-        raise ValueError("closed-form norm is only available for n <= 3")
-    if method == "power" or (method == "auto" and n > 3):
-        return math.sqrt(max(_sigma_sq_max_power(A), 0.0))
+    if A.shape[0] > 3:
+        return float(np.linalg.norm(A, 2))
     return _sigma_bounds_closed(A)[0]
 
 
@@ -320,16 +256,11 @@ def condition_number(M: np.ndarray) -> float:
     Raises SingularMatrixError when sigma_min <= 1e-14 sigma_max.
     """
     A = _as_square(M)
-    n = A.shape[0]
-    if n <= 3:
+    if A.shape[0] <= 3:
         smax, smin = _sigma_bounds_closed(A)
     else:
-        smax = operator_norm(A, method="power")
-        try:
-            smin_inv = operator_norm(inverse(A), method="power")
-        except SingularMatrixError:
-            raise SingularMatrixError("matrix is singular; condition number undefined")
-        smin = 1.0 / smin_inv if smin_inv > 0 else 0.0
+        s = np.linalg.svd(A, compute_uv=False)
+        smax, smin = float(s[0]), float(s[-1])
     if smin <= 1e-14 * smax:
         raise SingularMatrixError("matrix is numerically singular; condition number undefined")
     return smax / smin
@@ -395,24 +326,8 @@ def _eigvec_3x3(A: np.ndarray, lam: complex) -> np.ndarray:
     return v
 
 
-def eigen_decomposition_3x3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, vectors) with unit eigenvector columns, Rayleigh-refined values."""
-    A = _as_square(M)
-    if A.shape[0] != 3:
-        raise ValueError("eigen_decomposition_3x3 needs a 3x3 matrix")
-    vals = list(eigvals_3x3(A))
-    vecs = []
-    out_vals = []
-    for lam in vals:
-        v = _eigvec_3x3(A, lam)
-        lam_r = complex(np.vdot(v, A @ v))
-        out_vals.append(lam_r)
-        vecs.append(v)
-    return np.array(out_vals), np.column_stack(vecs)
-
-
 def holomorphic_calc(M: np.ndarray, fn: Callable[[complex], complex]) -> np.ndarray:
-    """f(M) = Z f(L) Z^-1 through the 3x3 eigendecomposition.
+    """f(M) = Z f(L) Z^-1 through the eigendecomposition of a 3x3 matrix.
 
     Requires a simple, well-separated spectrum: raises ClusteredSpectrumError
     when two eigenvalues are closer than 1e-8 (relative to the spectral scale).
@@ -420,7 +335,7 @@ def holomorphic_calc(M: np.ndarray, fn: Callable[[complex], complex]) -> np.ndar
     A = _as_square(M)
     if A.shape[0] != 3:
         raise ValueError("holomorphic_calc needs a 3x3 matrix")
-    vals, Z = eigen_decomposition_3x3(A)
+    vals, Z = np.linalg.eig(A)
     scale = 1.0 + max(abs(v) for v in vals)
     for i in range(3):
         for j in range(i + 1, 3):
@@ -506,87 +421,6 @@ def schur_3x3(M: np.ndarray, eig_order: Sequence[complex] | None = None) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensystems up to 8x8 (batched cyclic Jacobi)
-
-
-def eigh_batched(H: np.ndarray, with_vectors: bool = True, sweeps: int = 30) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigen-decomposition of a batch of Hermitian matrices by cyclic Jacobi.
-
-    H has shape (..., n, n) with n <= 8.  Returns (w, V) with eigenvalues
-    ascending along the last axis and V[..., :, k] the matching eigenvectors
-    (V is None when with_vectors is False).  Sweeps stop once the off-diagonal
-    mass is at rounding level, which Jacobi reaches quadratically.
-    """
-    A = np.array(H, dtype=complex)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"expected (..., n, n), got {A.shape}")
-    n = A.shape[-1]
-    if n > MAX_N:
-        raise ValueError(f"matrices above {MAX_N}x{MAX_N} are out of scope here")
-    batch_shape = A.shape[:-2]
-    A = A.reshape(-1, n, n)
-    B = A.shape[0]
-    V = np.tile(np.eye(n, dtype=complex), (B, 1, 1)) if with_vectors else None
-    if n == 1:
-        w = A[:, 0, 0].real.reshape(*batch_shape, 1)
-        return w, (V.reshape(*batch_shape, 1, 1) if with_vectors else None)
-
-    fro2 = np.sum(np.abs(A) ** 2, axis=(1, 2))
-    stop = 1e-30 * np.maximum(fro2, 1e-300)
-    diag_idx = np.arange(n)
-    for _ in range(sweeps):
-        # off-diagonal mass summed directly (a total-minus-diagonal difference
-        # would cancel catastrophically near convergence)
-        sq = np.abs(A) ** 2
-        sq[:, diag_idx, diag_idx] = 0.0
-        off2 = np.sum(sq, axis=(1, 2))
-        if np.all(off2 <= stop):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q]
-                mod = np.abs(apq)
-                active = mod > 1e-300
-                if not np.any(active):
-                    continue
-                app = A[:, p, p].real
-                aqq = A[:, q, q].real
-                phase = np.where(active, apq / np.where(active, mod, 1.0), 1.0 + 0.0j)
-                tau = np.where(active, (aqq - app) / np.where(active, 2.0 * mod, 1.0), 0.0)
-                t = np.where(
-                    active,
-                    np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau)),
-                    0.0,
-                )
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # rotation J = [[c, s], [-s pc, c pc]] on coordinates (p, q),
-                # pc = conj(phase); A <- J* A J diagonalizes the (p, q) block
-                s_pc = s * np.conj(phase)
-                s_ph = s * phase
-                colp = A[:, :, p].copy()
-                colq = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * colp - s_pc[:, None] * colq
-                A[:, :, q] = s[:, None] * colp + c[:, None] * np.conj(phase)[:, None] * colq
-                rowp = A[:, p, :].copy()
-                rowq = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * rowp - s_ph[:, None] * rowq
-                A[:, q, :] = s[:, None] * rowp + c[:, None] * phase[:, None] * rowq
-                if with_vectors:
-                    vp = V[:, :, p].copy()
-                    vq = V[:, :, q].copy()
-                    V[:, :, p] = c[:, None] * vp - s_pc[:, None] * vq
-                    V[:, :, q] = s[:, None] * vp + c[:, None] * np.conj(phase)[:, None] * vq
-    w = np.diagonal(A, axis1=1, axis2=2).real.copy()
-    order = np.argsort(w, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    if with_vectors:
-        V = np.take_along_axis(V, order[:, None, :], axis=2)
-        V = V.reshape(*batch_shape, n, n)
-    return w.reshape(*batch_shape, n), V
-
-
-# ---------------------------------------------------------------------------
 # numerical-range support function
 
 
@@ -602,23 +436,7 @@ def support_function(M: np.ndarray, theta: float) -> float:
     This is the support function of the numerical range W(M) in direction
     e^{i theta}; W(M) = intersection of the half-planes it defines.
     """
-    A = _as_square(M)
-    n = A.shape[0]
-    Hr, Hi = _hermitian_parts(A)
-    K = math.cos(theta) * Hr + math.sin(theta) * Hi
-    if n <= 3:
-        if n == 1:
-            return K[0, 0].real
-        if n == 2:
-            h00, h11 = K[0, 0].real, K[1, 1].real
-            mean = (h00 + h11) / 2.0
-            rad = math.sqrt(((h00 - h11) / 2.0) ** 2 + abs(complex(K[0, 1])) ** 2)
-            return mean + rad
-        return _eigvalsh3_scalars(
-            K[0, 0].real, K[1, 1].real, K[2, 2].real, complex(K[0, 1]), complex(K[0, 2]), complex(K[1, 2])
-        )[2]
-    w, _ = eigh_batched(K[None, :, :], with_vectors=False)
-    return float(w[0, -1])
+    return float(support_function_grid(M, [theta])[0])
 
 
 def support_function_grid(M: np.ndarray, thetas: np.ndarray, with_vectors: bool = False):
@@ -631,8 +449,7 @@ def support_function_grid(M: np.ndarray, thetas: np.ndarray, with_vectors: bool 
     th = np.asarray(thetas, dtype=float)
     Hr, Hi = _hermitian_parts(A)
     K = np.cos(th)[:, None, None] * Hr[None, :, :] + np.sin(th)[:, None, None] * Hi[None, :, :]
-    w, V = eigh_batched(K, with_vectors=with_vectors)
-    h = w[:, -1]
     if not with_vectors:
-        return h
-    return h, V[:, :, -1]
+        return np.linalg.eigvalsh(K)[:, -1]
+    w, V = np.linalg.eigh(K)
+    return w[:, -1], V[:, :, -1]

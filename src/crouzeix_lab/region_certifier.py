@@ -18,13 +18,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+import multiprocessing
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .conformal_map import c_upper_closed, q_sign_chain_check
+from .conformal_map import _poly_mul, c_upper_closed, q_sign_chain_check
 from .core_matrix import NormalizedParams, q_from_rho
 from .errors import DomainError
 from .similarity import (
@@ -48,11 +48,13 @@ __all__ = [
     "certify",
     "classify",
     "figure2_data",
+    "open_grid",
     "p_smallr",
     "r1",
     "r3",
     "replay_proofs",
     "sweep_grid",
+    "sweep_points",
 ]
 
 _PRODUCT_TOL = 1e-12
@@ -257,6 +259,53 @@ def certify(rho: float, r: float) -> Certificate:
     )
 
 
+def open_grid(lo: float, hi: float, steps: int) -> list:
+    """Nodes lo + (hi - lo) k / steps for k = 1..steps, on (lo, hi].
+
+    Each node is capped at hi, so rounding never steps past the right end;
+    a single step is hi itself.
+    """
+    if steps == 1:
+        return [hi]
+    return [min(hi, lo + (hi - lo) * (k + 1) / steps) for k in range(steps)]
+
+
+def _sweep_row(rho: float, r_range: tuple) -> list:
+    """(rho, r, certificate) along one row; the certificate is None off the domain."""
+    lo, hi, steps = r_range
+    if lo is None:
+        lo = 1.0 / math.sqrt(rho) + 1e-6
+        if lo >= 1.0:
+            return []
+    out = []
+    for r in open_grid(lo, hi, steps):
+        try:
+            out.append((rho, r, certify(rho, r)))
+        except DomainError:
+            out.append((rho, r, None))
+    return out
+
+
+def sweep_points(rho_range: tuple, r_range: tuple, workers: int = 1):
+    """Yield (rho, r, Certificate or None) over a sweep grid in row-major order.
+
+    rho runs over open_grid(*rho_range).  r runs over open_grid(*r_range),
+    where a lower end of None stands for 1/sqrt(rho) + 1e-6, the row's own
+    edge of the domain (such a row is empty once that edge reaches 1).
+    Points outside the domain yield None.  With workers > 1 the rows are
+    certified in a process pool; the order and the values do not change.
+    """
+    row = functools.partial(_sweep_row, r_range=r_range)
+    rhos = open_grid(*rho_range)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            for points in pool.imap(row, rhos):
+                yield from points
+    else:
+        for rho in rhos:
+            yield from row(rho)
+
+
 def sweep_grid(
     n_rho: int = 500,
     n_r: int = 500,
@@ -272,15 +321,6 @@ def sweep_grid(
     """
     if n_rho < 1 or n_r < 1:
         raise DomainError("grid sizes must be positive")
-    rhos = [rho_min + (rho_max - rho_min) * (i + 1) / n_rho for i in range(n_rho)]
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            rows = pool.map(functools.partial(_sweep_row, n_r=n_r), rhos)
-    else:
-        rows = [_sweep_row(rho, n_r=n_r) for rho in rhos]
-
     summary = {
         "total": 0,
         "verdict_true": 0,
@@ -289,42 +329,16 @@ def sweep_grid(
         "worst_kappa": 0.0,
         "failures": [],
     }
-    for row in rows:
-        summary["total"] += row["total"]
-        summary["verdict_true"] += row["verdict_true"]
-        for k, v in row["by_region"].items():
-            summary["by_region"][k] += v
-        summary["worst_product"] = max(summary["worst_product"], row["worst_product"])
-        summary["worst_kappa"] = max(summary["worst_kappa"], row["worst_kappa"])
-        summary["failures"].extend(row["failures"])
-    return summary
-
-
-def _sweep_row(rho: float, n_r: int) -> dict:
-    lo = 1.0 / math.sqrt(rho) + 1e-6
-    row = {
-        "total": 0,
-        "verdict_true": 0,
-        "by_region": {rid.value: 0 for rid in RegionId if rid is not RegionId.OUT_OF_DOMAIN},
-        "worst_product": 0.0,
-        "worst_kappa": 0.0,
-        "failures": [],
-    }
-    if lo >= 1.0:
-        return row
-    for j in range(n_r):
-        # the last node is r = 1 exactly; guard the rounding of lo + (1 - lo)
-        r = min(1.0, lo + (1.0 - lo) * (j + 1) / n_r)
-        cert = certify(rho, r)
-        row["total"] += 1
-        row["by_region"][cert.region.value] += 1
-        row["worst_product"] = max(row["worst_product"], cert.product)
-        row["worst_kappa"] = max(row["worst_kappa"], cert.kappa)
+    for rho, r, cert in sweep_points((rho_min, rho_max, n_rho), (None, 1.0, n_r), workers):
+        summary["total"] += 1
+        summary["by_region"][cert.region.value] += 1
+        summary["worst_product"] = max(summary["worst_product"], cert.product)
+        summary["worst_kappa"] = max(summary["worst_kappa"], cert.kappa)
         if cert.verdict:
-            row["verdict_true"] += 1
+            summary["verdict_true"] += 1
         else:
-            row["failures"].append((rho, r, cert.region.value, cert.failure_reason))
-    return row
+            summary["failures"].append((rho, r, cert.region.value, cert.failure_reason))
+    return summary
 
 
 def figure2_data(grid: int) -> list[tuple[float, float]]:
@@ -364,15 +378,6 @@ def _poly_eval(coeffs, t):
 
 def _poly_deriv(coeffs):
     return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def B_of(r: float, rho: float) -> float:

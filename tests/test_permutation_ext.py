@@ -118,18 +118,18 @@ class TestVerifyObservation:
         assert verify_observation(*args).to_json() == verify_observation(*args).to_json()
 
     def test_block_norm_oracle(self):
-        # Gram-eigenvalue norm agrees with the power-iteration norm
+        # the 5x5 norm (numpy path) is the largest closed-form block norm
         rng = np.random.default_rng(9)
         d5 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         spec5 = perm_from_cycles("(0 1)(2 3 4)", 5)
         M = np.diag(d5) @ spec5.matrix() + 0.3 * np.eye(5)
         cs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        pM = dense_small.eval_poly(M, cs)
-        G = pM.conj().T @ pM
-        w, _ = dense_small.eigh_batched(G[None])
-        norm_jac = math.sqrt(max(float(w[0, -1]), 0.0))
-        norm_pow = dense_small.operator_norm(pM)
-        assert abs(norm_jac - norm_pow) < 1e-9 * (1 + norm_jac)
+        norm_full = dense_small.operator_norm(dense_small.eval_poly(M, cs))
+        blocks = cycle_decompose(d5, spec5).blocks
+        assert [k for k, _ in blocks] == [2, 3]
+        norm_blocks = max(dense_small.operator_norm(dense_small.eval_poly(B + 0.3 * np.eye(k), cs))
+                          for k, B in blocks)
+        assert abs(norm_full - norm_blocks) < 1e-9 * (1 + norm_full)
 
     def test_random_draws_pass(self):
         rng = np.random.default_rng(10)

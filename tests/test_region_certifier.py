@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crouzeix_lab import dense_small
+from crouzeix_lab import dense_small, region_certifier
 from crouzeix_lab.errors import DomainError
 from crouzeix_lab.region_certifier import (
     B_of,
@@ -153,6 +153,20 @@ class TestSweep:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             sweep_grid(0, 10)
+
+    def test_rho_grid_stays_inside_rho_max(self, monkeypatch):
+        # 1 + 6.3 * 41 / 41 rounds to 7.300000000000001 without the cap
+        seen = []
+
+        def recording_certify(rho, r):
+            seen.append(rho)
+            return certify(rho, r)
+
+        monkeypatch.setattr(region_certifier, "certify", recording_certify)
+        s = sweep_grid(41, 3, rho_min=1.0, rho_max=7.3)
+        assert s["total"] == len(seen) == 41 * 3
+        assert max(seen) == 7.3
+        assert all(1.0 < rho <= 7.3 for rho in seen)
 
 
 class TestFigure2:
