@@ -268,7 +268,11 @@ def cmd_perm(args) -> int:
     except (ValueError, DomainError) as exc:
         print(f"bad perm arguments: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = verify_observation(a, diag, perm, args.degree, args.budget, args.seed)
+    try:
+        report = verify_observation(a, diag, perm, args.degree, args.budget, args.seed)
+    except DomainError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_DOMAIN
     print(_dump(report.to_json()))
     return EXIT_OK if report.passed else EXIT_FAIL
 

@@ -67,6 +67,8 @@ class RhoParams:
     def __post_init__(self) -> None:
         if not (self.rho > 1.0):
             raise DomainError(f"rho must exceed 1, got {self.rho}")
+        if not math.isfinite(self.rho):
+            raise DomainError(f"rho must be finite, got {self.rho}")
         if not (1.0 / math.sqrt(self.rho) < self.r <= 1.0):
             raise DomainError(f"r={self.r} outside (1/sqrt(rho), 1] for rho={self.rho}")
 
@@ -148,6 +150,8 @@ def q_from_rho(rho: float, r: float) -> float:
     x = r * r + 1.0 / (r * r)
     y = rho + 1.0 / rho
     q_sq = (y * y - x * x) / x
+    if not math.isfinite(q_sq):
+        raise DomainError(f"rho={rho} overflows q^2 = {q_sq}")
     if q_sq <= 0.0:
         raise DomainError(f"(rho={rho}, r={r}) gives q^2 = {q_sq} <= 0")
     return math.sqrt(q_sq)

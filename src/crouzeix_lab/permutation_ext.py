@@ -263,7 +263,7 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     block_norm_ok = block_norm_worst <= _NORM_LAW_TOL
 
     pts = _boundary_points(A, _BOUNDARY_GRID)
-    ratio = coordinate_search(A, lambda c: _max_abs_over(pts, c), degree, budget, seed)
+    ratio = coordinate_search(A, pts, degree, budget, seed)
     ratio_ok = ratio.best_ratio <= _RATIO_TOL
 
     A_pd = a * np.eye(n, dtype=complex) + Pm @ np.diag(d)

@@ -12,6 +12,11 @@ so the denominator is stable under grid refinement.  The search itself is a
 seeded multi-start coordinate ascent; it is reproducible and monotone in its
 evaluation budget, and it reports the best ratio found together with the
 polynomial achieving it.
+
+Most coordinate trials skip the polish: it never lowers the grid maximum
+`top` and IEEE division is monotone, so ||p(A)|| / top bounds a trial's ratio,
+and a trial whose bound can be neither accepted nor recorded changes nothing.
+Every other value is computed as before, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -110,6 +115,8 @@ def boundary_samples(rho: float, m: int) -> np.ndarray:
     """m points (a cos t, b sin t) on the ellipse with semi-axes a, b = (rho +- 1/rho)/2."""
     if not rho > 1.0:
         raise DomainError(f"rho must exceed 1, got {rho}")
+    if not math.isfinite(rho):
+        raise DomainError(f"rho must be finite, got {rho}")
     if m < 8:
         raise DomainError(f"need at least 8 samples, got {m}")
     a = (rho + 1.0 / rho) / 2.0
@@ -121,9 +128,11 @@ def boundary_samples(rho: float, m: int) -> np.ndarray:
 class EllipseBoundary:
     """Sampled boundary ellipse with a polished maximum-modulus evaluator.
 
-    The grid maximum of |p| alone moves by O(h^2) under refinement; following
-    it with a golden-section polish inside each near-maximal bracket brings
-    the value to grid-independent accuracy, which ratio_for_poly relies on.
+    The grid maximum of |p| alone (`top`) moves by O(h^2) under refinement;
+    following it with a golden-section polish inside each near-maximal
+    bracket brings the value to grid-independent accuracy, which
+    ratio_for_poly relies on.  The polish never lowers it, so top(c) <=
+    max_abs_poly(c), the bound by which coordinate_search skips the polish.
     """
 
     def __init__(self, rho: float, m: int = 2048):
@@ -137,9 +146,13 @@ class EllipseBoundary:
     def _at(self, t: np.ndarray) -> np.ndarray:
         return self._a * np.cos(t) + 1j * self._b * np.sin(t)
 
+    def top(self, coeffs) -> float:
+        """Grid maximum of |p|, the first stage of max_abs_poly and a lower bound on it."""
+        return _max_abs_over(self.points, coeffs)
+
     def max_abs_poly(self, coeffs) -> float:
         cs = np.asarray(tuple(coeffs), dtype=complex)[::-1]
-        vals = np.abs(np.polyval(cs, self.points))
+        vals = _abs_over(self.points, coeffs)
         top = float(vals.max())
         if len(cs) <= 1:
             return top
@@ -169,9 +182,35 @@ class EllipseBoundary:
         return max(top, float(refined))
 
 
+def _abs_over(points: np.ndarray, coeffs) -> np.ndarray:
+    return np.abs(np.polyval(np.asarray(tuple(coeffs), dtype=complex)[::-1], points))
+
+
 def _max_abs_over(points: np.ndarray, coeffs) -> float:
-    cs = np.asarray(tuple(coeffs), dtype=complex)[::-1]
-    return float(np.abs(np.polyval(cs, points)).max())
+    return float(_abs_over(points, coeffs).max())
+
+
+def _max_abs(boundary, coeffs) -> float:
+    """Boundary maximum of |p|: polished on an EllipseBoundary, the grid maximum on points."""
+    if isinstance(boundary, EllipseBoundary):
+        return boundary.max_abs_poly(coeffs)
+    pts = np.asarray(boundary)
+    if pts.size == 0:
+        raise DomainError("boundary sample set is empty")
+    return _max_abs_over(pts, coeffs)
+
+
+def _score(A: np.ndarray, coeffs, boundary, ruled_out=None) -> float | None:
+    """The ratio, or None (unpolished) when ruled_out holds for its bound ||p(A)|| / top."""
+    num = dense_small.operator_norm(dense_small.eval_poly(A, coeffs))
+    if ruled_out is not None and isinstance(boundary, EllipseBoundary):
+        top = boundary.top(coeffs)
+        if top >= _DENOM_FLOOR and ruled_out(num / top):
+            return None
+    denom = _max_abs(boundary, coeffs)
+    if denom < _DENOM_FLOOR:
+        raise DegenerateDenominatorError(f"boundary maximum {denom} too small to divide by")
+    return num / denom
 
 
 def ratio_for_poly(A: np.ndarray, p: PolySpec, boundary) -> float:
@@ -180,16 +219,7 @@ def ratio_for_poly(A: np.ndarray, p: PolySpec, boundary) -> float:
     boundary is either an EllipseBoundary (polished maximum) or a plain array
     of boundary points (grid maximum).
     """
-    if isinstance(boundary, EllipseBoundary):
-        denom = boundary.max_abs_poly(p.coeffs)
-    else:
-        pts = np.asarray(boundary)
-        if pts.size == 0:
-            raise DomainError("boundary sample set is empty")
-        denom = _max_abs_over(pts, p.coeffs)
-    if denom < _DENOM_FLOOR:
-        raise DegenerateDenominatorError(f"boundary maximum {denom} too small to divide by")
-    return dense_small.operator_norm(dense_small.eval_poly(A, p.coeffs)) / denom
+    return _score(A, p.coeffs, boundary)
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
@@ -200,27 +230,21 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def coordinate_search(A: np.ndarray, max_abs, degree: int, budget: int, seed: int) -> RatioResult:
+def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: int) -> RatioResult:
     """Seeded multi-start coordinate ascent on the ratio; engine of worst_ratio_search.
 
-    max_abs(coeffs) must return the boundary maximum of |p|.  Candidate order
-    is a fixed function of the seed alone, so a larger budget evaluates a
-    superset of candidates and the recorded best never decreases.
+    boundary is an EllipseBoundary or an array of points, as in ratio_for_poly.
+    Candidate order is a fixed function of the seed alone, so a larger budget
+    evaluates a superset of candidates and the recorded best never decreases.
     """
     if not 0 <= degree <= _MAX_DEGREE:
         raise DomainError(f"degree {degree} outside [0, {_MAX_DEGREE}]")
     if budget < 1:
         raise DomainError("budget must be at least 1")
 
-    def ratio_of(c: np.ndarray) -> float:
-        denom = max_abs(c)
-        if denom < _DENOM_FLOOR:
-            raise DegenerateDenominatorError(f"boundary maximum {denom} too small to divide by")
-        return dense_small.operator_norm(dense_small.eval_poly(A, c)) / denom
-
     best_c = np.zeros(degree + 1, dtype=complex)
     best_c[0] = 1.0
-    best = ratio_of(best_c)
+    best = _score(A, best_c, boundary)
     evals = 1
     if degree == 0:
         return RatioResult(best, PolySpec.of(best_c), evals, seed)
@@ -230,14 +254,18 @@ def coordinate_search(A: np.ndarray, max_abs, degree: int, budget: int, seed: in
         if val > best or (val == best and _lex_less(c, best_c)):
             best, best_c = val, c.copy()
 
+    def ruled_out(upper: float) -> bool:
+        # the trial's ratio is at most upper, so it can be neither accepted nor recorded
+        return upper <= cur * (1.0 + 1e-12) and upper < best
+
     rng = np.random.default_rng(seed)
     while evals < budget:
         c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        scale = max_abs(c)
+        scale = _max_abs(boundary, c)
         if scale < _DENOM_FLOOR:
             continue
         c /= scale
-        cur = ratio_of(c)
+        cur = _score(A, c, boundary)
         evals += 1
         record(cur, c)
         step = 0.5
@@ -249,8 +277,10 @@ def coordinate_search(A: np.ndarray, max_abs, degree: int, budget: int, seed: in
                         break
                     trial = c.copy()
                     trial[j] += delta
-                    val = ratio_of(trial)
+                    val = _score(A, trial, boundary, ruled_out)
                     evals += 1
+                    if val is None:
+                        continue
                     record(val, trial)
                     if val > cur * (1.0 + 1e-12):
                         c, cur, improved = trial, val, True
@@ -264,5 +294,4 @@ def coordinate_search(A: np.ndarray, max_abs, degree: int, budget: int, seed: in
 def worst_ratio_search(rho: float, r: float, degree: int, budget: int, seed: int) -> RatioResult:
     """Worst ratio found for the family matrix at (rho, r); never above 2 here."""
     A = build_A_rho(rho, r)
-    boundary = EllipseBoundary(rho)
-    return coordinate_search(A, boundary.max_abs_poly, degree, budget, seed)
+    return coordinate_search(A, EllipseBoundary(rho), degree, budget, seed)

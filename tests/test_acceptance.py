@@ -249,7 +249,7 @@ def test_criterion_6_ratio_search_certified_points():
         res = worst_ratio_search(rho, r, 8, 500, seed=k)
         worst = max(worst, res.best_ratio)
     normal = coordinate_search(np.diag([1.0, 0.0, -1.0]).astype(complex),
-                               EllipseBoundary(2.0).max_abs_poly, 8, 500, 0)
+                               EllipseBoundary(2.0), 8, 500, 0)
     dt = time.time() - t0
     ok = worst <= 2.0 + 1e-6 and normal.best_ratio <= 1.0 + 1e-9 and dt <= 300.0
     _line(6, ok, f"worst searched ratio {worst:.9f}, "

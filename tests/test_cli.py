@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,13 @@ class TestVerify:
     def test_parse_error_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--rho", "abc", "--r", "1")
         assert code == 4
+
+    @pytest.mark.parametrize("rho", ["inf", "1e308"])
+    def test_non_finite_rho_exit_2(self, capsys, rho):
+        code, out, err = run_cli(capsys, "verify", "--rho", rho, "--r", "1")
+        assert code == 2
+        assert out == ""
+        assert "rho" in err
 
     def test_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--rho", "3.7", "--r", "0.9")
@@ -187,6 +195,15 @@ class TestRatio:
         code, _, _ = run_cli(capsys, "ratio", "--rho", "0.5", "--r", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("rho", ["inf", "1e308"])
+    def test_non_finite_rho_exit_2_before_searching(self, capsys, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "ratio", "--rho", rho, "--r", "1")
+        assert code == 2
+        assert out == ""
+        assert "rho" in err
+
 
 class TestPerm:
     def test_three_cycle(self, capsys):
@@ -212,6 +229,18 @@ class TestPerm:
         code, _, _ = run_cli(capsys, "perm", "--a", "0", "--diag", "1,2,3",
                              "--perm", "(0 9)")
         assert code == 4
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--degree", "13"), "degree 13"),
+        (("--degree", "-1"), "degree -1"),
+        (("--budget", "0"), "budget"),
+    ])
+    def test_bad_search_settings_exit_2(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "perm", "--a", "0", "--diag", "1,2,3",
+                                 "--perm", "(0 1 2)", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestEntryPoints:

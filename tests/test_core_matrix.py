@@ -70,6 +70,17 @@ class TestConstruction:
         with pytest.raises(DomainError):
             q_from_rho(4.0, 0.5)
 
+    def test_rejects_infinite_rho(self):
+        for make in (RhoParams, q_from_rho, build_A_rho):
+            with pytest.raises(DomainError, match="rho"):
+                make(math.inf, 1.0)
+
+    def test_q_from_rho_rejects_overflowing_q(self):
+        # rho = 1e308 is finite, but y^2 overflows and q^2 would be inf
+        RhoParams(1e308, 1.0)
+        with pytest.raises(DomainError, match="rho"):
+            q_from_rho(1e308, 1.0)
+
     def test_ellipse_geometry_invariant(self):
         geo = mu_rho(1.3, 0.77)
         assert abs(geo.major**2 - geo.minor**2 - 4.0) < 1e-9
