@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dense_small
 from .errors import DomainError
-from .ratio_search import RatioResult, _max_abs_over, coordinate_search
+from .ratio_search import RatioResult, _check_search_settings, _max_abs_over, coordinate_search
 
 __all__ = [
     "PermSpec",
@@ -230,8 +230,10 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     The report carries each finding separately plus an overall pass flag;
     tolerances: inclusion 1e-9 absolute in the support function, block-norm
     law 1e-10 relative, ratios below 2 + 1e-6, DP/PD and shift-covariance
-    agreement 1e-9 relative.
+    agreement 1e-9 relative.  A degree or budget the search rejects raises
+    DomainError before any check runs.
     """
+    _check_search_settings(degree, budget)
     a = complex(a)
     d = np.asarray([complex(v) for v in D])
     n = P.n

@@ -16,7 +16,11 @@ polynomial achieving it.
 Most coordinate trials skip the polish: it never lowers the grid maximum
 `top` and IEEE division is monotone, so ||p(A)|| / top bounds a trial's ratio,
 and a trial whose bound can be neither accepted nor recorded changes nothing.
-Every other value is computed as before, so results are bit-identical.
+A trial changes one coefficient c[j], so it resumes the Horner evaluations of
+p(A) and of p on the grid at state j + 1, kept from when the current
+polynomial became current, and runs only j + 1 steps.  Each golden-section
+step evaluates both probe points of every bracket in one call.  Every value
+comes from the same operations in the same order, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -164,21 +168,19 @@ class EllipseBoundary:
         t0 = self._h * peaks
         lo = t0 - self._h
         hi = t0 + self._h
-        # vectorised golden section over all brackets at once; 40 steps shrink
-        # each bracket by ~4e-9 so the quadratic peak error is below rounding
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        f1 = np.abs(np.polyval(cs, self._at(x1)))
-        f2 = np.abs(np.polyval(cs, self._at(x2)))
-        for _ in range(40):
-            move_up = f1 < f2
-            lo = np.where(move_up, x1, lo)
-            hi = np.where(move_up, hi, x2)
-            x1 = hi - _GOLDEN * (hi - lo)
-            x2 = lo + _GOLDEN * (hi - lo)
-            f1 = np.abs(np.polyval(cs, self._at(x1)))
-            f2 = np.abs(np.polyval(cs, self._at(x2)))
-        refined = np.maximum(f1, f2).max() if peaks.size else top
+        # vectorised golden section over all brackets at once, both probes of a
+        # bracket in one evaluation; 40 steps shrink each bracket by ~4e-9 so
+        # the quadratic peak error is below rounding
+        k = peaks.size
+        for step in range(41):
+            if step:
+                move_up = f[:k] < f[k:]
+                lo = np.where(move_up, x1, lo)
+                hi = np.where(move_up, hi, x2)
+            w = _GOLDEN * (hi - lo)
+            x1, x2 = hi - w, lo + w
+            f = np.abs(np.polyval(cs, self._at(np.concatenate((x1, x2)))))
+        refined = f.max() if k else top
         return max(top, float(refined))
 
 
@@ -190,24 +192,44 @@ def _max_abs_over(points: np.ndarray, coeffs) -> float:
     return float(_abs_over(points, coeffs).max())
 
 
-def _max_abs(boundary, coeffs) -> float:
-    """Boundary maximum of |p|: polished on an EllipseBoundary, the grid maximum on points."""
+def _points(boundary) -> np.ndarray:
+    """The sample points of an EllipseBoundary or of a point array, which must not be empty."""
     if isinstance(boundary, EllipseBoundary):
-        return boundary.max_abs_poly(coeffs)
+        return boundary.points
     pts = np.asarray(boundary)
     if pts.size == 0:
         raise DomainError("boundary sample set is empty")
-    return _max_abs_over(pts, coeffs)
+    return pts
 
 
-def _score(A: np.ndarray, coeffs, boundary, ruled_out=None) -> float | None:
-    """The ratio, or None (unpolished) when ruled_out holds for its bound ||p(A)|| / top."""
-    num = dense_small.operator_norm(dense_small.eval_poly(A, coeffs))
-    if ruled_out is not None and isinstance(boundary, EllipseBoundary):
-        top = boundary.top(coeffs)
-        if top >= _DENOM_FLOOR and ruled_out(num / top):
-            return None
-    denom = _max_abs(boundary, coeffs)
+def _horner(A: np.ndarray, pts: np.ndarray, c, j: int, above: tuple | None = None) -> tuple:
+    """Horner states of p(A) and of p over pts, for ascending coefficients c.
+
+    Entry k of each list is the state after c[d], ..., c[k], computed as
+    eval_poly and np.polyval compute it, so entry 0 is p.  Entries above j
+    come from `above`, the states of a polynomial agreeing with c there: a
+    change in c[j] alone costs j + 1 steps and matches a full pass bit for
+    bit.  Without `above`, j must be the degree.
+    """
+    mats, grid = above or ([None] * (j + 2), [None] * (j + 1) + [np.zeros_like(pts)])
+    mats, grid = list(mats), list(grid)
+    I = np.eye(A.shape[0], dtype=complex)
+    for k in range(j, -1, -1):
+        ck = complex(c[k])
+        mats[k] = ck * I if mats[k + 1] is None else mats[k + 1] @ A + ck * I
+        grid[k] = grid[k + 1] * pts + ck
+    return mats, grid
+
+
+def _num_top(states: tuple) -> tuple:
+    """||p(A)|| and the grid maximum of |p|, from the Horner states of p."""
+    mats, grid = states
+    return dense_small.operator_norm(mats[0]), float(np.abs(grid[0]).max())
+
+
+def _score(boundary, coeffs, num: float, top: float) -> float:
+    """num over the boundary maximum of |p|: polished on an EllipseBoundary, top on points."""
+    denom = boundary.max_abs_poly(coeffs) if isinstance(boundary, EllipseBoundary) else top
     if denom < _DENOM_FLOOR:
         raise DegenerateDenominatorError(f"boundary maximum {denom} too small to divide by")
     return num / denom
@@ -219,7 +241,17 @@ def ratio_for_poly(A: np.ndarray, p: PolySpec, boundary) -> float:
     boundary is either an EllipseBoundary (polished maximum) or a plain array
     of boundary points (grid maximum).
     """
-    return _score(A, p.coeffs, boundary)
+    states = _horner(dense_small._as_square(A), _points(boundary), p.coeffs, p.degree)
+    return _score(boundary, p.coeffs, *_num_top(states))
+
+
+def _ruled_out(upper: float, cur: float, best: float) -> bool:
+    """Whether a trial whose ratio is at most upper can be neither accepted nor recorded.
+
+    Acceptance needs a ratio above cur * (1 + 1e-12); recording needs one
+    above best, or equal to it with lexicographically smaller coefficients.
+    """
+    return upper <= cur * (1.0 + 1e-12) and upper < best
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
@@ -230,6 +262,14 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
+def _check_search_settings(degree: int, budget: int) -> None:
+    """Raise DomainError unless 0 <= degree <= _MAX_DEGREE and budget >= 1."""
+    if not 0 <= degree <= _MAX_DEGREE:
+        raise DomainError(f"degree {degree} outside [0, {_MAX_DEGREE}]")
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
+
+
 def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: int) -> RatioResult:
     """Seeded multi-start coordinate ascent on the ratio; engine of worst_ratio_search.
 
@@ -237,14 +277,14 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     Candidate order is a fixed function of the seed alone, so a larger budget
     evaluates a superset of candidates and the recorded best never decreases.
     """
-    if not 0 <= degree <= _MAX_DEGREE:
-        raise DomainError(f"degree {degree} outside [0, {_MAX_DEGREE}]")
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
+    _check_search_settings(degree, budget)
+    A = dense_small._as_square(A)
+    pts = _points(boundary)
+    polished = isinstance(boundary, EllipseBoundary)
 
     best_c = np.zeros(degree + 1, dtype=complex)
     best_c[0] = 1.0
-    best = _score(A, best_c, boundary)
+    best = _score(boundary, best_c, *_num_top(_horner(A, pts, best_c, degree)))
     evals = 1
     if degree == 0:
         return RatioResult(best, PolySpec.of(best_c), evals, seed)
@@ -254,18 +294,15 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
         if val > best or (val == best and _lex_less(c, best_c)):
             best, best_c = val, c.copy()
 
-    def ruled_out(upper: float) -> bool:
-        # the trial's ratio is at most upper, so it can be neither accepted nor recorded
-        return upper <= cur * (1.0 + 1e-12) and upper < best
-
     rng = np.random.default_rng(seed)
     while evals < budget:
         c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        scale = _max_abs(boundary, c)
+        scale = boundary.max_abs_poly(c) if polished else _max_abs_over(pts, c)
         if scale < _DENOM_FLOOR:
             continue
         c /= scale
-        cur = _score(A, c, boundary)
+        states = _horner(A, pts, c, degree)
+        cur = _score(boundary, c, *_num_top(states))
         evals += 1
         record(cur, c)
         step = 0.5
@@ -277,13 +314,16 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                         break
                     trial = c.copy()
                     trial[j] += delta
-                    val = _score(A, trial, boundary, ruled_out)
+                    trial_states = _horner(A, pts, trial, j, states)
+                    num, top = _num_top(trial_states)
                     evals += 1
-                    if val is None:
+                    # num / top bounds the ratio: the polish never lowers top
+                    if polished and top >= _DENOM_FLOOR and _ruled_out(num / top, cur, best):
                         continue
+                    val = _score(boundary, trial, num, top)
                     record(val, trial)
                     if val > cur * (1.0 + 1e-12):
-                        c, cur, improved = trial, val, True
+                        c, cur, states, improved = trial, val, trial_states, True
                 if evals >= budget:
                     break
             if not improved:

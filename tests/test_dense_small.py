@@ -99,6 +99,26 @@ class TestOperatorNorm:
             n_np = np.linalg.norm(M, 2)
             assert abs(ds.operator_norm(M) - n_np) < 1e-11 * n_np
 
+    def test_closed_form_gram_sums_match_generator_sums(self):
+        # the Gram entries are written out as 0 + t0 + t1 + t2; pin them to sum()
+        def reference(M):
+            m = [[complex(M[i, j]) for j in range(3)] for i in range(3)]
+            h = [[sum(m[k][i].conjugate() * m[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+            w0, _, w2 = ds._eigvalsh3_scalars(h[0][0].real, h[1][1].real, h[2][2].real, h[0][1], h[0][2], h[1][2])
+            return math.sqrt(max(w2, 0.0)), math.sqrt(max(w0, 0.0))
+
+        rng = np.random.default_rng(49)
+        for k in range(500):
+            M = rand_complex(rng, 3, 3) * 10.0 ** rng.uniform(-3, 3)
+            if k % 4 == 0:
+                # signed zeros in some real parts, some imaginary parts and some whole entries
+                mask = rng.random((3, 3))
+                M.real[mask < 0.3] = -0.0
+                M.imag[mask > 0.7] = -0.0
+                M[rng.random((3, 3)) < 0.2] = complex(-0.0, -0.0)
+            got, want = ds._sigma_bounds_closed(M), reference(M)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_larger_sizes_vs_numpy(self):
         rng = np.random.default_rng(50)
         for _ in range(150):

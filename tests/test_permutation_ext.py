@@ -131,6 +131,15 @@ class TestVerifyObservation:
                           for k, B in blocks)
         assert abs(norm_full - norm_blocks) < 1e-9 * (1 + norm_full)
 
+    @pytest.mark.parametrize("degree, budget", [(13, 60), (-1, 60), (4, 0)])
+    def test_bad_search_settings_raise_before_any_check(self, monkeypatch, degree, budget):
+        def fail(*args, **kwargs):
+            raise AssertionError("support_function_grid ran before the search settings were checked")
+
+        monkeypatch.setattr(dense_small, "support_function_grid", fail)
+        with pytest.raises(DomainError, match="degree|budget"):
+            verify_observation(0, [1, 2, 3], perm_from_cycles("(0 1 2)", 3), degree, budget, 0)
+
     def test_random_draws_pass(self):
         rng = np.random.default_rng(10)
         for trial in range(10):

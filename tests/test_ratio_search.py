@@ -11,6 +11,9 @@ from crouzeix_lab.ratio_search import (
     EllipseBoundary,
     PolySpec,
     RatioResult,
+    _horner,
+    _num_top,
+    _ruled_out,
     boundary_samples,
     coordinate_search,
     ratio_for_poly,
@@ -141,6 +144,36 @@ class TestBoundaryMaximum:
             assert polished >= np.abs(np.polyval(cs[::-1], eb.points)).max() - 1e-15
             brute = np.abs(np.polyval(cs[::-1], boundary_samples(3.0, 1000000))).max()
             assert (brute - polished) / brute < 1e-10
+
+
+    def test_combined_golden_section_matches_two_evaluations(self):
+        # reference: the golden section that evaluates x1 and x2 in separate calls
+        def two_call_max(eb, cs):
+            cs = np.asarray(cs, dtype=complex)[::-1]
+            vals = np.abs(np.polyval(cs, eb.points))
+            top = float(vals.max())
+            if len(cs) <= 1:
+                return top
+            peaks = np.nonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)) & (vals >= 0.98 * top))[0]
+            if peaks.size > 8:
+                peaks = peaks[np.argsort(vals[peaks])[::-1][:8]]
+            lo, hi = eb._h * peaks - eb._h, eb._h * peaks + eb._h
+            g = (math.sqrt(5.0) - 1.0) / 2.0
+            x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+            f1, f2 = np.abs(np.polyval(cs, eb._at(x1))), np.abs(np.polyval(cs, eb._at(x2)))
+            for _ in range(40):
+                move_up = f1 < f2
+                lo, hi = np.where(move_up, x1, lo), np.where(move_up, hi, x2)
+                x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+                f1, f2 = np.abs(np.polyval(cs, eb._at(x1))), np.abs(np.polyval(cs, eb._at(x2)))
+            return max(top, float(np.maximum(f1, f2).max()))
+
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            deg = int(rng.integers(0, 13))
+            cs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            eb = EllipseBoundary(float(rng.uniform(1.01, 50.0)), int(rng.choice([8, 64, 2048])))
+            assert eb.max_abs_poly(cs) == two_call_max(eb, cs)
 
 
 class TestSearch:
@@ -290,6 +323,16 @@ class TestPolishSkip:
         expect = _search_polishing_every_trial(A, grid_max, 5, 200, 9)
         assert coordinate_search(A, pts, 5, 200, 9) == expect
 
+    def test_one_point_array_matches_grid_maximum_search(self):
+        A = build_A_rho(3.0, 0.8)
+        pts = boundary_samples(3.0, 512)[:1]
+
+        def grid_max(c):
+            return np.abs(np.polyval(np.asarray(c)[::-1], pts)).max()
+
+        expect = _search_polishing_every_trial(A, grid_max, 5, 200, 9)
+        assert coordinate_search(A, pts, 5, 200, 9) == expect
+
     def test_most_trials_skip_the_polish(self, monkeypatch):
         calls = []
         polish = EllipseBoundary.max_abs_poly
@@ -313,3 +356,58 @@ class TestPolishSkip:
     def test_pinned_search_result(self):
         # exact floats from the search that polished every trial
         assert worst_ratio_search(2.0, 1.0, 6, 150, 7).to_json() == PINNED_2_1_6_150_7
+
+
+class TestSkipRule:
+    """_ruled_out(upper, cur, best): a trial with ratio <= upper changes nothing."""
+
+    def test_below_both_is_ruled_out(self):
+        assert _ruled_out(1.2, 1.3, 1.5)
+        assert _ruled_out(1.3, 1.3, 1.5)
+
+    def test_acceptance_threshold_is_inclusive(self):
+        # acceptance needs a ratio strictly above cur * (1 + 1e-12)
+        cur = 1.3
+        edge = cur * (1.0 + 1e-12)
+        assert _ruled_out(edge, cur, 1.5)
+        assert not _ruled_out(math.nextafter(edge, math.inf), cur, 1.5)
+
+    def test_a_tie_with_best_is_kept(self):
+        # a ratio equal to best may still be recorded by the lexicographic tie-break
+        assert not _ruled_out(1.5, 1.5, 1.5)
+        assert not _ruled_out(1.5, 1.3, 1.5)
+        assert _ruled_out(math.nextafter(1.5, 0.0), 1.5, 1.5)
+
+    def test_above_best_is_kept(self):
+        cur = best = 1.5
+        upper = math.nextafter(best, math.inf)
+        assert upper <= cur * (1.0 + 1e-12)
+        assert not _ruled_out(upper, cur, best)
+
+
+class TestResumedHorner:
+    """Resuming at c[j] from the current states reproduces eval_poly and np.polyval bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trials_match_full_evaluation(self, n):
+        rng = np.random.default_rng(60 + n)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ring = boundary_samples(1.0 + n, 2048) * (1.0 + 0.1 * rng.standard_normal(2048))
+        for m in (1, 2, 7, 2048):
+            pts = ring[rng.permutation(2048)[:m]]
+            c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+            states = _horner(A, pts, c, 8)
+            for j in range(9):
+                for delta in (0.5, -0.5, 0.5j, -0.5j):
+                    trial = c.copy()
+                    trial[j] += delta
+                    mats, grid = trial_states = _horner(A, pts, trial, j, states)
+                    pA = dense_small.eval_poly(A, trial)
+                    vals = np.abs(np.polyval(trial[::-1], pts))
+                    num, top = _num_top(trial_states)
+                    assert np.array_equal(mats[0], pA)
+                    assert num == dense_small.operator_norm(pA)
+                    assert np.array_equal(np.abs(grid[0]), vals)
+                    assert top == vals.max()
+                    # accept the trial, as the search does, so later trials resume from it
+                    c, states = trial, trial_states
