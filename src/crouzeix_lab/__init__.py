@@ -32,14 +32,8 @@ from .conformal_map import (
     q_sign_chain_check,
     verify_fA_equals_cA,
 )
-from .dense_small import (
-    condition_number,
-    eval_poly,
-    holomorphic_calc,
-    operator_norm,
-    support_function,
-)
-from .errors import ClusteredSpectrumError, DegenerateDenominatorError, DomainError, SingularMatrixError
+from .dense_small import condition_number, eval_poly, operator_norm
+from .errors import DegenerateDenominatorError, DomainError, SingularMatrixError
 from .ratio_search import (
     EllipseBoundary,
     PolySpec,
@@ -96,7 +90,6 @@ __all__ = [
     "EllipseBoundary",
     "CanonicalG",
     "Certificate",
-    "ClusteredSpectrumError",
     "CycleDecomposition",
     "DegenerateDenominatorError",
     "DomainError",
@@ -134,7 +127,6 @@ __all__ = [
     "eval_poly",
     "figure2_data",
     "foci_of_general",
-    "holomorphic_calc",
     "mu_rho",
     "norm_from_P",
     "normalize",
@@ -149,7 +141,6 @@ __all__ = [
     "ratio_for_poly",
     "replay_proofs",
     "singular_spectrum",
-    "support_function",
     "sweep_grid",
     "verify_fA_equals_cA",
     "verify_observation",

@@ -10,10 +10,14 @@ product representation
 
     c = (2 / rho) prod_{n>=1} ((1 + rho^{-8n}) / (1 + rho^{4-8n}))^2,
 
-whose even/odd truncations give rigorous two-sided brackets, and the closed
-envelopes c < 2/rho (all rho > 1) and c < 2 / (rho sqrt(1 + 4 rho^{-4}))
-(rho >= sqrt(2)); the latter rests on a one-variable polynomial sign chain
-checked by `q_sign_chain_check`.
+whose truncations, rounded outward, give two-sided brackets (`c_bracket`),
+and the closed envelopes c < 2/rho (all rho > 1) and
+c < 2 / (rho sqrt(1 + 4 rho^{-4})) (rho >= sqrt(2)); the latter rests on a
+one-variable polynomial sign chain checked by `q_sign_chain_check`.
+
+The family matrix A has spectrum {-1, 0, 1}, so any f acts on it through
+its three values there; `verify_fA_equals_cA` checks f(A) = c A on the
+spectral projectors of A.
 """
 
 from __future__ import annotations
@@ -108,10 +112,10 @@ def eval_f(z: complex, rho: float, n_terms: int | None = None) -> complex:
 
 @dataclass(frozen=True)
 class CBracket:
-    """Two-sided enclosure of the focal image c = f(1).
+    """Two-sided enclosure lower <= c <= upper of the focal image c = f(1).
 
-    Converged brackets satisfy upper < 1; with few factors the upper bound
-    can exceed 1 for rho < 2 (it starts at the bare envelope 2/rho).
+    With at least one factor upper <= 1; with none it is the bare envelope
+    2/rho, which exceeds 1 for rho < 2.
     """
 
     lower: float
@@ -128,25 +132,50 @@ class CBracket:
 
 
 def c_bracket(rho: float, n_factors: int | None = None) -> CBracket:
-    """Bracket c between consecutive truncations of its product formula.
+    """Bracket c between truncations of its product formula, rounded outward.
 
-    Factors ((1 + rho^{-8n}) / (1 + rho^{4-8n}))^2 are < 1 for rho > 1, so
-    the even truncation after n_factors complete factors overestimates c and
-    one extra denominator factor underestimates it.
+    The factors ((1 + rho^{-8k}) / (1 + rho^{4-8k}))^2 are < 1 for rho > 1,
+    so the truncation U_k after k complete factors overestimates c.  Since
+    rho^{-8j} > rho^{-4-8j}, the remaining product telescopes to more than
+    1 / (1 + rho^{-4-8k})^2, so U_k / (1 + rho^{-4-8k})^2 underestimates c.
+
+    Each float truncation is widened outward by twice a first-order bound on
+    its accumulated relative rounding (pow within 1 ulp, every other
+    operation correctly rounded); the doubling covers the second-order terms
+    and the rounding of the widening itself.  upper is the least widened U_k
+    for 1 <= k <= n, capped at 1 since c < 1; lower is the greatest widened
+    lower end for 0 <= k <= n.  So the brackets nest in n by construction.
+    With n = 0 the upper end is the bare envelope 2/rho: its rounding is
+    absorbed by the first factor's gap of about 2 rho^{-4} while rho < 1e4.
     """
     rho = _check_rho(rho)
     n = default_n_factors(rho) if n_factors is None else int(n_factors)
     if n < 0:
         raise DomainError("n_factors must be nonnegative")
-    upper = 2.0 / rho
+    u = 2.0**-53  # unit roundoff
+    trunc = 2.0 / rho
+    upper = trunc if rho < 1e4 else math.nextafter(trunc, math.inf)
+    err = u  # relative rounding bound of trunc
     inv8 = rho**-8
-    num_pow = inv8  # rho^{-8n}
-    den_pow = rho**4 * inv8  # rho^{4-8n}
-    for _ in range(n):
-        upper *= ((1.0 + num_pow) / (1.0 + den_pow)) ** 2
+    num_pow = inv8  # rho^{-8k}
+    den_pow = rho**-4  # rho^{4-8k}
+    lower = 0.0
+    for k in range(n + 1):
+        # den_pow is rho^{-4-8k} here, with relative error at most (3k + 6) u
+        low = trunc / (1.0 + den_pow) ** 2 * (1.0 - 2.0 * (err + (4.0 + (6 * k + 12) * den_pow) * u))
+        if low > lower:
+            lower = low
+        if k == n:
+            break
+        trunc *= ((1.0 + num_pow) / (1.0 + den_pow)) ** 2
+        err += (8.0 + (6 * k + 12) * (num_pow + den_pow)) * u
+        high = trunc * (1.0 + 2.0 * err)
+        if high < upper:
+            upper = high
         num_pow *= inv8
         den_pow *= inv8
-    lower = upper / (1.0 + den_pow) ** 2
+    if n:
+        upper = min(upper, 1.0)
     return CBracket(lower=lower, upper=upper, terms_used=n)
 
 
@@ -162,19 +191,23 @@ def c_upper_closed(rho: float) -> float:
     return 2.0 / rho
 
 
-def verify_fA_equals_cA(rho: float, r: float, n_terms: int | None = None) -> float:
-    """Residual ||f(A) - c A|| for the family matrix with range parameter rho.
+def verify_fA_equals_cA(rho: float, r: float) -> float:
+    """Residual of f(A) = c A for the family matrix with range parameter rho.
 
-    f maps the spectrum {-1, 0, 1} to {-c, 0, c} and, because f is odd and A
-    is in the family, f(A) = c A exactly; the returned operator-norm residual
-    measures the numerical route (holomorphic calculus vs. bracket midpoint).
+    A has spectrum {-1, 0, 1}, so A^3 = A and its spectral projectors are the
+    polynomials E_{+-1} = (A^2 +- A)/2 and E_0 = I - A^2; then
+    f(A) = sum f(lam) E_lam, with eval_f at the three nodes.  Because f is
+    odd, f(A) = c A with c = f(1).  Returns max(||A^3 - A||, ||f(A) - c A||)
+    in the operator norm, so a matrix off the three-node calculus fails too.
     """
     from .core_matrix import build_A_rho  # local to avoid an import cycle
 
     A = build_A_rho(rho, r)
-    F = dense_small.holomorphic_calc(A, lambda z: eval_f(z, rho, n_terms=n_terms))
-    c = eval_f(1.0, rho, n_terms=n_terms).real
-    return dense_small.operator_norm(F - c * A)
+    A2 = A @ A
+    f_minus, f_zero, f_plus = (eval_f(z, rho) for z in (-1.0, 0.0, 1.0))
+    F = f_plus * (A2 + A) / 2.0 + f_minus * (A2 - A) / 2.0 + f_zero * (np.eye(3) - A2)
+    c = f_plus.real
+    return max(dense_small.operator_norm(A2 @ A - A), dense_small.operator_norm(F - c * A))
 
 
 def _poly_mul(a, b) -> list:
@@ -185,6 +218,14 @@ def _poly_mul(a, b) -> list:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
+
+
+def _poly_eval(coeffs, t):
+    """Horner evaluation of ascending coefficients at float, numpy array or Fraction t."""
+    acc = t * 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -201,13 +242,18 @@ class QSignChainResult:
         return self.passed
 
 
-def q_sign_chain_check(t_max: float = 1000.0, grid_points: int = 20001) -> QSignChainResult:
+#: the grid of route (ii) in `q_sign_chain_check`
+_Q_GRID_T_MAX = 1000.0
+_Q_GRID_POINTS = 20001
+
+
+def q_sign_chain_check() -> QSignChainResult:
     """Verify q(t) <= 0 for all t >= 4 by three independent routes.
 
     (i) exact integer expansion of the defining product against the stored
-    coefficients; (ii) dense grid evaluation on [4, t_max]; (iii) sign of the
-    chained tail bound -1276 t^16 - 5 t^17 - 2 t^19, which dominates q for
-    t >= 4 once the low-order positive terms are absorbed.
+    coefficients; (ii) grid evaluation at 20001 points of [4, 1000]; (iii)
+    sign of the chained tail bound -1276 t^16 - 5 t^17 - 2 t^19, which
+    dominates q for t >= 4 once the low-order positive terms are absorbed.
     """
     # (i) exact expansion over the integers
     def poly_pow(a: list[int], k: int) -> list[int]:
@@ -224,10 +270,8 @@ def q_sign_chain_check(t_max: float = 1000.0, grid_points: int = 20001) -> QSign
     coeff_ok = q_exact == list(Q_CHAIN_COEFFS)
 
     # (ii) grid sign check; Horner in float on the verified coefficients
-    ts = np.linspace(4.0, t_max, grid_points)
-    vals = np.zeros_like(ts)
-    for c in reversed(Q_CHAIN_COEFFS):
-        vals = vals * ts + c
+    ts = np.linspace(4.0, _Q_GRID_T_MAX, _Q_GRID_POINTS)
+    vals = _poly_eval(Q_CHAIN_COEFFS, ts)
     # scale out t^19 to keep the comparison finite for large t
     scaled = vals / ts**19
     k = int(np.argmax(scaled))

@@ -186,6 +186,13 @@ def foci_of_general(params: TridiagonalParams) -> tuple[complex, complex]:
 # normalization of general inputs
 
 
+#: normalize's tolerances, each relative to the scale it is compared with:
+#: the ellipticity residual, alpha/beta/gamma for the degenerate cases, and
+#: the middle eigenvalue's distance from the focal midpoint.
+_ELLIPTIC_TOL = 1e-9
+_DEGENERATE_TOL = 1e-12
+_CENTER_TOL = 1e-8
+
 #: Unitary involution implementing the r > 1 mirror:
 #: Z A(q, 1/r) Z* = -A(q, r)^* for 0 < r <= 1.
 MIRROR_Z = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -267,7 +274,7 @@ class NormalizationRecord:
         )
 
 
-def _center_split(vals: list[complex], center_tol: float) -> tuple[complex, complex, complex]:
+def _center_split(vals: list[complex]) -> tuple[complex, complex, complex]:
     """Split the spectrum into (focus-, center, focus+) or report failure.
 
     The center eigenvalue must be the midpoint of the other two (that is what
@@ -285,20 +292,14 @@ def _center_split(vals: list[complex], center_tol: float) -> tuple[complex, comp
     spread = max(abs(vals[0] - vals[1]), abs(vals[0] - vals[2]), abs(vals[1] - vals[2]))
     if spread < 1e-300:
         raise DomainError("all eigenvalues coincide; no elliptic normalization exists")
-    if best_dev > center_tol * spread:
+    if best_dev > _CENTER_TOL * spread:
         raise DomainError(
             f"spectrum is not centered: middle eigenvalue deviates from the focal midpoint by {best_dev:.3g}"
         )
     return vals[j], vals[i], vals[k]
 
 
-def normalize(
-    B: np.ndarray | TridiagonalParams,
-    *,
-    elliptic_tol: float = 1e-9,
-    degenerate_tol: float = 1e-12,
-    center_tol: float = 1e-8,
-) -> NormalizationRecord:
+def normalize(B: np.ndarray | TridiagonalParams) -> NormalizationRecord:
     """Reduce a 3x3 matrix with centered elliptic numerical range to A(q, r).
 
     Steps: (1) affine map sending the two focal eigenvalues to -1, +1 and the
@@ -310,7 +311,7 @@ def normalize(
     2 a b g = b^2 - a^2, equivalently b/a = r^2.
 
     Raises DomainError for non-centered spectra, coincident foci, or a
-    residual above elliptic_tol.
+    relative residual above 1e-9.
     """
     if isinstance(B, TridiagonalParams):
         B = B.matrix()
@@ -319,7 +320,7 @@ def normalize(
         raise DomainError(f"normalize expects a 3x3 matrix, got shape {M.shape}")
 
     vals = list(dense_small.eigvals_3x3(M))
-    f_minus, center, f_plus = _center_split(vals, center_tol)
+    f_minus, center, f_plus = _center_split(vals)
     if abs(f_plus - f_minus) < 1e-12 * (1.0 + abs(center)):
         raise DomainError("focal eigenvalues coincide; the range is a disk, not a proper ellipse")
     a = 2.0 / (f_plus - f_minus)
@@ -342,7 +343,7 @@ def normalize(
     gamma = u02 * phi2.conjugate() / 2.0
 
     s = 1.0 + alpha + beta + abs(gamma)
-    if max(alpha, beta, abs(gamma)) <= degenerate_tol * s:
+    if max(alpha, beta, abs(gamma)) <= _DEGENERATE_TOL * s:
         return NormalizationRecord(
             affine=(a, b),
             unitary=W,
@@ -354,7 +355,7 @@ def normalize(
             gamma=gamma,
             elliptic_residual=0.0,
         )
-    if max(alpha, beta) <= degenerate_tol * s:
+    if max(alpha, beta) <= _DEGENERATE_TOL * s:
         return NormalizationRecord(
             affine=(a, b),
             unitary=W,
@@ -369,7 +370,7 @@ def normalize(
 
     scale = 1.0 + alpha * alpha + beta * beta + abs(gamma) ** 2
     residual = abs(2.0 * alpha * beta * gamma.conjugate() + alpha * alpha - beta * beta)
-    if residual > elliptic_tol * scale:
+    if residual > _ELLIPTIC_TOL * scale:
         raise DomainError(
             f"numerical range is not an ellipse centered at the middle eigenvalue (residual {residual:.3g})"
         )

@@ -1,11 +1,13 @@
 """Dense linear algebra for complex matrices up to 8x8.
 
-The 3x3 kernels are closed forms: trigonometric eigenvalues for Hermitian
-3x3 matrices, Cardano's formula for general 3x3 spectra, singular values
-from the Gram matrix, and a Schur decomposition whose diagonal order can be
-prescribed, which `normalize` needs and numpy does not offer.  Above 3x3,
-and wherever no ordering control is needed (solves, inverses, Hermitian
-eigensystems, the holomorphic calculus), the work goes to `numpy.linalg`.
+The 3x3 kernels are closed forms: singular values from the trigonometric
+eigenvalues of the Gram matrix, Cardano's formula for general 3x3 spectra,
+and a Schur decomposition whose diagonal order can be prescribed, which
+`normalize` needs and numpy does not offer.  Above 3x3, and wherever no
+ordering control is needed (the inverse-iteration solve inside the Schur
+form, the Hermitian eigensystems of the support function), the work goes to
+`numpy.linalg`.  Functions of the family matrix need no general calculus
+here: `conformal_map` applies them through its spectral projectors.
 
 Matrices are numpy arrays used as containers; the 3x3 kernels extract plain
 Python scalars so the certification sweep stays cheap on a single core.
@@ -16,24 +18,19 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ClusteredSpectrumError, SingularMatrixError
+from .errors import SingularMatrixError
 
 __all__ = [
     "MAX_N",
     "condition_number",
     "eigvals_3x3",
-    "eigvalsh_3x3",
     "eval_poly",
-    "holomorphic_calc",
-    "inverse",
     "operator_norm",
     "schur_3x3",
-    "solve",
-    "support_function",
     "support_function_grid",
 ]
 
@@ -124,21 +121,6 @@ def _eigvalsh3_scalars(
     return out[0], out[1], out[2]
 
 
-def eigvalsh_3x3(H: np.ndarray) -> tuple[float, float, float]:
-    """Ascending eigenvalues of a Hermitian 3x3 matrix (closed form)."""
-    A = _as_square(H)
-    if A.shape[0] != 3:
-        raise ValueError("eigvalsh_3x3 needs a 3x3 matrix")
-    return _eigvalsh3_scalars(
-        A[0, 0].real,
-        A[1, 1].real,
-        A[2, 2].real,
-        complex(A[0, 1]),
-        complex(A[0, 2]),
-        complex(A[1, 2]),
-    )
-
-
 def _cubic_roots(c2: complex, c1: complex, c0: complex) -> tuple[complex, complex, complex]:
     """Roots of l^3 + c2 l^2 + c1 l + c0 by Cardano with a Newton polish."""
     p = c1 - c2 * c2 / 3.0
@@ -192,25 +174,6 @@ def eigvals_3x3(M: np.ndarray) -> tuple[complex, complex, complex]:
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
     return _cubic_roots(-tr, s2, -det)
-
-
-# ---------------------------------------------------------------------------
-# solves and inverses
-
-
-def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B; raises SingularMatrixError when A is singular."""
-    M = _as_square(A)
-    try:
-        return np.linalg.solve(M, np.asarray(B, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("matrix is singular") from exc
-
-
-def inverse(M: np.ndarray) -> np.ndarray:
-    """Matrix inverse; raises SingularMatrixError when M is singular."""
-    A = _as_square(M)
-    return solve(A, np.eye(A.shape[0], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +235,7 @@ def condition_number(M: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# polynomial and holomorphic functional calculus
+# polynomial calculus
 
 
 def eval_poly(M: np.ndarray, coeffs: Sequence[complex]) -> np.ndarray:
@@ -321,35 +284,14 @@ def _eigvec_3x3(A: np.ndarray, lam: complex) -> np.ndarray:
     delta = 1e-14 * scale
     for bump in (delta, 1e3 * delta, 1e6 * delta):
         try:
-            w = solve(A - (lam + bump) * np.eye(3, dtype=complex), v)
+            w = np.linalg.solve(A - (lam + bump) * np.eye(3, dtype=complex), v)
             nw = math.sqrt(float(np.vdot(w, w).real))
             if nw > 0 and np.all(np.isfinite(w)):
                 v = w / nw
             break
-        except SingularMatrixError:
+        except np.linalg.LinAlgError:
             continue
     return v
-
-
-def holomorphic_calc(M: np.ndarray, fn: Callable[[complex], complex]) -> np.ndarray:
-    """f(M) = Z f(L) Z^-1 through the eigendecomposition of a 3x3 matrix.
-
-    Requires a simple, well-separated spectrum: raises ClusteredSpectrumError
-    when two eigenvalues are closer than 1e-8 (relative to the spectral scale).
-    """
-    A = _as_square(M)
-    if A.shape[0] != 3:
-        raise ValueError("holomorphic_calc needs a 3x3 matrix")
-    vals, Z = np.linalg.eig(A)
-    scale = 1.0 + max(abs(v) for v in vals)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(vals[i] - vals[j]) < 1e-8 * scale:
-                raise ClusteredSpectrumError(
-                    f"eigenvalues {vals[i]:.3g} and {vals[j]:.3g} are too close for the eigenvector calculus"
-                )
-    F = np.diag([complex(fn(complex(v))) for v in vals])
-    return Z @ F @ inverse(Z)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +375,6 @@ def _hermitian_parts(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Hr = (M + M.conj().T) / 2.0
     Hi = 1j * (M.conj().T - M) / 2.0
     return Hr, Hi
-
-
-def support_function(M: np.ndarray, theta: float) -> float:
-    """h(theta) = max eigenvalue of the Hermitian part of e^{-i theta} M.
-
-    This is the support function of the numerical range W(M) in direction
-    e^{i theta}; W(M) = intersection of the half-planes it defines.
-    """
-    return float(support_function_grid(M, [theta])[0])
 
 
 def support_function_grid(M: np.ndarray, thetas: np.ndarray, with_vectors: bool = False):

@@ -9,9 +9,5 @@ class SingularMatrixError(ValueError):
     """Matrix is singular (or numerically singular) where an inverse is required."""
 
 
-class ClusteredSpectrumError(ValueError):
-    """Eigenvalues too close for a stable eigenvector-based functional calculus."""
-
-
 class DegenerateDenominatorError(ValueError):
     """Polynomial vanishes on the whole boundary sample; the ratio is undefined."""

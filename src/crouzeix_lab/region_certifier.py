@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conformal_map import _poly_mul, c_upper_closed, q_sign_chain_check
+from .conformal_map import _poly_eval, _poly_mul, c_upper_closed, q_sign_chain_check
 from .core_matrix import NormalizedParams, q_from_rho
 from .errors import DomainError
 from .similarity import (
@@ -76,21 +76,21 @@ def p_smallr(r: float, rho: float) -> float:
 
 
 _THIRD_ROOT = 3.0 ** (-0.25)
+_R1_TOL = 1e-13
 
 
 @functools.lru_cache(maxsize=4096)
-def r1(rho: float, tol: float = 1e-13) -> float:
-    """Unique positive root of p_smallr(., rho), by bisection in (0, 3^(-1/4)).
+def r1(rho: float) -> float:
+    """Unique positive root of p_smallr(., rho), by bisection in (0, 3^(-1/4))
+    down to a bracket of width 1e-13.
 
     The bracket is unconditional: p(0) = -4 - rho^2 < 0 and
     p(3^(-1/4), rho) = 4(1 + 2 rho^2)/(3 rho^2) > 0.
     """
     if not rho > 1.0:
         raise DomainError(f"rho must exceed 1, got {rho}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     lo, hi = 0.0, _THIRD_ROOT
-    while hi - lo > tol:
+    while hi - lo > _R1_TOL:
         mid = 0.5 * (lo + hi)
         if p_smallr(mid, rho) < 0.0:
             lo = mid
@@ -368,14 +368,6 @@ _P5 = (-2, 10, -44, 20, 212, -270, 20, 0, 6)
 _P9 = (-140, 120, 496, -3116, 4400, 10364, -38295, 12584, 77722, -69288, 9009, 1728, 1728)
 
 
-def _poly_eval(coeffs, t):
-    """Horner evaluation; works for float, numpy array, and Fraction t."""
-    acc = t * 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
 def _poly_deriv(coeffs):
     return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
 
@@ -505,7 +497,7 @@ def replay_proofs() -> ProofReplayReport:
     certificates; margins are reported so a reader can judge the slack.
     """
     # (a) q(t) <= 0 for t >= 4
-    qres = q_sign_chain_check(t_max=1000.0, grid_points=20001)
+    qres = q_sign_chain_check()
     q_chain = ChainCheck(
         passed=bool(qres), worst_margin=qres.grid_max, worst_point=(qres.worst_t,)
     )

@@ -184,26 +184,11 @@ class NormPolyP:
         g2 = g.gamma * g.gamma
         return cls(c1=-(2.0 + a2 + b2 + g2), c0=1.0 + a2 + b2 + a2 * b2)
 
-    @property
-    def discriminant(self) -> float:
-        return self.c1 * self.c1 - 4.0 * self.c0
-
     def eval(self, lam: float) -> float:
         return (lam + self.c1) * lam + self.c0
 
     def deriv(self, lam: float) -> float:
         return 2.0 * lam + self.c1
-
-    def larger_root(self) -> float:
-        # the discriminant equals (alpha^2-beta^2)^2 + gamma^2 (4+2alpha^2
-        # +2beta^2+gamma^2) >= 0 analytically; clamp the tiny negatives the
-        # subtractive form can produce
-        disc = self.discriminant
-        if disc < 0.0:
-            if disc < -_CLAMP * (1.0 + self.c1 * self.c1):
-                raise DomainError(f"norm polynomial has negative discriminant {disc:.3e}")
-            disc = 0.0
-        return (-self.c1 + math.sqrt(disc)) / 2.0
 
 
 def norm_from_P(g: CanonicalG) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crouzeix_lab import conformal_map, core_matrix
 from crouzeix_lab.conformal_map import (
     Q_CHAIN_COEFFS,
     c_bracket,
@@ -78,6 +79,23 @@ class TestBrackets:
             br = c_bracket(rho)
             assert br.lower - 1e-15 <= c <= br.upper + 1e-15
 
+    def test_exact_enclosure(self):
+        # c from the product formula at 50 digits; no slack on either end
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for rho in (1.05, 1.1, 1.2, 1.5, math.sqrt(2.0), 2.0, 3.0, 10.0, 50.0):
+            R = mpmath.mpf(rho)
+            c = 2 / R
+            k = 1
+            while R ** (4 - 8 * k) > mpmath.mpf(10) ** -60:
+                c *= ((1 + R ** (-8 * k)) / (1 + R ** (4 - 8 * k))) ** 2
+                k += 1
+            for n in list(range(9)) + [None, 500]:
+                br = c_bracket(rho, n)
+                assert mpmath.mpf(br.lower) <= c <= mpmath.mpf(br.upper), (rho, n, br)
+                if n != 0:
+                    assert br.upper <= 1.0
+
     def test_zeroth_upper_is_leading_factor(self):
         for rho in RHOS:
             br0 = c_bracket(rho, 0)
@@ -124,6 +142,17 @@ class TestMatrixIdentity:
             r = float(rng.uniform(1.0 / math.sqrt(rho) + 0.02, 1.0))
             worst = max(worst, verify_fA_equals_cA(rho, r))
         assert worst < 1e-10
+
+    def test_detects_matrix_off_the_three_node_calculus(self, monkeypatch):
+        E = np.arange(9.0).reshape(3, 3) / 9.0
+        build = core_matrix.build_A_rho
+        monkeypatch.setattr(core_matrix, "build_A_rho", lambda rho, r: build(rho, r) + 1e-6 * E)
+        assert verify_fA_equals_cA(2.0, 0.9) > 1e-8
+
+    def test_detects_map_that_is_not_odd(self, monkeypatch):
+        f = conformal_map.eval_f
+        monkeypatch.setattr(conformal_map, "eval_f", lambda z, rho: f(z, rho) + (1e-6 if z == -1.0 else 0.0))
+        assert verify_fA_equals_cA(2.0, 0.9) > 1e-8
 
 
 class TestSignChain:

@@ -1,4 +1,4 @@
-"""Print the search's and the CLI's outputs as exact text, for bit-identity checks.
+"""Print the search's, the CLI's and `normalize`'s outputs as exact text, for bit-identity checks.
 
 Every line is a label and a JSON value whose floats are written with repr,
 so two trees agree bit for bit exactly when their outputs compare equal.
@@ -12,8 +12,12 @@ Inputs: criterion 6's 100 searches (seed 303, degree 8, budget 500), the
 normal matrix diag(1, 0, -1) at (8, 500, 0) and (6, 300, 17), 16 more
 searches of degree 3 to 12, 120 `verify_observation` reports (seed 505,
 n = 1..8, degree 4, budget 60), `ratio_for_poly` on an EllipseBoundary and
-on 1, 2, 7 and 2048 points, and the stdout and exit code of `ratio`, `perm`
-and `verify` for fixed arguments.  It takes about a minute on one core.
+on 1, 2, 7 and 2048 points, 48 seeded `normalize(B).to_json()` records (or
+the DomainError text) for disguised family members, mirrored members,
+degenerate and non-centered spectra, and the stdout and exit code of every
+subcommand for fixed arguments: `ratio`, `perm`, `verify`, `replay`, a
+`sweep` in csv and json with `--workers 1`, and `figures --which regions`
+and `--which figure2`.  It takes about a minute on one core.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import math
 import numpy as np
 
 from crouzeix_lab import cli, permutation_ext
-from crouzeix_lab.core_matrix import build_A_rho
+from crouzeix_lab.core_matrix import build_A, build_A_rho, normalize
+from crouzeix_lab.errors import DomainError
 from crouzeix_lab.ratio_search import (
     EllipseBoundary,
     PolySpec,
@@ -46,6 +51,13 @@ CLI_RUNS = (
     ("perm", "--a", "0.5-0.25j", "--diag", "2j", "--perm", "()"),
     ("verify", "--rho", "2", "--r", "1"),
     ("verify", "--rho", "3.7", "--r", "0.9"),
+    ("replay",),
+    ("sweep", "--rho", "1.1", "12", "6", "--r", "auto", "--workers", "1", "--format", "csv"),
+    ("sweep", "--rho", "1.5", "30", "4", "--r", "0.5", "1", "5", "--workers", "1", "--format", "json"),
+    ("figures", "--which", "regions", "--grid", "15"),
+    ("figures", "--which", "regions", "--grid", "7", "--format", "json"),
+    ("figures", "--which", "figure2", "--grid", "25"),
+    ("figures", "--which", "figure2", "--grid", "9", "--format", "json"),
 )
 
 
@@ -68,6 +80,32 @@ def _perm_instances(seed: int, count: int):
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a = 0j if k % 3 == 0 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         yield a, d, perm, int(rng.integers(2**31))
+
+
+def _normalize_inputs(seed: int, count: int):
+    """c U M U* + d I for family members, mirrored members and edge spectra."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        kind = k % 6
+        q = float(10.0 ** rng.uniform(-2, 1))
+        r = float(rng.uniform(0.05, 1.0))
+        if kind == 4:  # normal, or 2x2-reducible with a nonzero corner
+            M = np.diag([1.0, 0.0, -1.0]).astype(complex)
+            M[0, 2] = 0.0 if k % 12 == 4 else complex(rng.standard_normal(), rng.standard_normal())
+        elif kind == 5:  # spectrum not centered, or range not an ellipse
+            M = build_A(q, r).astype(complex)
+            M[1, 1] = 0.3 if k % 12 == 5 else 0.0
+            M[0, 1] *= 1.5
+        elif kind == 1:  # an r > 1 member, which normalize records mirrored
+            s = 1.0 / r
+            M = np.array([[1.0, q / s, s * s - 1.0 / (s * s)], [0.0, 0.0, q * s], [0.0, 0.0, -1.0]],
+                         dtype=complex)
+        else:
+            M = build_A(q, r).astype(complex)
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        d = complex(rng.standard_normal(), rng.standard_normal())
+        yield c * (U @ M @ U.conj().T) + d * np.eye(3)
 
 
 def main() -> None:
@@ -99,6 +137,12 @@ def main() -> None:
     for k in range(40):
         cs = rng.standard_normal(1 + k % 13) + 1j * rng.standard_normal(1 + k % 13)
         _emit(f"ratio_for_poly {k}", [ratio_for_poly(A, PolySpec.of(cs), b) for b in boundaries])
+
+    for k, B in enumerate(_normalize_inputs(707, 48)):
+        try:
+            _emit(f"normalize {k}", normalize(B).to_json())
+        except DomainError as exc:
+            _emit(f"normalize {k}", "DomainError: " + str(exc))
 
     for argv in CLI_RUNS:
         _emit("cli " + " ".join(argv), _cli(argv))
