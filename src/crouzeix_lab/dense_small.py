@@ -6,8 +6,11 @@ and a Schur decomposition whose diagonal order can be prescribed, which
 `normalize` needs and numpy does not offer.  Above 3x3, and wherever no
 ordering control is needed (the inverse-iteration solve inside the Schur
 form, the Hermitian eigensystems of the support function), the work goes to
-`numpy.linalg`.  Functions of the family matrix need no general calculus
-here: `conformal_map` applies them through its spectral projectors.
+`numpy.linalg`.  The support function is sampled on even grids of m
+directions: K(theta + pi) = -K(theta), so one batched eigen-solve over the
+first half-turn gives the second half from its bottom eigenpairs.  Functions
+of the family matrix need no general calculus here: `conformal_map` applies
+them through its spectral projectors.
 
 Matrices are numpy arrays used as containers; the 3x3 kernels extract plain
 Python scalars so the certification sweep stays cheap on a single core.
@@ -210,11 +213,11 @@ def operator_norm(M: np.ndarray) -> float:
     """Spectral norm ||M||_2.
 
     Closed-form singular values for n <= 3 (characteristic cubic of M*M);
-    numpy's SVD-based 2-norm for 4 <= n <= 8.
+    the largest of numpy's singular values for 4 <= n <= 8.
     """
     A = _as_square(M)
     if A.shape[0] > 3:
-        return float(np.linalg.norm(A, 2))
+        return float(np.linalg.svd(A, compute_uv=False)[0])
     return _sigma_bounds_closed(A)[0]
 
 
@@ -377,17 +380,23 @@ def _hermitian_parts(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Hr, Hi
 
 
-def support_function_grid(M: np.ndarray, thetas: np.ndarray, with_vectors: bool = False):
-    """Support function on a grid of directions in one batched eigen-solve.
+def support_function_grid(M: np.ndarray, m: int, with_vectors: bool = False):
+    """Support function at the m directions 2 pi k / m from one half-turn solve.
 
-    Returns h (len(thetas),) or, with vectors, (h, V_top) where V_top[k] is a
-    unit top eigenvector of the Hermitian part in direction thetas[k].
+    K(theta + pi) = -K(theta), so one batched eigen-solve over the first m/2
+    directions serves both halves: h(theta) is the top eigenvalue at theta and
+    h(theta + pi) the negated bottom one.  m must be even.  Returns h (m,) or,
+    with vectors, (h, V_top) where V_top[k] is a unit top eigenvector of the
+    Hermitian part in direction 2 pi k / m.
     """
     A = _as_square(M)
-    th = np.asarray(thetas, dtype=float)
+    if m <= 0 or m % 2:
+        raise ValueError(f"direction count must be positive and even, got {m}")
+    th = 2.0 * math.pi * np.arange(m // 2) / m
     Hr, Hi = _hermitian_parts(A)
     K = np.cos(th)[:, None, None] * Hr[None, :, :] + np.sin(th)[:, None, None] * Hi[None, :, :]
     if not with_vectors:
-        return np.linalg.eigvalsh(K)[:, -1]
+        w = np.linalg.eigvalsh(K)
+        return np.concatenate((w[:, -1], -w[:, 0]))
     w, V = np.linalg.eigh(K)
-    return w[:, -1], V[:, :, -1]
+    return np.concatenate((w[:, -1], -w[:, 0])), np.concatenate((V[:, :, -1], V[:, :, 0]))

@@ -11,11 +11,17 @@ verify about aI + DP then reduces to the blocks:
     every block, and aI + DP against aI + PD is a unitary relabeling.
 
 verify_observation runs all of those checks numerically on one instance and
-returns the findings in a report; nothing raises on a failed check.
+returns the findings in a report; nothing raises on a failed check.  It
+solves aI + DP once, on the 1440-direction support grid with vectors (one
+batched eigh of 720 Hermitian matrices): the vectors give the boundary
+points, and every other direction gives the 720-direction support function
+for the inclusion check.  Each block's 720 directions take one batched
+eigvalsh of 360 matrices.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -183,7 +189,7 @@ def _fro(M: np.ndarray) -> float:
 
 def _poly_norms(M: np.ndarray, polys: list) -> np.ndarray:
     """||p(M)||_2 for every coefficient vector p in polys."""
-    return np.linalg.norm(np.stack([dense_small.eval_poly(M, c) for c in polys]), 2, axis=(1, 2))
+    return np.linalg.svd(np.stack([dense_small.eval_poly(M, c) for c in polys]), compute_uv=False)[:, 0]
 
 
 def _taylor_shift(coeffs: np.ndarray, a: complex) -> np.ndarray:
@@ -198,17 +204,18 @@ def _taylor_shift(coeffs: np.ndarray, a: complex) -> np.ndarray:
     return out
 
 
-def _boundary_points(A: np.ndarray, m: int) -> np.ndarray:
+def _boundary_points(A: np.ndarray, vtop: np.ndarray) -> np.ndarray:
     """Points of the numerical-range boundary, with flat edges chord-filled.
 
+    vtop holds the support eigenvectors of A on an even grid of directions,
+    as support_function_grid returns them; v* A v are the support points.
     Support-point sampling lands only on the extreme points, so a flat edge
     of W(A) (generic once several blocks are present) contributes nothing but
     its endpoints; interpolating long chords restores interior edge coverage.
     Chords of a convex region stay inside it, so the maximum of |p| over the
     returned points never overshoots the true boundary maximum.
     """
-    th = 2.0 * math.pi * np.arange(m) / m
-    _, vtop = dense_small.support_function_grid(A, th, with_vectors=True)
+    m = len(vtop)
     pts = np.einsum("ki,ij,kj->k", vtop.conj(), A, vtop)
     seg = np.roll(pts, -1) - pts
     ln = np.abs(seg)
@@ -230,12 +237,17 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     The report carries each finding separately plus an overall pass flag;
     tolerances: inclusion 1e-9 absolute in the support function, block-norm
     law 1e-10 relative, ratios below 2 + 1e-6, DP/PD and shift-covariance
-    agreement 1e-9 relative.  A degree or budget the search rejects raises
-    DomainError before any check runs.
+    agreement 1e-9 relative.  A degree, budget or seed the search rejects,
+    or a non-finite a or diagonal entry, raises DomainError before any
+    check runs.
     """
-    _check_search_settings(degree, budget)
+    _check_search_settings(degree, budget, seed)
     a = complex(a)
     d = np.asarray([complex(v) for v in D])
+    if not cmath.isfinite(a):
+        raise DomainError(f"a = {a} is not finite")
+    if not np.all(np.isfinite(d)):
+        raise DomainError(f"diagonal {d.tolist()} has a non-finite entry")
     n = P.n
     dec = cycle_decompose(d, P)
     Pm = P.matrix()
@@ -245,11 +257,12 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
 
     reassembly = _fro(dec.U @ DP @ dec.U.conj().T - dec.block_diagonal())
 
-    th = 2.0 * math.pi * np.arange(_THETA_GRID) / _THETA_GRID
-    h_A = dense_small.support_function_grid(A, th)
+    # one solve of A: the boundary grid holds the inclusion grid as every other direction
+    h_A, vtop = dense_small.support_function_grid(A, _BOUNDARY_GRID, with_vectors=True)
+    h_A = h_A[:: _BOUNDARY_GRID // _THETA_GRID]
     inclusion_worst = -math.inf
     for Ak in shifted_blocks:
-        h_k = dense_small.support_function_grid(Ak, th)
+        h_k = dense_small.support_function_grid(Ak, _THETA_GRID)
         inclusion_worst = max(inclusion_worst, float(np.max(h_k - h_A)))
     inclusion_ok = inclusion_worst <= _INCLUSION_TOL
 
@@ -264,7 +277,7 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     block_norm_worst = float(np.max(np.abs(lhs - rhs) / (1.0 + lhs)))
     block_norm_ok = block_norm_worst <= _NORM_LAW_TOL
 
-    pts = _boundary_points(A, _BOUNDARY_GRID)
+    pts = _boundary_points(A, vtop)
     ratio = coordinate_search(A, pts, degree, budget, seed)
     ratio_ok = ratio.best_ratio <= _RATIO_TOL
 

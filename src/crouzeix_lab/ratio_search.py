@@ -262,12 +262,14 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _check_search_settings(degree: int, budget: int) -> None:
-    """Raise DomainError unless 0 <= degree <= _MAX_DEGREE and budget >= 1."""
+def _check_search_settings(degree: int, budget: int, seed: int) -> None:
+    """Raise DomainError unless 0 <= degree <= _MAX_DEGREE, budget >= 1 and seed >= 0."""
     if not 0 <= degree <= _MAX_DEGREE:
         raise DomainError(f"degree {degree} outside [0, {_MAX_DEGREE}]")
     if budget < 1:
         raise DomainError("budget must be at least 1")
+    if seed < 0:
+        raise DomainError(f"seed {seed} is negative")
 
 
 def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: int) -> RatioResult:
@@ -277,7 +279,7 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     Candidate order is a fixed function of the seed alone, so a larger budget
     evaluates a superset of candidates and the recorded best never decreases.
     """
-    _check_search_settings(degree, budget)
+    _check_search_settings(degree, budget, seed)
     A = dense_small._as_square(A)
     pts = _points(boundary)
     polished = isinstance(boundary, EllipseBoundary)

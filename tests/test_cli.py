@@ -204,6 +204,12 @@ class TestRatio:
         assert out == ""
         assert "rho" in err
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "ratio", "--rho", "2", "--r", "1", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed -1" in err
+
 
 class TestPerm:
     def test_three_cycle(self, capsys):
@@ -234,10 +240,21 @@ class TestPerm:
         (("--degree", "13"), "degree 13"),
         (("--degree", "-1"), "degree -1"),
         (("--budget", "0"), "budget"),
+        (("--seed", "-3"), "seed -3"),
     ])
     def test_bad_search_settings_exit_2(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "perm", "--a", "0", "--diag", "1,2,3",
                                  "--perm", "(0 1 2)", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("a, diag, message", [
+        ("nan", "1,2", "a ="),
+        ("0", "1,nan", "diagonal"),
+    ])
+    def test_non_finite_input_exit_2(self, capsys, a, diag, message):
+        code, out, err = run_cli(capsys, "perm", "--a", a, "--diag", diag, "--perm", "(0 1)")
         assert code == 2
         assert out == ""
         assert message in err

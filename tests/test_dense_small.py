@@ -178,16 +178,20 @@ class TestSchur:
                 assert np.abs(np.tril(U, -1)).max() < 1e-12
 
 
+def hermitian_part(M, th):
+    return (np.exp(-1j * th) * M + np.exp(1j * th) * M.conj().T) / 2
+
+
 class TestSupportFunction:
     def test_vs_numpy_hermitian_part(self):
         rng = np.random.default_rng(57)
         for _ in range(100):
             n = int(rng.integers(2, 9))
             M = rand_complex(rng, n, n)
-            th = rng.uniform(0, 2 * np.pi)
-            K = (np.exp(-1j * th) * M + np.exp(1j * th) * M.conj().T) / 2
-            h_np = np.linalg.eigvalsh(K)[-1]
-            assert abs(ds.support_function_grid(M, [th])[0] - h_np) < 1e-11 * (1 + abs(h_np))
+            m = 2 * int(rng.integers(1, 200))
+            k = int(rng.integers(m))
+            h_np = np.linalg.eigvalsh(hermitian_part(M, 2 * np.pi * k / m))[-1]
+            assert abs(ds.support_function_grid(M, m)[k] - h_np) < 1e-11 * (1 + abs(h_np))
 
     def test_family_support_is_ellipse(self):
         # h(theta) = sqrt(a^2 cos^2 + b^2 sin^2) with a, b the semi-axes
@@ -198,17 +202,50 @@ class TestSupportFunction:
             A = build_A_rho(rho, r)
             aa = (rho + 1 / rho) / 2
             bb = (rho - 1 / rho) / 2
-            th = rng.uniform(0, 2 * np.pi)
+            m = 2 * int(rng.integers(1, 200))
+            k = int(rng.integers(m))
+            th = 2 * np.pi * k / m
             h_exact = math.sqrt(aa**2 * math.cos(th) ** 2 + bb**2 * math.sin(th) ** 2)
-            assert abs(ds.support_function_grid(A, [th])[0] - h_exact) < 1e-9 * max(1, h_exact)
+            assert abs(ds.support_function_grid(A, m)[k] - h_exact) < 1e-9 * max(1, h_exact)
 
     def test_grid_matches_scalar(self):
+        # a grid is every other direction of the grid twice as fine, vectors or not
         rng = np.random.default_rng(59)
         M = rand_complex(rng, 4, 4)
-        thetas = np.linspace(0, 2 * np.pi, 37)
-        h = ds.support_function_grid(M, thetas)
-        for k, th in enumerate(thetas):
-            assert abs(h[k] - ds.support_function_grid(M, [th])[0]) < 1e-11
+        h = ds.support_function_grid(M, 36)
+        h_fine, _ = ds.support_function_grid(M, 72, with_vectors=True)
+        for k in range(36):
+            assert abs(h[k] - h_fine[2 * k]) < 1e-11
+
+    def test_both_halves_match_direct_solve(self):
+        # directions past pi come from the bottom eigenvalue of the first half's solves
+        rng = np.random.default_rng(61)
+        for n in range(1, 9):
+            M = rand_complex(rng, n, n)
+            for m in (2, 4, 6, 10, 36, 720):
+                h = ds.support_function_grid(M, m)
+                assert h.shape == (m,)
+                for k in range(m):
+                    h_np = np.linalg.eigvalsh(hermitian_part(M, 2 * np.pi * k / m))[-1]
+                    assert abs(h[k] - h_np) <= 1e-11 * max(1.0, abs(h_np))
+
+    def test_support_points_lie_on_support_lines(self):
+        # z_k = v_k* M v_k is a point of W(M) with Re(e^{-i theta_k} z_k) = h_k
+        rng = np.random.default_rng(62)
+        for n in range(1, 9):
+            M = rand_complex(rng, n, n)
+            for m in (2, 8, 1440):
+                h, V = ds.support_function_grid(M, m, with_vectors=True)
+                assert V.shape == (m, n)
+                assert np.abs(np.linalg.norm(V, axis=1) - 1).max() < 1e-12
+                z = np.einsum("ki,ij,kj->k", V.conj(), M, V)
+                th = 2 * np.pi * np.arange(m) / m
+                assert np.abs((np.exp(-1j * th) * z).real - h).max() <= 1e-11 * max(1.0, np.abs(h).max())
+
+    @pytest.mark.parametrize("m", [1, 3, 721, 0, -2])
+    def test_odd_or_empty_direction_count_raises(self, m):
+        with pytest.raises(ValueError, match="even"):
+            ds.support_function_grid(np.eye(3), m)
 
 
 class TestPolynomialsAndCalculus:

@@ -140,6 +140,44 @@ class TestVerifyObservation:
         with pytest.raises(DomainError, match="degree|budget"):
             verify_observation(0, [1, 2, 3], perm_from_cycles("(0 1 2)", 3), degree, budget, 0)
 
+    def test_negative_seed_raises_before_any_check(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("support_function_grid ran before the seed was checked")
+
+        monkeypatch.setattr(dense_small, "support_function_grid", fail)
+        with pytest.raises(DomainError, match="seed -3"):
+            verify_observation(0, [1, 2, 3], perm_from_cycles("(0 1 2)", 3), 4, 60, -3)
+
+    @pytest.mark.parametrize("a, diag, message", [
+        (float("nan"), [1, 2], "a ="),
+        (complex(0, float("inf")), [1, 2], "a ="),
+        (0, [1, float("nan")], "diagonal"),
+        (1j, [float("-inf"), 2], "diagonal"),
+    ])
+    def test_non_finite_input_raises_before_any_eigensolve(self, monkeypatch, a, diag, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("support_function_grid ran on a non-finite matrix")
+
+        monkeypatch.setattr(dense_small, "support_function_grid", fail)
+        with pytest.raises(DomainError, match=message):
+            verify_observation(a, diag, perm_from_cycles("(0 1)", 2), 4, 60, 0)
+
+    @pytest.mark.parametrize("n, cycles", [(1, ""), (3, "(0 1 2)"), (5, "(0 1)(2 3 4)"), (4, "")])
+    def test_one_support_solve_per_matrix(self, monkeypatch, n, cycles):
+        # A is solved once (boundary and inclusion grid together), each block once
+        calls = []
+        real = dense_small.support_function_grid
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dense_small, "support_function_grid", spy)
+        spec = perm_from_cycles(cycles, n)
+        rep = verify_observation(0.5, np.arange(1, n + 1), spec, 4, 60, 0)
+        assert rep.passed
+        assert len(calls) == 1 + len(spec.cycles())
+
     def test_random_draws_pass(self):
         rng = np.random.default_rng(10)
         for trial in range(10):

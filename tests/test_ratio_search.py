@@ -213,6 +213,12 @@ class TestSearch:
         with pytest.raises(DomainError):
             worst_ratio_search(0.8, 1.0, 3, 10, 0)
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(DomainError, match="seed -1"):
+            worst_ratio_search(2.0, 1.0, 3, 10, -1)
+        with pytest.raises(DomainError, match="seed -5"):
+            coordinate_search(build_A_rho(2.0, 1.0), boundary_samples(2.0, 64), 3, 10, -5)
+
 
 def _lex_key(c):
     return [(x.real, x.imag) for x in c]

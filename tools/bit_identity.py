@@ -8,6 +8,16 @@ Run it once with each tree's `src` on the path and compare:
     PYTHONPATH=src python3 tools/bit_identity.py > new.txt
     cmp old.txt new.txt
 
+For a change that may move floats, compare the two outputs label by label:
+
+    PYTHONPATH=src python3 tools/bit_identity.py --diff old.txt new.txt
+
+It prints every non-float mismatch (labels, keys, lengths, booleans, ints,
+strings, exit codes) and, for each label group and field, the largest
+absolute and relative float drift and the label of the largest relative
+one.  A CLI stdout that parses as JSON is compared field by field.  It
+exits 1 if any non-float mismatch was found, else 0.
+
 Inputs: criterion 6's 100 searches (seed 303, degree 8, budget 500), the
 normal matrix diag(1, 0, -1) at (8, 500, 0) and (6, 300, 17), 16 more
 searches of degree 3 to 12, 120 `verify_observation` reports (seed 505,
@@ -22,10 +32,12 @@ and `--which figure2`.  It takes about a minute on one core.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -108,6 +120,78 @@ def _normalize_inputs(seed: int, count: int):
         yield c * (U @ M @ U.conj().T) + d * np.eye(3)
 
 
+def _load(path: str) -> dict:
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            label, _, value = line.rstrip("\n").partition("\t")
+            out[label] = json.loads(value)
+    return out
+
+
+def _group(label: str) -> str:
+    words = label.split(" ")
+    return " ".join(words[:2]) if words[0] == "cli" else words[0]
+
+
+def _as_json(text: str):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
+def _compare(old, new, path: str, label: str, drift: dict, mismatches: list) -> None:
+    """Walk two parsed values in step: floats into drift, anything else must be equal."""
+    if isinstance(old, str) and isinstance(new, str) and old != new:
+        old_j, new_j = _as_json(old), _as_json(new)
+        if old_j is not None and new_j is not None:
+            _compare(old_j, new_j, path, label, drift, mismatches)
+        else:
+            mismatches.append(f"{label} {path}: {old!r} != {new!r}")
+    elif {type(old), type(new)} in ({float}, {int, float}):
+        # a float that happens to be integral may print as an int
+        old, new = float(old), float(new)
+        if math.isfinite(old) and math.isfinite(new):
+            gap = abs(new - old)
+            rel = gap / max(abs(old), abs(new)) if gap else 0.0
+            key = (_group(label), path)
+            worst = drift.get(key, (0.0, 0.0, ""))
+            drift[key] = (max(worst[0], gap), max(worst[1], rel), label if rel > worst[1] else worst[2])
+        elif repr(old) != repr(new):
+            mismatches.append(f"{label} {path}: {old!r} != {new!r}")
+    elif isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            mismatches.append(f"{label} {path}: keys {sorted(old)} != {sorted(new)}")
+        for k in old.keys() & new.keys():
+            _compare(old[k], new[k], f"{path}.{k}" if path else k, label, drift, mismatches)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            mismatches.append(f"{label} {path}: length {len(old)} != {len(new)}")
+        for x, y in zip(old, new):
+            _compare(x, y, path + "[]", label, drift, mismatches)
+    elif type(old) is not type(new) or old != new:
+        mismatches.append(f"{label} {path}: {old!r} != {new!r}")
+
+
+def diff(old_path: str, new_path: str) -> int:
+    """Print non-float mismatches and per-field float drift; 1 if any mismatch."""
+    old, new = _load(old_path), _load(new_path)
+    mismatches = [f"{label}: only in {old_path}" for label in old if label not in new]
+    mismatches += [f"{label}: only in {new_path}" for label in new if label not in old]
+    drift = {}
+    for label in old.keys() & new.keys():
+        _compare(old[label], new[label], "", label, drift, mismatches)
+    for line in sorted(mismatches):
+        print("MISMATCH " + line)
+    for (group, path), (gap, rel, label) in sorted(drift.items()):
+        if gap:
+            print(f"drift {group} {path or '<value>'}: abs {gap:.3g} rel {rel:.3g} (largest rel at {label})")
+    identical = sum(old[label] == new[label] for label in old.keys() & new.keys())
+    print(f"{identical} of {len(old)} labels identical, {len(mismatches)} non-float mismatches")
+    return 1 if mismatches else 0
+
+
 def main() -> None:
     rng = np.random.default_rng(303)
     for k in range(100):
@@ -149,4 +233,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), help="compare two outputs")
+    args = parser.parse_args()
+    if args.diff:
+        sys.exit(diff(*args.diff))
     main()
