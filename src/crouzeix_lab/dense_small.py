@@ -199,13 +199,13 @@ def _sigma_bounds_closed(M: np.ndarray) -> tuple[float, float]:
         rad = math.sqrt(((h00 - h11) / 2.0) ** 2 + abs(h01) ** 2)
         return math.sqrt(max(mean + rad, 0.0)), math.sqrt(max(mean - rad, 0.0))
     m = M.tolist()
-    # Gram entries summed left to right from 0, as sum() adds them, written out for speed
-    h = [
-        [0 + m[0][i].conjugate() * m[0][j] + m[1][i].conjugate() * m[1][j] + m[2][i].conjugate() * m[2][j]
-         for j in range(3)]
-        for i in range(3)
-    ]
-    w0, _, w2 = _eigvalsh3_scalars(h[0][0].real, h[1][1].real, h[2][2].real, h[0][1], h[0][2], h[1][2])
+    # the six Gram entries the eigensolver reads, summed left to right from 0
+    # as sum() adds them, written out for speed
+    h00, h11, h22, h01, h02, h12 = (
+        0 + m[0][i].conjugate() * m[0][j] + m[1][i].conjugate() * m[1][j] + m[2][i].conjugate() * m[2][j]
+        for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    )
+    w0, _, w2 = _eigvalsh3_scalars(h00.real, h11.real, h22.real, h01, h02, h12)
     return math.sqrt(max(w2, 0.0)), math.sqrt(max(w0, 0.0))
 
 

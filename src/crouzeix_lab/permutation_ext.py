@@ -48,6 +48,10 @@ _NORM_LAW_TOL = 1e-10
 _RATIO_TOL = 2.0 + 1e-6
 _EQUIV_TOL = 1e-9
 _N_SAMPLE_POLYS = 12
+# ||A|| <= |a| + max|d_i| = B, and the closed-form 3x3 norm squares the Gram
+# entries of p(A) once more, so B^(4 degree) must stay below this for every
+# check to stay finite (coefficient sums add a margin of about 1e7)
+_FOURTH_POWER_CEILING = 1e300
 
 
 @dataclass(frozen=True)
@@ -238,8 +242,9 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     tolerances: inclusion 1e-9 absolute in the support function, block-norm
     law 1e-10 relative, ratios below 2 + 1e-6, DP/PD and shift-covariance
     agreement 1e-9 relative.  A degree, budget or seed the search rejects,
-    or a non-finite a or diagonal entry, raises DomainError before any
-    check runs.
+    a non-finite a or diagonal entry, or entries so large that p(A) or its
+    Gram squares overflow at the search degree, raises DomainError before
+    any check runs.
     """
     _check_search_settings(degree, budget, seed)
     a = complex(a)
@@ -248,6 +253,11 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
         raise DomainError(f"a = {a} is not finite")
     if not np.all(np.isfinite(d)):
         raise DomainError(f"diagonal {d.tolist()} has a non-finite entry")
+    bound = abs(a) + float(np.max(np.abs(d)))
+    ceiling = _FOURTH_POWER_CEILING ** (1.0 / (4 * max(degree, 1)))
+    if bound > ceiling:
+        raise DomainError(f"|a| + max|d_i| = {bound:.3g} for a = {a}, diagonal {d.tolist()}: "
+                          f"p(A) overflows at degree {degree} above {ceiling:.3g}")
     n = P.n
     dec = cycle_decompose(d, P)
     Pm = P.matrix()

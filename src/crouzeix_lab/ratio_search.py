@@ -18,9 +18,20 @@ Most coordinate trials skip the polish: it never lowers the grid maximum
 and a trial whose bound can be neither accepted nor recorded changes nothing.
 A trial changes one coefficient c[j], so it resumes the Horner evaluations of
 p(A) and of p on the grid at state j + 1, kept from when the current
-polynomial became current, and runs only j + 1 steps.  Each golden-section
-step evaluates both probe points of every bracket in one call.  Every value
-comes from the same operations in the same order, so results are bit-identical.
+polynomial became current, and runs only j + 1 steps.  Before the full grid,
+it resumes them on the 32 grid points where the current |p| is largest: their
+maximum is at most `top`, so a trial that this smaller bound already rules out
+is skipped after 32 points instead of 2048 (most are).  That bound is shrunk
+by a few ulps, so rounding that depended on a point's place in the array
+could only make the search skip less.  The golden-section polish advances
+every bracket four steps per evaluation of p, by evaluating the whole tree of
+brackets those steps can reach and then walking it.
+
+Every value comes from the same operations in the same order.  numpy's
+elementwise complex multiply-add, abs, cos and sin give an element the same
+value whatever the array's length and the element's place in it, which the
+tests check with ==, so results are bit-identical to evaluating every point
+on its own and to polishing a step at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +62,14 @@ _DENOM_FLOOR = 1e-300
 _REFINE_CAP = 8
 _REFINE_SLACK = 0.98
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 41
+# golden-section steps taken per evaluation of p
+_LOOKAHEAD = 4
+# grid points, those of largest |p| for the current polynomial, on which a
+# search trial's grid maximum is bounded from below before the full grid is
+# run, and the factor that shrinks that bound by eight ulps of 1
+_SUBSET = 32
+_SUBSET_SHRINK = 1.0 - 2.0 ** -49
 
 
 @dataclass(frozen=True)
@@ -137,6 +156,12 @@ class EllipseBoundary:
     bracket brings the value to grid-independent accuracy, which
     ratio_for_poly relies on.  The polish never lowers it, so top(c) <=
     max_abs_poly(c), the bound by which coordinate_search skips the polish.
+
+    The polish runs 41 golden-section steps in 11 evaluations of p: each
+    evaluation covers the 2^4 - 1 brackets that the next four steps can
+    reach from each current one, with abscissae from the same float
+    operations as a step at a time, and the f(x1) < f(x2) comparisons then
+    pick the path those steps would take, so every value is unchanged.
     """
 
     def __init__(self, rho: float, m: int = 2048):
@@ -168,20 +193,43 @@ class EllipseBoundary:
         t0 = self._h * peaks
         lo = t0 - self._h
         hi = t0 + self._h
-        # vectorised golden section over all brackets at once, both probes of a
-        # bracket in one evaluation; 40 steps shrink each bracket by ~4e-9 so
-        # the quadratic peak error is below rounding
-        k = peaks.size
-        for step in range(41):
-            if step:
-                move_up = f[:k] < f[k:]
-                lo = np.where(move_up, x1, lo)
-                hi = np.where(move_up, hi, x2)
-            w = _GOLDEN * (hi - lo)
-            x1, x2 = hi - w, lo + w
-            f = np.abs(np.polyval(cs, self._at(np.concatenate((x1, x2)))))
-        refined = f.max() if k else top
+        # golden section over all brackets at once; 41 steps shrink each
+        # bracket by ~4e-9 so the quadratic peak error is below rounding
+        for done in range(0, _GOLDEN_STEPS, _LOOKAHEAD):
+            lo, hi, f = self._golden_steps(cs, lo, hi, min(_LOOKAHEAD, _GOLDEN_STEPS - done))
+        refined = f.max() if peaks.size else top
         return max(top, float(refined))
+
+    def _golden_steps(self, cs, lo: np.ndarray, hi: np.ndarray, depth: int) -> tuple:
+        """depth golden-section steps on every bracket (lo, hi) from one evaluation of p.
+
+        Level l of the tree holds, in rows of k brackets, the 2^l brackets
+        that l steps can reach; the children of row i are (x1, hi) at row i
+        and (lo, x2) at row i + 2^l of level l + 1.  All probes go through one
+        _at and polyval; the walk then takes the branch that f(x1) < f(x2)
+        picks, bracket by bracket, as a step at a time does.  Returns the
+        next (lo, hi) and the last step's probe values.
+        """
+        k = lo.size
+        los, his, x1s, x2s = [lo], [hi], [], []
+        for level in range(depth):
+            w = _GOLDEN * (his[level] - los[level])
+            x1s.append(his[level] - w)
+            x2s.append(los[level] + w)
+            los.append(np.concatenate((x1s[level], los[level])))
+            his.append(np.concatenate((his[level], x2s[level])))
+        f = np.abs(np.polyval(cs, self._at(np.concatenate(x1s + x2s))))
+        half = f.size // 2
+        # at is the flat index of each bracket's row in level l, which starts
+        # at (2^l - 1) k; the next level starts 2^l rows on, and moving down
+        # adds 2^l rows more: 1 or 2 times 2^l rows as f(x1) < f(x2) or not
+        rows_on = 2 - (f[:half] < f[half:])
+        at = np.arange(k)
+        for level in range(depth):
+            last = at
+            at = at + (k << level) * rows_on[at]
+        row = at - ((1 << depth) - 1) * k
+        return los[depth][row], his[depth][row], f[np.concatenate((last, last + half))]
 
 
 def _abs_over(points: np.ndarray, coeffs) -> np.ndarray:
@@ -211,20 +259,44 @@ def _horner(A: np.ndarray, pts: np.ndarray, c, j: int, above: tuple | None = Non
     change in c[j] alone costs j + 1 steps and matches a full pass bit for
     bit.  Without `above`, j must be the degree.
     """
-    mats, grid = above or ([None] * (j + 2), [None] * (j + 1) + [np.zeros_like(pts)])
-    mats, grid = list(mats), list(grid)
+    mats, grid = above or (None, None)
+    return _matrix_states(A, c, j, mats), _grid_states(pts, c, j, grid)
+
+
+def _matrix_states(A: np.ndarray, c, j: int, above: list | None) -> list:
+    """The p(A) chain of _horner."""
+    mats = list(above or [None] * (j + 2))
     I = np.eye(A.shape[0], dtype=complex)
     for k in range(j, -1, -1):
         ck = complex(c[k])
         mats[k] = ck * I if mats[k + 1] is None else mats[k + 1] @ A + ck * I
-        grid[k] = grid[k + 1] * pts + ck
-    return mats, grid
+    return mats
+
+
+def _grid_states(pts: np.ndarray, c, j: int, above: list | None) -> list:
+    """The chain of _horner over pts; elementwise, so on pts[S] with states [g[S] ...] it gives p[S]."""
+    grid = list(above or [None] * (j + 1) + [np.zeros_like(pts)])
+    for k in range(j, -1, -1):
+        grid[k] = grid[k + 1] * pts + complex(c[k])
+    return grid
+
+
+def _grid_top(grid: list) -> float:
+    return float(np.abs(grid[0]).max())
 
 
 def _num_top(states: tuple) -> tuple:
     """||p(A)|| and the grid maximum of |p|, from the Horner states of p."""
     mats, grid = states
-    return dense_small.operator_norm(mats[0]), float(np.abs(grid[0]).max())
+    return dense_small.operator_norm(mats[0]), _grid_top(grid)
+
+
+def _subset(pts: np.ndarray, grid: list) -> tuple:
+    """The _SUBSET grid points where |p| is largest, and the grid states restricted to them."""
+    vals = np.abs(grid[0])
+    kth = max(vals.size - _SUBSET, 0)
+    S = np.argpartition(vals, kth)[kth:]
+    return pts[S], [g[S] for g in grid]
 
 
 def _score(boundary, coeffs, num: float, top: float) -> float:
@@ -303,10 +375,12 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
         if scale < _DENOM_FLOOR:
             continue
         c /= scale
-        states = _horner(A, pts, c, degree)
+        mats, grid = states = _horner(A, pts, c, degree)
         cur = _score(boundary, c, *_num_top(states))
         evals += 1
         record(cur, c)
+        if polished:
+            sub_pts, sub_grid = _subset(pts, grid)
         step = 0.5
         while step >= 1e-3 and evals < budget:
             improved = False
@@ -316,16 +390,25 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                         break
                     trial = c.copy()
                     trial[j] += delta
-                    trial_states = _horner(A, pts, trial, j, states)
-                    num, top = _num_top(trial_states)
+                    trial_mats = _matrix_states(A, trial, j, mats)
+                    num = dense_small.operator_norm(trial_mats[0])
                     evals += 1
-                    # num / top bounds the ratio: the polish never lowers top
+                    # num / top bounds the ratio, as the polish never lowers
+                    # top, and so does num over the top of any part of the grid
+                    if polished:
+                        sub_top = _grid_top(_grid_states(sub_pts, trial, j, sub_grid)) * _SUBSET_SHRINK
+                        if sub_top >= _DENOM_FLOOR and _ruled_out(num / sub_top, cur, best):
+                            continue
+                    trial_grid = _grid_states(pts, trial, j, grid)
+                    top = _grid_top(trial_grid)
                     if polished and top >= _DENOM_FLOOR and _ruled_out(num / top, cur, best):
                         continue
                     val = _score(boundary, trial, num, top)
                     record(val, trial)
                     if val > cur * (1.0 + 1e-12):
-                        c, cur, states, improved = trial, val, trial_states, True
+                        c, cur, mats, grid, improved = trial, val, trial_mats, trial_grid, True
+                        if polished:
+                            sub_pts, sub_grid = _subset(pts, grid)
                 if evals >= budget:
                     break
             if not improved:

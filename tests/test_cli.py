@@ -259,6 +259,22 @@ class TestPerm:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("a, diag, perm", [
+        ("0", "1e200,1", "(0 1)"),
+        ("1e308", "1,1", "()"),
+    ])
+    def test_huge_input_exit_2(self, capsys, a, diag, perm):
+        # finite entries whose powers overflow p(A) are out of domain, not a failed check
+        code, out, err = run_cli(capsys, "perm", "--a", a, "--diag", diag, "--perm", perm)
+        assert code == 2
+        assert out == ""
+        assert "|a| + max|d_i|" in err
+
+    def test_large_input_still_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "perm", "--a", "0", "--diag", "1e10,1", "--perm", "(0 1)")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
 
 class TestEntryPoints:
     def test_unknown_subcommand_exit_4(self, capsys):

@@ -162,6 +162,28 @@ class TestVerifyObservation:
         with pytest.raises(DomainError, match=message):
             verify_observation(a, diag, perm_from_cycles("(0 1)", 2), 4, 60, 0)
 
+    @pytest.mark.parametrize("a, diag, degree", [
+        (0, [1e200, 1], 4),
+        (1e308, [1, 1], 4),
+        (1e25, [1, 1, 1], 4),
+        (0, [1e10, 1], 12),
+        (1e80, [1, 1], 0),
+    ])
+    def test_huge_input_raises_before_any_eigensolve(self, monkeypatch, a, diag, degree):
+        def fail(*args, **kwargs):
+            raise AssertionError("support_function_grid ran on entries whose powers overflow")
+
+        monkeypatch.setattr(dense_small, "support_function_grid", fail)
+        with pytest.raises(DomainError, match=r"\|a\| \+ max\|d_i\|"):
+            verify_observation(a, diag, perm_from_cycles("(0 1 2)" if len(diag) == 3 else "(0 1)", len(diag)),
+                               degree, 60, 0)
+
+    @pytest.mark.parametrize("a, diag, degree", [(0, [1e10, 1], 4), (1e18, [1, 1, 1], 4), (1e70, [1, 1], 1)])
+    def test_large_input_below_the_ceiling_runs(self, a, diag, degree):
+        spec = perm_from_cycles("(0 1 2)" if len(diag) == 3 else "(0 1)", len(diag))
+        rep = verify_observation(a, diag, spec, degree, 60, 0)
+        assert math.isfinite(rep.ratio.best_ratio)
+
     @pytest.mark.parametrize("n, cycles", [(1, ""), (3, "(0 1 2)"), (5, "(0 1)(2 3 4)"), (4, "")])
     def test_one_support_solve_per_matrix(self, monkeypatch, n, cycles):
         # A is solved once (boundary and inclusion grid together), each block once

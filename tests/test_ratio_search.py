@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crouzeix_lab import dense_small
+from crouzeix_lab import dense_small, ratio_search
 from crouzeix_lab.core_matrix import build_A, build_A_rho, mu_rho
 from crouzeix_lab.errors import DegenerateDenominatorError, DomainError
 from crouzeix_lab.ratio_search import (
@@ -174,6 +174,59 @@ class TestBoundaryMaximum:
             cs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             eb = EllipseBoundary(float(rng.uniform(1.01, 50.0)), int(rng.choice([8, 64, 2048])))
             assert eb.max_abs_poly(cs) == two_call_max(eb, cs)
+
+    @staticmethod
+    def _one_step_max(eb, cs):
+        # reference: the golden section that takes one step per evaluation of p
+        cs = np.asarray(cs, dtype=complex)[::-1]
+        vals = np.abs(np.polyval(cs, eb.points))
+        top = float(vals.max())
+        if len(cs) <= 1:
+            return top
+        peaks = np.nonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)) & (vals >= 0.98 * top))[0]
+        if peaks.size > 8:
+            peaks = peaks[np.argsort(vals[peaks])[::-1][:8]]
+        lo, hi = eb._h * peaks - eb._h, eb._h * peaks + eb._h
+        k = peaks.size
+        g = (math.sqrt(5.0) - 1.0) / 2.0
+        for step in range(41):
+            if step:
+                move_up = f[:k] < f[k:]
+                lo, hi = np.where(move_up, x1, lo), np.where(move_up, hi, x2)
+            w = g * (hi - lo)
+            x1, x2 = hi - w, lo + w
+            f = np.abs(np.polyval(cs, eb._at(np.concatenate((x1, x2)))))
+        return max(top, float(f.max() if k else top))
+
+    def test_lookahead_matches_one_step_golden_section(self):
+        rng = np.random.default_rng(17)
+        for _ in range(120):
+            deg = int(rng.integers(0, 13))
+            cs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            for rho in (1.01, 1.05, 2.0, 20.0):
+                eb = EllipseBoundary(rho, int(rng.choice([8, 64, 2048])))
+                assert eb.max_abs_poly(cs) == self._one_step_max(eb, cs)
+
+    @pytest.mark.parametrize("d", range(8, 13))
+    def test_lookahead_matches_one_step_on_chebyshev(self, d):
+        # |T_d| has 2d nearly equal peaks on a thin ellipse, so more than 8
+        # are near-maximal and the polish cap binds
+        cheb = np.polynomial.chebyshev.cheb2poly([0] * d + [1])
+        for m in (8, 64, 2048):
+            eb = EllipseBoundary(1.05, m)
+            if m == 2048:
+                vals = np.abs(np.polyval(cheb[::-1], eb.points))
+                near = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)) & (vals >= 0.98 * vals.max())
+                assert np.count_nonzero(near) > 8
+            assert eb.max_abs_poly(cheb) == self._one_step_max(eb, cheb)
+
+    def test_one_polish_evaluates_once_per_lookahead(self, monkeypatch):
+        calls = []
+        at = EllipseBoundary._at
+        monkeypatch.setattr(EllipseBoundary, "_at", lambda self, t: calls.append(t.size) or at(self, t))
+        rng = np.random.default_rng(18)
+        EllipseBoundary(3.0).max_abs_poly(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        assert len(calls) == math.ceil(41 / ratio_search._LOOKAHEAD)
 
 
 class TestSearch:
@@ -359,6 +412,15 @@ class TestPolishSkip:
             assert top == np.abs(np.polyval(cs[::-1], eb.points)).max()
             assert top <= eb.max_abs_poly(cs)
 
+    def test_most_trials_stop_at_the_subset_bound(self, monkeypatch):
+        full = []
+        grid_states = ratio_search._grid_states
+        monkeypatch.setattr(ratio_search, "_grid_states",
+                            lambda pts, *args: (pts.size == 2048 and full.append(1)) or grid_states(pts, *args))
+        res = worst_ratio_search(*_criterion_6_point(0), 8, 500, 0)
+        assert res.evaluations == 500
+        assert len(full) < 0.25 * 500
+
     def test_pinned_search_result(self):
         # exact floats from the search that polished every trial
         assert worst_ratio_search(2.0, 1.0, 6, 150, 7).to_json() == PINNED_2_1_6_150_7
@@ -417,3 +479,25 @@ class TestResumedHorner:
                     assert top == vals.max()
                     # accept the trial, as the search does, so later trials resume from it
                     c, states = trial, trial_states
+
+    @pytest.mark.parametrize("m", (8, 64, 2048))
+    def test_subset_resume_matches_full_grid(self, m):
+        # the search bounds a trial on the 32 points where the current |p| is
+        # largest, resuming Horner there from the current states
+        rng = np.random.default_rng(70 + m)
+        pts = EllipseBoundary(1.5 + m / 100, m).points
+        c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        grid = _horner(np.eye(1), pts, c, 8)[1]
+        for j in range(9):
+            for delta in (0.5, -0.5, 0.5j, -0.5j):
+                sub_pts, sub_grid = ratio_search._subset(pts, grid)
+                S = np.nonzero(sub_pts[:, None] == pts[None, :])[1]
+                assert S.size == min(m, 32)
+                assert np.abs(grid[0][S]).min() == np.sort(np.abs(grid[0]))[-S.size]
+                trial = c.copy()
+                trial[j] += delta
+                sub = ratio_search._grid_states(sub_pts, trial, j, sub_grid)
+                full = ratio_search._grid_states(pts, trial, j, grid)
+                for k in range(10):
+                    assert np.array_equal(sub[k], full[k][S])
+                c, grid = trial, full

@@ -22,7 +22,9 @@ Inputs: criterion 6's 100 searches (seed 303, degree 8, budget 500), the
 normal matrix diag(1, 0, -1) at (8, 500, 0) and (6, 300, 17), 16 more
 searches of degree 3 to 12, 120 `verify_observation` reports (seed 505,
 n = 1..8, degree 4, budget 60), `ratio_for_poly` on an EllipseBoundary and
-on 1, 2, 7 and 2048 points, 48 seeded `normalize(B).to_json()` records (or
+on 1, 2, 7 and 2048 points, `EllipseBoundary.max_abs_poly` of the Chebyshev
+polynomials T_1..T_12 (rho in {1.01, 1.05, 1.2}, m in {8, 64, 2048}) and of
+40 random polynomials on an m = 8 boundary, 48 seeded `normalize(B).to_json()` records (or
 the DomainError text) for disguised family members, mirrored members,
 degenerate and non-centered spectra, and the stdout and exit code of every
 subcommand for fixed arguments: `ratio`, `perm`, `verify`, `replay`, a
@@ -221,6 +223,17 @@ def main() -> None:
     for k in range(40):
         cs = rng.standard_normal(1 + k % 13) + 1j * rng.standard_normal(1 + k % 13)
         _emit(f"ratio_for_poly {k}", [ratio_for_poly(A, PolySpec.of(cs), b) for b in boundaries])
+
+    # Chebyshev T_d has d near-maximal peaks on a thin ellipse, so the polish cap binds
+    for d in range(1, 13):
+        cheb = np.polynomial.chebyshev.cheb2poly([0] * d + [1])
+        _emit(f"max_abs_poly chebyshev {d}",
+              [EllipseBoundary(rho, m).max_abs_poly(cheb) for rho in (1.01, 1.05, 1.2) for m in (8, 64, 2048)])
+    rng = np.random.default_rng(808)
+    small = EllipseBoundary(3.0, 8)
+    for k in range(40):
+        cs = rng.standard_normal(1 + k % 13) + 1j * rng.standard_normal(1 + k % 13)
+        _emit(f"max_abs_poly m=8 {k}", small.max_abs_poly(cs))
 
     for k, B in enumerate(_normalize_inputs(707, 48)):
         try:
