@@ -15,7 +15,6 @@ from .core_matrix import (
     NormalizedParams,
     RhoParams,
     TridiagonalParams,
-    XYCoords,
     build_A,
     build_A_rho,
     foci_of_general,
@@ -106,7 +105,6 @@ __all__ = [
     "SimilarityX",
     "SingularMatrixError",
     "TridiagonalParams",
-    "XYCoords",
     "boundary_samples",
     "build_A",
     "build_A_rho",

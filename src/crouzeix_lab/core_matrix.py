@@ -33,7 +33,6 @@ __all__ = [
     "NormalizedParams",
     "RhoParams",
     "TridiagonalParams",
-    "XYCoords",
     "build_A",
     "build_A_rho",
     "foci_of_general",
@@ -71,24 +70,6 @@ class RhoParams:
             raise DomainError(f"rho must be finite, got {self.rho}")
         if not (1.0 / math.sqrt(self.rho) < self.r <= 1.0):
             raise DomainError(f"r={self.r} outside (1/sqrt(rho), 1] for rho={self.rho}")
-
-
-@dataclass(frozen=True)
-class XYCoords:
-    """Substitution coordinates x = r^2 + 1/r^2, y = rho + 1/rho."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if self.x < 2.0 - 1e-12:
-            raise DomainError(f"x = r^2 + 1/r^2 cannot drop below 2, got {self.x}")
-        if self.y < 2.0 - 1e-12:
-            raise DomainError(f"y = rho + 1/rho cannot drop below 2, got {self.y}")
-
-    @classmethod
-    def from_rho_r(cls, rho: float, r: float) -> "XYCoords":
-        return cls(x=r * r + 1.0 / (r * r), y=rho + 1.0 / rho)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,11 @@ __all__ = [
 
 _THETA_GRID = 720
 _BOUNDARY_GRID = 1440
+# the support functions round in proportion to the entries, about eps |A|
+# each, so the inclusion tolerance is the larger of a floor and 64 eps times
+# B = |a| + max|d_i|; the floor rules for every B below about 7e4
 _INCLUSION_TOL = 1e-9
+_INCLUSION_ROUNDING = 64 * 2.0**-52
 _NORM_LAW_TOL = 1e-10
 _RATIO_TOL = 2.0 + 1e-6
 _EQUIV_TOL = 1e-9
@@ -239,12 +243,12 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     """Run every block-reduction check on one (a, D, P) instance.
 
     The report carries each finding separately plus an overall pass flag;
-    tolerances: inclusion 1e-9 absolute in the support function, block-norm
-    law 1e-10 relative, ratios below 2 + 1e-6, DP/PD and shift-covariance
-    agreement 1e-9 relative.  A degree, budget or seed the search rejects,
-    a non-finite a or diagonal entry, or entries so large that p(A) or its
-    Gram squares overflow at the search degree, raises DomainError before
-    any check runs.
+    tolerances: inclusion in the support function max(1e-9, 64 eps B) with
+    B = |a| + max|d_i|, block-norm law 1e-10 relative, ratios below
+    2 + 1e-6, DP/PD and shift-covariance agreement 1e-9 relative.  A
+    degree, budget or seed the search rejects, a non-finite a or diagonal
+    entry, or entries so large that p(A) or its Gram squares overflow at
+    the search degree, raises DomainError before any check runs.
     """
     _check_search_settings(degree, budget, seed)
     a = complex(a)
@@ -274,7 +278,7 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     for Ak in shifted_blocks:
         h_k = dense_small.support_function_grid(Ak, _THETA_GRID)
         inclusion_worst = max(inclusion_worst, float(np.max(h_k - h_A)))
-    inclusion_ok = inclusion_worst <= _INCLUSION_TOL
+    inclusion_ok = inclusion_worst <= max(_INCLUSION_TOL, _INCLUSION_ROUNDING * bound)
 
     rng = np.random.default_rng((seed, 1))
     polys = []

@@ -19,7 +19,7 @@ import enum
 import functools
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -75,28 +75,21 @@ def p_smallr(r: float, rho: float) -> float:
     return 12.0 * r4 * r4 + r4 * (3.0 * rho * rho + 16.0 + 4.0 / (rho * rho)) - 4.0 - rho * rho
 
 
-_THIRD_ROOT = 3.0 ** (-0.25)
-_R1_TOL = 1e-13
-
-
-@functools.lru_cache(maxsize=4096)
 def r1(rho: float) -> float:
-    """Unique positive root of p_smallr(., rho), by bisection in (0, 3^(-1/4))
-    down to a bracket of width 1e-13.
+    """Unique positive root of p_smallr(., rho), in closed form.
 
-    The bracket is unconditional: p(0) = -4 - rho^2 < 0 and
-    p(3^(-1/4), rho) = 4(1 + 2 rho^2)/(3 rho^2) > 0.
+    p_smallr is a quadratic in s = r^4.  Divided by rho^2 and written in
+    u = 1/rho^2, it reads 12 u s^2 + b s - c with b = 3 + 16u + 4u^2 and
+    c = 1 + 4u.  Its positive root, taken as 2c / (b + sqrt(b^2 + 48 c u)),
+    neither cancels nor overflows, and tends to 1/3 as rho grows.
     """
-    if not rho > 1.0:
-        raise DomainError(f"rho must exceed 1, got {rho}")
-    lo, hi = 0.0, _THIRD_ROOT
-    while hi - lo > _R1_TOL:
-        mid = 0.5 * (lo + hi)
-        if p_smallr(mid, rho) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if not 1.0 < rho < math.inf:
+        raise DomainError(f"rho must be finite and exceed 1, got {rho}")
+    u = 1.0 / (rho * rho)
+    b = 3.0 + u * (16.0 + 4.0 * u)
+    c = 1.0 + 4.0 * u
+    s = 2.0 * c / (b + math.sqrt(b * b + 48.0 * c * u))
+    return math.sqrt(math.sqrt(s))
 
 
 def r3(rho: float) -> float:
@@ -461,24 +454,13 @@ class ProofReplayReport:
     Q_sign: ChainCheck
     H_table: ChainCheck
 
+    # both read the chains off the fields, so a new chain cannot be left out
     @property
     def all_passed(self) -> bool:
-        return all(
-            getattr(self, name).passed
-            for name in (
-                "q_chain", "strip_P", "p1_p2_p3_chain", "p4_p5_chain",
-                "p6_p7", "p8_p9_chain", "B_sign", "F_sign", "Q_sign", "H_table",
-            )
-        )
+        return all(getattr(self, f.name).passed for f in fields(self))
 
     def to_json(self) -> dict:
-        return {
-            name: getattr(self, name).to_json()
-            for name in (
-                "q_chain", "strip_P", "p1_p2_p3_chain", "p4_p5_chain",
-                "p6_p7", "p8_p9_chain", "B_sign", "F_sign", "Q_sign", "H_table",
-            )
-        }
+        return {f.name: getattr(self, f.name).to_json() for f in fields(self)}
 
 
 _GRID_1D = 10001

@@ -275,6 +275,14 @@ class TestPerm:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_large_diagonal_passes_inclusion(self, capsys):
+        # the support functions round by about eps * 1e8 here, far above 1e-9
+        code, out, _ = run_cli(capsys, "perm", "--a", "0", "--diag", "1e8,1,1", "--perm", "(0 1 2)")
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["inclusion_ok"] is True
+        assert rep["passed"] is True
+
 
 class TestEntryPoints:
     def test_unknown_subcommand_exit_4(self, capsys):

@@ -184,6 +184,24 @@ class TestVerifyObservation:
         rep = verify_observation(a, diag, spec, degree, 60, 0)
         assert math.isfinite(rep.ratio.best_ratio)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_inclusion_tolerance_scales_with_the_entries(self, monkeypatch, scale):
+        # rounding of order eps * scale passes at scale 1e8; a block support
+        # function 1e-6 * scale above h_A fails at every scale
+        spec = perm_from_cycles("(0 1 2)", 3)
+        assert verify_observation(0, [scale, 1, 1], spec, 4, 60, 0).inclusion_ok
+        real = dense_small.support_function_grid
+
+        def raised(M, m, with_vectors=False):
+            out = real(M, m, with_vectors=with_vectors)
+            return out if with_vectors else out + 1e-6 * scale
+
+        monkeypatch.setattr(dense_small, "support_function_grid", raised)
+        rep = verify_observation(0, [scale, 1, 1], spec, 4, 60, 0)
+        assert not rep.inclusion_ok
+        assert not rep.passed
+        assert rep.inclusion_worst >= 0.99e-6 * scale
+
     @pytest.mark.parametrize("n, cycles", [(1, ""), (3, "(0 1 2)"), (5, "(0 1)(2 3 4)"), (4, "")])
     def test_one_support_solve_per_matrix(self, monkeypatch, n, cycles):
         # A is solved once (boundary and inclusion grid together), each block once

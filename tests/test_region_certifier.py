@@ -49,6 +49,27 @@ class TestBoundaryCurves:
         assert all(b > a for a, b in zip(rs, rs[1:]))
         assert all(r < 3**-0.25 for r in rs)
 
+    @pytest.mark.parametrize("rho", [1 + 1e-12, 1.05, math.sqrt(2), 2.0, 10.0, 16.0, 50.0,
+                                     1e6, 1e100, 1e200, 1.7e308])
+    def test_r1_within_two_ulps_of_the_50_digit_root(self, rho):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            R = mpmath.mpf(rho)
+            b, c = 3 * R**2 + 16 + 4 / R**2, 4 + R**2
+            exact = mpmath.findroot(lambda t: 12 * t**8 + b * t**4 - c, mpmath.mpf(0.75))
+            assert abs(mpmath.mpf(r1(rho)) - exact) <= 2 * math.ulp(r1(rho))
+
+    def test_r1_is_the_sign_change_of_p_smallr(self):
+        for rho in np.geomspace(1.0 + 1e-9, 1e6, 400):
+            rr = r1(float(rho))
+            step = 4 * math.ulp(rr)
+            assert p_smallr(rr - step, rho) < 0.0 < p_smallr(rr + step, rho), rho
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, 1.0, 0.5, -math.inf])
+    def test_r1_domain(self, rho):
+        with pytest.raises(DomainError, match="rho"):
+            r1(rho)
+
     def test_r3_anchors(self):
         assert r3(math.sqrt(2.0)) == 1.0
         assert abs(r3(2.0) - 1 / math.sqrt(2)) < 1e-12
@@ -71,6 +92,7 @@ class TestClassify:
         assert classify(10.0, 0.76) is RegionId.STRIP
         assert classify(3.0, 0.95) is RegionId.LARGE_RHO_R
         assert classify(3.0, 0.72) is RegionId.SMALL_R
+        assert classify(1e200, 0.5) is RegionId.SMALL_R
         assert classify(0.9, 0.5) is RegionId.OUT_OF_DOMAIN
         assert classify(4.0, 0.5) is RegionId.OUT_OF_DOMAIN
 

@@ -15,7 +15,9 @@ For a change that may move floats, compare the two outputs label by label:
 It prints every non-float mismatch (labels, keys, lengths, booleans, ints,
 strings, exit codes) and, for each label group and field, the largest
 absolute and relative float drift and the label of the largest relative
-one.  A CLI stdout that parses as JSON is compared field by field.  It
+one.  A CLI stdout that parses as JSON is compared field by field; a CSV
+stdout cell by cell, where the header, the row count and every non-numeric
+cell must match and each numeric cell drifts as a field of its column.  It
 exits 1 if any non-float mismatch was found, else 0.
 
 Inputs: criterion 6's 100 searches (seed 303, degree 8, budget 500), the
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -143,14 +146,31 @@ def _as_json(text: str):
         return None
 
 
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _as_csv(text: str):
+    """The rows of a CSV table as dicts keyed by its header, numeric cells as
+    floats; None for text that is not a table of two or more columns."""
+    rows = list(csv.reader(text.splitlines()))
+    if len(rows) < 2 or len(rows[0]) < 2 or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    return [dict(zip(rows[0], map(_cell, row))) for row in rows[1:]]
+
+
 def _compare(old, new, path: str, label: str, drift: dict, mismatches: list) -> None:
     """Walk two parsed values in step: floats into drift, anything else must be equal."""
     if isinstance(old, str) and isinstance(new, str) and old != new:
-        old_j, new_j = _as_json(old), _as_json(new)
-        if old_j is not None and new_j is not None:
-            _compare(old_j, new_j, path, label, drift, mismatches)
-        else:
-            mismatches.append(f"{label} {path}: {old!r} != {new!r}")
+        for parse in (_as_json, _as_csv):
+            old_p, new_p = parse(old), parse(new)
+            if old_p is not None and new_p is not None:
+                _compare(old_p, new_p, path, label, drift, mismatches)
+                return
+        mismatches.append(f"{label} {path}: {old!r} != {new!r}")
     elif {type(old), type(new)} in ({float}, {int, float}):
         # a float that happens to be integral may print as an int
         old, new = float(old), float(new)
@@ -163,8 +183,8 @@ def _compare(old, new, path: str, label: str, drift: dict, mismatches: list) -> 
         elif repr(old) != repr(new):
             mismatches.append(f"{label} {path}: {old!r} != {new!r}")
     elif isinstance(old, dict) and isinstance(new, dict):
-        if old.keys() != new.keys():
-            mismatches.append(f"{label} {path}: keys {sorted(old)} != {sorted(new)}")
+        if list(old) != list(new):
+            mismatches.append(f"{label} {path}: keys {list(old)} != {list(new)}")
         for k in old.keys() & new.keys():
             _compare(old[k], new[k], f"{path}.{k}" if path else k, label, drift, mismatches)
     elif isinstance(old, list) and isinstance(new, list):
