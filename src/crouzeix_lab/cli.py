@@ -105,16 +105,6 @@ def _out_of_domain_record(rho: float, r: float) -> dict:
     }
 
 
-def _default_workers() -> int:
-    env = os.environ.get("CROUZEIX_LAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _write_output(text: str, path: str | None) -> int:
     if path is None:
         sys.stdout.write(text)
@@ -178,7 +168,7 @@ def cmd_sweep(args) -> int:
         config = SweepConfig(
             rho_range=_parse_range(args.rho, "--rho"),
             r_range="auto" if args.r == ["auto"] else _parse_range(args.r, "--r"),
-            parallel_workers=args.workers if args.workers else _default_workers(),
+            parallel_workers=args.workers or os.cpu_count() or 1,
             output_path=args.out,
             format=args.format,
         )
@@ -292,7 +282,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", nargs="+", default=["auto"],
                    help="'auto' for (1/sqrt(rho), 1] per row, or LO HI STEPS")
     p.add_argument("--workers", type=int, default=0,
-                   help="worker processes; default CROUZEIX_LAB_WORKERS or cpu count")
+                   help="worker processes; default the cpu count")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_sweep)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense_small
+from . import core_matrix, dense_small
 from .errors import DomainError
 
 __all__ = [
@@ -56,7 +56,15 @@ def _check_rho(rho: float) -> float:
     rho = float(rho)
     if not (rho > 1.0):
         raise DomainError(f"rho must exceed 1, got {rho}")
+    if not math.isfinite(rho):
+        raise DomainError(f"rho must be finite, got {rho}")
     return rho
+
+
+def _pow4(rho: float) -> float:
+    """rho**4, taken as inf from rho = 1e77 on, just below where Python's
+    float ** raises OverflowError; 4 / rho**4 is then below 1e-307."""
+    return rho**4 if rho < 1e77 else math.inf
 
 
 def default_n_factors(rho: float) -> int:
@@ -90,7 +98,7 @@ def eval_f(z: complex, rho: float, n_terms: int | None = None) -> complex:
     s = 0.0 + 0.0j
     t_even = 1.0 + 0.0j  # T_0
     t_odd = z  # T_1
-    rho4 = rho**4
+    rho4 = _pow4(rho)
     rho_pow = 1.0  # rho^{4(k-1)} running power
     sign = 1.0
     for k in range(1, n + 1):
@@ -187,7 +195,7 @@ def c_upper_closed(rho: float) -> float:
     """
     rho = _check_rho(rho)
     if rho * rho >= 2.0:
-        return 2.0 / (rho * math.sqrt(1.0 + 4.0 / rho**4))
+        return 2.0 / (rho * math.sqrt(1.0 + 4.0 / _pow4(rho)))
     return 2.0 / rho
 
 
@@ -200,9 +208,7 @@ def verify_fA_equals_cA(rho: float, r: float) -> float:
     odd, f(A) = c A with c = f(1).  Returns max(||A^3 - A||, ||f(A) - c A||)
     in the operator norm, so a matrix off the three-node calculus fails too.
     """
-    from .core_matrix import build_A_rho  # local to avoid an import cycle
-
-    A = build_A_rho(rho, r)
+    A = core_matrix.build_A_rho(rho, r)
     A2 = A @ A
     f_minus, f_zero, f_plus = (eval_f(z, rho) for z in (-1.0, 0.0, 1.0))
     F = f_plus * (A2 + A) / 2.0 + f_minus * (A2 - A) / 2.0 + f_zero * (np.eye(3) - A2)

@@ -1,19 +1,19 @@
 """Dense linear algebra for complex matrices up to 8x8.
 
-The 3x3 kernels are closed forms: singular values from the trigonometric
-eigenvalues of the Gram matrix, Cardano's formula for general 3x3 spectra,
-and a Schur decomposition whose diagonal order can be prescribed, which
-`normalize` needs and numpy does not offer.  Above 3x3, and wherever no
-ordering control is needed (the inverse-iteration solve inside the Schur
-form, the Hermitian eigensystems of the support function), the work goes to
-`numpy.linalg`.  The support function is sampled on even grids of m
-directions: K(theta + pi) = -K(theta), so one batched eigen-solve over the
-first half-turn gives the second half from its bottom eigenpairs.  Functions
-of the family matrix need no general calculus here: `conformal_map` applies
-them through its spectral projectors.
+Two 3x3 kernels are closed forms, because `normalize` needs an ordering
+control that numpy does not offer: Cardano's formula for general 3x3 spectra
+and a Schur decomposition whose diagonal order can be prescribed.  The rest
+goes to `numpy.linalg`: operator norms and condition numbers from the
+singular values of one SVD at every size, the inverse-iteration solve inside
+the Schur form, and the Hermitian eigensystems of the support function.  The
+support function is sampled on even grids of m directions: K(theta + pi) =
+-K(theta), so one batched eigen-solve over the first half-turn gives the
+second half from its bottom eigenpairs.  Functions of the family matrix need
+no general calculus here: `conformal_map` applies them through its spectral
+projectors.
 
-Matrices are numpy arrays used as containers; the 3x3 kernels extract plain
-Python scalars so the certification sweep stays cheap on a single core.
+Matrices are numpy arrays used as containers; the Cardano kernel reads
+them into plain Python complex scalars.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
 
 MAX_N = 8
 
-_TWO_PI_3 = 2.0 * math.pi / 3.0
-
 
 def _as_square(M: np.ndarray) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
@@ -53,75 +51,6 @@ def _as_square(M: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # closed-form 3x3 spectra
-
-
-def _eigvalsh3_scalars(
-    h00: float,
-    h11: float,
-    h22: float,
-    h01: complex,
-    h02: complex,
-    h12: complex,
-) -> tuple[float, float, float]:
-    """Ascending eigenvalues of a Hermitian 3x3 from its six defining entries.
-
-    Trigonometric solution of the characteristic cubic (the Hermitian case
-    guarantees three real roots), followed by a guarded Newton polish.
-    """
-    p1 = abs(h01) ** 2 + abs(h02) ** 2 + abs(h12) ** 2
-    if p1 == 0.0:
-        a, b, c = sorted((h00, h11, h22))
-        return a, b, c
-    q = (h00 + h11 + h22) / 3.0
-    p2 = (h00 - q) ** 2 + (h11 - q) ** 2 + (h22 - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b00, b11, b22 = (h00 - q) / p, (h11 - q) / p, (h22 - q) / p
-    b01, b02, b12 = h01 / p, h02 / p, h12 / p
-    # det(B) is real for Hermitian B; assemble it from scalars
-    det_b = (
-        b00 * (b11 * b22 - abs(b12) ** 2)
-        - b11 * abs(b02) ** 2
-        - b22 * abs(b01) ** 2
-        + 2.0 * (b01 * b12 * b02.conjugate()).real
-    )
-    r = det_b / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    w2 = q + 2.0 * p * math.cos(phi)
-    w0 = q + 2.0 * p * math.cos(phi + _TWO_PI_3)
-    w1 = 3.0 * q - w0 - w2
-
-    # characteristic coefficients for the polish: l^3 - tr l^2 + s2 l - det
-    tr = h00 + h11 + h22
-    s2 = (
-        h00 * h11
-        - abs(h01) ** 2
-        + h00 * h22
-        - abs(h02) ** 2
-        + h11 * h22
-        - abs(h12) ** 2
-    )
-    det = (
-        h00 * (h11 * h22 - abs(h12) ** 2)
-        - h11 * abs(h02) ** 2
-        - h22 * abs(h01) ** 2
-        + 2.0 * (h01 * h12 * h02.conjugate()).real
-    )
-    scale = 1.0 + max(abs(w0), abs(w2))
-    out = []
-    for w in (w0, w1, w2):
-        for _ in range(2):
-            pw = ((w - tr) * w + s2) * w - det
-            dpw = (3.0 * w - 2.0 * tr) * w + s2
-            if abs(dpw) < 1e-8 * scale * scale:
-                break
-            step = pw / dpw
-            if abs(step) > 0.1 * scale:
-                break
-            w -= step
-        out.append(w)
-    out.sort()
-    return out[0], out[1], out[2]
 
 
 def _cubic_roots(c2: complex, c1: complex, c0: complex) -> tuple[complex, complex, complex]:
@@ -183,42 +112,9 @@ def eigvals_3x3(M: np.ndarray) -> tuple[complex, complex, complex]:
 # operator norm and condition number
 
 
-def _sigma_bounds_closed(M: np.ndarray) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of an n<=3 matrix from closed-form Gram spectra."""
-    n = M.shape[0]
-    if n == 1:
-        s = abs(complex(M[0, 0]))
-        return s, s
-    if n == 2:
-        a, b = complex(M[0, 0]), complex(M[0, 1])
-        c, d = complex(M[1, 0]), complex(M[1, 1])
-        h00 = abs(a) ** 2 + abs(c) ** 2
-        h11 = abs(b) ** 2 + abs(d) ** 2
-        h01 = a.conjugate() * b + c.conjugate() * d
-        mean = (h00 + h11) / 2.0
-        rad = math.sqrt(((h00 - h11) / 2.0) ** 2 + abs(h01) ** 2)
-        return math.sqrt(max(mean + rad, 0.0)), math.sqrt(max(mean - rad, 0.0))
-    m = M.tolist()
-    # the six Gram entries the eigensolver reads, summed left to right from 0
-    # as sum() adds them, written out for speed
-    h00, h11, h22, h01, h02, h12 = (
-        0 + m[0][i].conjugate() * m[0][j] + m[1][i].conjugate() * m[1][j] + m[2][i].conjugate() * m[2][j]
-        for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-    )
-    w0, _, w2 = _eigvalsh3_scalars(h00.real, h11.real, h22.real, h01, h02, h12)
-    return math.sqrt(max(w2, 0.0)), math.sqrt(max(w0, 0.0))
-
-
 def operator_norm(M: np.ndarray) -> float:
-    """Spectral norm ||M||_2.
-
-    Closed-form singular values for n <= 3 (characteristic cubic of M*M);
-    the largest of numpy's singular values for 4 <= n <= 8.
-    """
-    A = _as_square(M)
-    if A.shape[0] > 3:
-        return float(np.linalg.svd(A, compute_uv=False)[0])
-    return _sigma_bounds_closed(A)[0]
+    """Spectral norm ||M||_2: the largest of numpy's singular values."""
+    return float(np.linalg.svd(_as_square(M), compute_uv=False)[0])
 
 
 def condition_number(M: np.ndarray) -> float:
@@ -226,12 +122,8 @@ def condition_number(M: np.ndarray) -> float:
 
     Raises SingularMatrixError when sigma_min <= 1e-14 sigma_max.
     """
-    A = _as_square(M)
-    if A.shape[0] <= 3:
-        smax, smin = _sigma_bounds_closed(A)
-    else:
-        s = np.linalg.svd(A, compute_uv=False)
-        smax, smin = float(s[0]), float(s[-1])
+    s = np.linalg.svd(_as_square(M), compute_uv=False)
+    smax, smin = float(s[0]), float(s[-1])
     if smin <= 1e-14 * smax:
         raise SingularMatrixError("matrix is numerically singular; condition number undefined")
     return smax / smin

@@ -52,9 +52,12 @@ _NORM_LAW_TOL = 1e-10
 _RATIO_TOL = 2.0 + 1e-6
 _EQUIV_TOL = 1e-9
 _N_SAMPLE_POLYS = 12
-# ||A|| <= |a| + max|d_i| = B, and the closed-form 3x3 norm squares the Gram
-# entries of p(A) once more, so B^(4 degree) must stay below this for every
-# check to stay finite (coefficient sums add a margin of about 1e7)
+# ||A|| <= |a| + max|d_i| = B, so p(A) grows like B^degree times the
+# coefficient sums, and every check stays finite while p(A) does (the SVD
+# scales its input; the Frobenius residual squares entries of size B only).
+# B^(4 degree) below this keeps B^degree under 1e75, so the coefficient sums
+# have a margin of about 1e230 below the float maximum; the factor 4 is that
+# margin, and it fixes which inputs the harness accepts
 _FOURTH_POWER_CEILING = 1e300
 
 
@@ -247,8 +250,9 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     B = |a| + max|d_i|, block-norm law 1e-10 relative, ratios below
     2 + 1e-6, DP/PD and shift-covariance agreement 1e-9 relative.  A
     degree, budget or seed the search rejects, a non-finite a or diagonal
-    entry, or entries so large that p(A) or its Gram squares overflow at
-    the search degree, raises DomainError before any check runs.
+    entry, or entries so large that p(A) could overflow at the search
+    degree ((|a| + max|d_i|)^(4 degree) above 1e300), raises DomainError
+    before any check runs.
     """
     _check_search_settings(degree, budget, seed)
     a = complex(a)

@@ -23,9 +23,11 @@ it resumes them on the 32 grid points where the current |p| is largest: their
 maximum is at most `top`, so a trial that this smaller bound already rules out
 is skipped after 32 points instead of 2048 (most are).  That bound is shrunk
 by a few ulps, so rounding that depended on a point's place in the array
-could only make the search skip less.  The golden-section polish advances
-every bracket four steps per evaluation of p, by evaluating the whole tree of
-brackets those steps can reach and then walking it.
+could only make the search skip less.  On a point array the denominator is
+the grid maximum itself, so both rules skip there, for the same reason.  The
+golden-section polish advances every bracket four steps per evaluation of p,
+by evaluating the whole tree of brackets those steps can reach and then
+walking it.
 
 Every value comes from the same operations in the same order.  numpy's
 elementwise complex multiply-add, abs, cos and sin give an element the same
@@ -299,9 +301,17 @@ def _subset(pts: np.ndarray, grid: list) -> tuple:
     return pts[S], [g[S] for g in grid]
 
 
+def _boundary_max(boundary, coeffs, top: float | None = None) -> float:
+    """Maximum of |p| over the boundary: polished on an EllipseBoundary; on a
+    point array the grid maximum, which is top when the caller has it."""
+    if isinstance(boundary, EllipseBoundary):
+        return boundary.max_abs_poly(coeffs)
+    return _max_abs_over(boundary, coeffs) if top is None else top
+
+
 def _score(boundary, coeffs, num: float, top: float) -> float:
-    """num over the boundary maximum of |p|: polished on an EllipseBoundary, top on points."""
-    denom = boundary.max_abs_poly(coeffs) if isinstance(boundary, EllipseBoundary) else top
+    """num over the boundary maximum of |p|."""
+    denom = _boundary_max(boundary, coeffs, top)
     if denom < _DENOM_FLOOR:
         raise DegenerateDenominatorError(f"boundary maximum {denom} too small to divide by")
     return num / denom
@@ -354,7 +364,6 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     _check_search_settings(degree, budget, seed)
     A = dense_small._as_square(A)
     pts = _points(boundary)
-    polished = isinstance(boundary, EllipseBoundary)
 
     best_c = np.zeros(degree + 1, dtype=complex)
     best_c[0] = 1.0
@@ -371,7 +380,7 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     rng = np.random.default_rng(seed)
     while evals < budget:
         c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        scale = boundary.max_abs_poly(c) if polished else _max_abs_over(pts, c)
+        scale = _boundary_max(boundary, c)
         if scale < _DENOM_FLOOR:
             continue
         c /= scale
@@ -379,8 +388,7 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
         cur = _score(boundary, c, *_num_top(states))
         evals += 1
         record(cur, c)
-        if polished:
-            sub_pts, sub_grid = _subset(pts, grid)
+        sub_pts, sub_grid = _subset(pts, grid)
         step = 0.5
         while step >= 1e-3 and evals < budget:
             improved = False
@@ -395,20 +403,18 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                     evals += 1
                     # num / top bounds the ratio, as the polish never lowers
                     # top, and so does num over the top of any part of the grid
-                    if polished:
-                        sub_top = _grid_top(_grid_states(sub_pts, trial, j, sub_grid)) * _SUBSET_SHRINK
-                        if sub_top >= _DENOM_FLOOR and _ruled_out(num / sub_top, cur, best):
-                            continue
+                    sub_top = _grid_top(_grid_states(sub_pts, trial, j, sub_grid)) * _SUBSET_SHRINK
+                    if sub_top >= _DENOM_FLOOR and _ruled_out(num / sub_top, cur, best):
+                        continue
                     trial_grid = _grid_states(pts, trial, j, grid)
                     top = _grid_top(trial_grid)
-                    if polished and top >= _DENOM_FLOOR and _ruled_out(num / top, cur, best):
+                    if top >= _DENOM_FLOOR and _ruled_out(num / top, cur, best):
                         continue
                     val = _score(boundary, trial, num, top)
                     record(val, trial)
                     if val > cur * (1.0 + 1e-12):
                         c, cur, mats, grid, improved = trial, val, trial_mats, trial_grid, True
-                        if polished:
-                            sub_pts, sub_grid = _subset(pts, grid)
+                        sub_pts, sub_grid = _subset(pts, grid)
                 if evals >= budget:
                     break
             if not improved:

@@ -182,14 +182,6 @@ class Certificate:
         )
 
 
-def _kappa_of(X: SimilarityX) -> float:
-    # split-off quadratic rather than an SVD: sigma_{+-}^2 solve
-    # lambda^2 - xi lambda + eta = 0 whose discriminant has no cancellation,
-    # so the quotient is exact where the dense route loses digits near
-    # sw = 1/2; the SVD cross-check lives in the tests
-    return singular_spectrum(X).kappa
-
-
 def certify(rho: float, r: float) -> Certificate:
     """Certificate for one admissible point; raises on OutOfDomain input."""
     region = classify(rho, r)
@@ -203,7 +195,7 @@ def certify(rho: float, r: float) -> Certificate:
 
     if region is RegionId.DIAGONALIZABLE:
         X = build_X_diagonalizing(params)
-        kappa = _kappa_of(X)
+        kappa = singular_spectrum(X).kappa
         verdict = kappa <= 2.0 + _KAPPA_TOL
         if not verdict:
             failure = f"kappa = {kappa!r} exceeds 2"
@@ -224,19 +216,21 @@ def certify(rho: float, r: float) -> Certificate:
         c_up = 2.0 / rho
     else:
         X = build_X_critical(params)
-        mu = math.sqrt(psi(x, y))
+        norm_sq = psi(x, y)
         c_up = c_upper_closed(rho)
 
-    kappa = _kappa_of(X)
+    kappa = singular_spectrum(X).kappa
     g = canonical_G(X, params)
-    if region is RegionId.LARGE_RHO_R:
-        norm_sq = psi(x, y)
-        mu_ok = True
-    else:
-        norm_sq = norm_from_P(g)
-        mu_ok = check_mu_bound(g, mu)
-        if not mu_ok:
-            failure = f"||G|| bound mu = {mu!r} not certified by the norm polynomial"
+    if region is not RegionId.LARGE_RHO_R:
+        try:
+            norm_sq = norm_from_P(g)
+        except OverflowError:  # Python's float ** raises where a square overflows
+            norm_sq = math.inf
+    if not math.isfinite(norm_sq):
+        raise DomainError(f"rho={rho} overflows ||G||^2 = {norm_sq}")
+    mu_ok = region is RegionId.LARGE_RHO_R or check_mu_bound(g, mu)
+    if not mu_ok:
+        failure = f"||G|| bound mu = {mu!r} not certified by the norm polynomial"
     product = c_up * math.sqrt(norm_sq)
     verdict = mu_ok and product <= 1.0 + _PRODUCT_TOL
     if verdict and kappa > 2.0 + _KAPPA_TOL:

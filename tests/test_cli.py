@@ -72,6 +72,22 @@ class TestVerify:
         assert out == ""
         assert "rho" in err
 
+    @pytest.mark.parametrize("rho", ["1e77", "1e100", "1e150"])
+    def test_huge_rho_certifies(self, capsys, rho):
+        # rho**4 overflows above about 1.16e77, where 1 + 4/rho^4 is 1 anyway
+        code, out, err = run_cli(capsys, "verify", "--rho", rho, "--r", "0.9")
+        d = json.loads(out)
+        assert (code, err) == (0, "")
+        assert d["verdict"] is True and d["c_upper"] == 2.0 / float(rho)
+        assert abs(d["product"] - 0.99671) < 1e-5
+
+    def test_rho_overflowing_psi_exit_2(self, capsys):
+        # y^2 is finite at 1.3e154 but psi's 10 y^2 is not
+        code, out, err = run_cli(capsys, "verify", "--rho", "1.3e154", "--r", "0.9")
+        assert code == 2
+        assert out == ""
+        assert "rho=1.3e+154" in err
+
     def test_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--rho", "3.7", "--r", "0.9")
         _, out2, _ = run_cli(capsys, "verify", "--rho", "3.7", "--r", "0.9")
@@ -120,10 +136,9 @@ class TestSweep:
         assert code == 0
         assert len(lines) == 2
 
-    def test_workers_env_identical(self, capsys, monkeypatch):
-        code1, out_serial, _ = run_cli(capsys, "sweep", "--rho", "1", "10", "5")
-        monkeypatch.setenv("CROUZEIX_LAB_WORKERS", "2")
-        code2, out_parallel, _ = run_cli(capsys, "sweep", "--rho", "1", "10", "5")
+    def test_workers_identical(self, capsys):
+        code1, out_serial, _ = run_cli(capsys, "sweep", "--rho", "1", "10", "5", "--workers", "1")
+        code2, out_parallel, _ = run_cli(capsys, "sweep", "--rho", "1", "10", "5", "--workers", "2")
         assert code1 == code2 == 0
         assert out_serial == out_parallel
 

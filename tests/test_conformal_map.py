@@ -131,6 +131,24 @@ class TestClosedEnvelope:
         for rho in (math.sqrt(2.0), 1.5, 2.0, 3.0, 10.0):
             assert c_upper_closed(rho) <= 2.0 / rho + 1e-16
 
+    @pytest.mark.parametrize("rho", [1e8, 1e77, 1.2e77, 1e300, 1.7e308])
+    def test_sharpened_branch_is_leading_once_rho4_is_huge(self, rho):
+        # 4 / rho^4 is below half an ulp of 1 here, also where rho**4 overflows
+        assert c_upper_closed(rho) == 2.0 / rho
+
+
+class TestHugeRho:
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, -math.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        for call in (lambda: eval_f(0.5, rho), lambda: c_upper_closed(rho), lambda: c_bracket(rho)):
+            with pytest.raises(DomainError, match="rho"):
+                call()
+
+    def test_eval_f_where_rho4_overflows(self):
+        # every series term is below rho^-2 there, so f(z) = 2 z / rho
+        assert eval_f(0.5, 1e300) == 2.0 * 0.5 / 1e300
+        assert eval_f(1.0, 1.2e77) == 2.0 / 1.2e77
+
 
 class TestMatrixIdentity:
     def test_fA_equals_cA(self):

@@ -335,7 +335,7 @@ def _criterion_6_point(k):
 
 
 PINNED_2_1_6_150_7 = {
-    "best_ratio": 1.6441792465014633,
+    "best_ratio": 1.6441792465014637,
     "best_poly": {"degree": 6, "coeffs": [
         [1.250186717778058, 0.20342342785732437],
         [1.045344836583997, -0.3247091465714542],
@@ -379,8 +379,10 @@ class TestPolishSkip:
         def grid_max(c):
             return np.abs(np.polyval(np.asarray(c)[::-1], pts)).max()
 
-        expect = _search_polishing_every_trial(A, grid_max, 5, 200, 9)
-        assert coordinate_search(A, pts, 5, 200, 9) == expect
+        # degree 8 and budget 500 run the 32-point subset bound on points too
+        for degree, budget in ((5, 200), (8, 500)):
+            expect = _search_polishing_every_trial(A, grid_max, degree, budget, 9)
+            assert coordinate_search(A, pts, degree, budget, 9) == expect
 
     def test_one_point_array_matches_grid_maximum_search(self):
         A = build_A_rho(3.0, 0.8)
@@ -418,6 +420,15 @@ class TestPolishSkip:
         monkeypatch.setattr(ratio_search, "_grid_states",
                             lambda pts, *args: (pts.size == 2048 and full.append(1)) or grid_states(pts, *args))
         res = worst_ratio_search(*_criterion_6_point(0), 8, 500, 0)
+        assert res.evaluations == 500
+        assert len(full) < 0.25 * 500
+
+    def test_point_array_trials_stop_at_the_subset_bound(self, monkeypatch):
+        full = []
+        grid_states = ratio_search._grid_states
+        monkeypatch.setattr(ratio_search, "_grid_states",
+                            lambda pts, *args: (pts.size == 512 and full.append(1)) or grid_states(pts, *args))
+        res = coordinate_search(build_A_rho(3.0, 0.8), boundary_samples(3.0, 512), 8, 500, 9)
         assert res.evaluations == 500
         assert len(full) < 0.25 * 500
 

@@ -145,6 +145,18 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(4.0, 0.4)
 
+    @pytest.mark.parametrize("rho", [1e20, 1e77, 3.1e77, 1e100, 1e150, 4e153, 1.3e154, 1e200, 1.7e308])
+    def test_huge_rho_certifies_or_names_rho(self, rho):
+        # squares of q-sized numbers overflow long before rho itself does:
+        # every region either certifies or says which rho it cannot handle
+        for r in (0.05, 0.5, 0.76, 0.9, 1.0):
+            try:
+                cert = certify(rho, r)
+            except DomainError as exc:
+                assert "rho" in str(exc)
+            else:
+                assert cert.verdict and math.isfinite(cert.product)
+
     def test_json_roundtrip(self):
         cert = certify(4.2, 0.9)
         back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
