@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .permutation_ext import perm_from_cycles, verify_observation
 from .ratio_search import worst_ratio_search
-from .region_certifier import certify, figure2_data, open_grid, r1, r3, replay_proofs, sweep_points
+from .region_certifier import Certificate, certify, figure2_data, open_grid, r1, r3, replay_proofs, sweep_points
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -89,9 +89,11 @@ class SweepConfig:
             raise DomainError(f"unknown format {self.format!r}")
 
 
-def _out_of_domain_record(rho: float, r: float) -> dict:
+def _uncertified_record(rho: float, r: float, failure) -> dict:
+    """Sweep record of a point without a certificate: OutOfDomain when failure
+    is None, else Uncertified with the DomainError that certify raised."""
     return {
-        "region": "OutOfDomain",
+        "region": "OutOfDomain" if failure is None else "Uncertified",
         "rho": rho,
         "r": r,
         "X": None,
@@ -101,7 +103,7 @@ def _out_of_domain_record(rho: float, r: float) -> dict:
         "product": 0.0,
         "crouzeix_constant": 0.0,
         "verdict": False,
-        "failure_reason": "outside admissible domain",
+        "failure_reason": "outside admissible domain" if failure is None else str(failure),
     }
 
 
@@ -122,8 +124,8 @@ def run_sweep(config: SweepConfig) -> tuple:
     """All grid records in row-major order plus the all-verdicts flag."""
     r_range = (None, 1.0, config.rho_range[2]) if config.r_range == "auto" else config.r_range
     records = [
-        cert.to_json() if cert is not None else _out_of_domain_record(rho, r)
-        for rho, r, cert in sweep_points(config.rho_range, r_range, config.parallel_workers)
+        outcome.to_json() if isinstance(outcome, Certificate) else _uncertified_record(rho, r, outcome)
+        for rho, r, outcome in sweep_points(config.rho_range, r_range, config.parallel_workers)
     ]
     return records, all(rec["verdict"] for rec in records)
 

@@ -209,11 +209,11 @@ def verify_fA_equals_cA(rho: float, r: float) -> float:
     in the operator norm, so a matrix off the three-node calculus fails too.
     """
     A = core_matrix.build_A_rho(rho, r)
-    A2 = A @ A
+    E_plus, E_zero, E_minus = core_matrix.spectral_projectors(A)
     f_minus, f_zero, f_plus = (eval_f(z, rho) for z in (-1.0, 0.0, 1.0))
-    F = f_plus * (A2 + A) / 2.0 + f_minus * (A2 - A) / 2.0 + f_zero * (np.eye(3) - A2)
+    F = f_plus * E_plus + f_minus * E_minus + f_zero * E_zero
     c = f_plus.real
-    return max(dense_small.operator_norm(A2 @ A - A), dense_small.operator_norm(F - c * A))
+    return max(dense_small.operator_norm(A @ A @ A - A), dense_small.operator_norm(F - c * A))
 
 
 def _poly_mul(a, b) -> list:

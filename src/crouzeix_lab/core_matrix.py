@@ -10,8 +10,9 @@ whose numerical range is the elliptic disk with foci -1, +1 and axes
 rho +- 1/rho, where rho is determined by mu = x^2 + q^2 x - 2 with
 x = r^2 + 1/r^2.  `normalize` reduces an arbitrary 3x3 matrix with such an
 elliptic numerical range (centered at its middle eigenvalue) to this form by
-an affine map, a Schur decomposition, and a diagonal phase unitary, recording
-every transform so the reduction can be replayed and checked.
+an affine map read off its trace invariants, a Schur basis read off the
+spectral projectors of the spectrum {-1, 0, 1}, and a diagonal phase unitary,
+recording every transform so the reduction can be replayed and checked.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense_small
 from .errors import DomainError
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "mu_rho",
     "normalize",
     "q_from_rho",
+    "spectral_projectors",
 ]
 
 
@@ -169,7 +170,8 @@ def foci_of_general(params: TridiagonalParams) -> tuple[complex, complex]:
 
 #: normalize's tolerances, each relative to the scale it is compared with:
 #: the ellipticity residual, alpha/beta/gamma for the degenerate cases, and
-#: the middle eigenvalue's distance from the focal midpoint.
+#: |det B1| against 1 + |t|/|delta|, which grows with the shift as the
+#: rounding of B - tI does.
 _ELLIPTIC_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
 _CENTER_TOL = 1e-8
@@ -255,37 +257,24 @@ class NormalizationRecord:
         )
 
 
-def _center_split(vals: list[complex]) -> tuple[complex, complex, complex]:
-    """Split the spectrum into (focus-, center, focus+) or report failure.
+def spectral_projectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E_1, E_0, E_-1) of a 3x3 matrix with spectrum {-1, 0, 1}.
 
-    The center eigenvalue must be the midpoint of the other two (that is what
-    "centered at an eigenvalue" means for this family after the affine map).
+    Such a matrix satisfies A^3 = A, and its spectral projectors are the
+    polynomials E_{+-1} = (A^2 +- A)/2 and E_0 = I - A^2.
     """
-    best = None
-    best_dev = math.inf
-    for i in range(3):
-        j, k = [m for m in range(3) if m != i]
-        dev = abs(vals[i] - (vals[j] + vals[k]) / 2.0)
-        if dev < best_dev:
-            best_dev = dev
-            best = (i, j, k)
-    i, j, k = best
-    spread = max(abs(vals[0] - vals[1]), abs(vals[0] - vals[2]), abs(vals[1] - vals[2]))
-    if spread < 1e-300:
-        raise DomainError("all eigenvalues coincide; no elliptic normalization exists")
-    if best_dev > _CENTER_TOL * spread:
-        raise DomainError(
-            f"spectrum is not centered: middle eigenvalue deviates from the focal midpoint by {best_dev:.3g}"
-        )
-    return vals[j], vals[i], vals[k]
+    A2 = A @ A
+    return (A2 + A) / 2.0, np.eye(3) - A2, (A2 - A) / 2.0
 
 
 def normalize(B: np.ndarray | TridiagonalParams) -> NormalizationRecord:
     """Reduce a 3x3 matrix with centered elliptic numerical range to A(q, r).
 
-    Steps: (1) affine map sending the two focal eigenvalues to -1, +1 and the
-    central one to 0; (2) Schur form with diagonal ordered (1, 0, -1);
-    (3) diagonal phase unitary making the two superdiagonal entries
+    The class pins the spectrum to {t, t +- delta} with t = tr B / 3 and
+    delta^2 = tr((B - tI)^2) / 2.  Steps: (1) the affine map B1 = (B - tI)/delta,
+    whose spectrum is {-1, 0, 1} exactly when det B1 = 0; (2) a Schur basis
+    ordered (1, 0, -1), the QR of one column of each spectral projector of B1;
+    (3) a diagonal phase unitary making the two superdiagonal entries
     nonnegative.  The result [[1, 2a, 2g], [0, 0, 2b], [0, 0, -1]] is
     classified as Diagonal (a = b = g = 0), TwoByTwoReducible (a = b = 0,
     g != 0), or generic, where ellipticity demands g real with
@@ -300,19 +289,26 @@ def normalize(B: np.ndarray | TridiagonalParams) -> NormalizationRecord:
     if M.shape != (3, 3):
         raise DomainError(f"normalize expects a 3x3 matrix, got shape {M.shape}")
 
-    vals = list(dense_small.eigvals_3x3(M))
-    f_minus, center, f_plus = _center_split(vals)
-    if abs(f_plus - f_minus) < 1e-12 * (1.0 + abs(center)):
+    t = complex(np.trace(M)) / 3.0
+    N = M - t * np.eye(3)
+    delta = cmath.sqrt(complex(np.trace(N @ N)) / 2.0)
+    if 2.0 * abs(delta) < 1e-12 * (1.0 + abs(t)):
         raise DomainError("focal eigenvalues coincide; the range is a disk, not a proper ellipse")
-    a = 2.0 / (f_plus - f_minus)
+    a = 1.0 / delta
     # canonical focus labeling: keep the affine scale in the right half-plane
     if a.real < 0 or (a.real == 0 and a.imag < 0):
-        f_minus, f_plus = f_plus, f_minus
         a = -a
-    b = -a * (f_plus + f_minus) / 2.0
-    B1 = a * M + b * np.eye(3, dtype=complex)
+    b = -a * t
+    B1 = a * N
+    # trace 0 and tr(B1^2) = 2 leave det B1 as the only freedom of the spectrum;
+    # written as `not <=` so that a NaN determinant fails too
+    det = abs(complex(np.linalg.det(B1)))
+    if not det <= _CENTER_TOL * (1.0 + abs(t) / abs(delta)):
+        raise DomainError(f"spectrum is not centered: the normalized determinant is {det:.3g}, not 0")
 
-    Q, U = dense_small.schur_3x3(B1, eig_order=(1.0, 0.0, -1.0))
+    columns = [E[:, np.argmax(np.linalg.norm(E, axis=0))] for E in spectral_projectors(B1)]
+    Q = np.linalg.qr(np.column_stack(columns))[0]
+    U = Q.conj().T @ B1 @ Q
     u01, u02, u12 = complex(U[0, 1]), complex(U[0, 2]), complex(U[1, 2])
     phi1 = u01 / abs(u01) if abs(u01) > 0 else 1.0 + 0.0j
     phi2 = phi1 * (u12 / abs(u12)) if abs(u12) > 0 else (u02 / abs(u02) if abs(u02) > 0 else phi1)

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .conformal_map import _poly_eval, _poly_mul, c_upper_closed, q_sign_chain_check
-from .core_matrix import NormalizedParams, q_from_rho
+from .core_matrix import NormalizedParams, RhoParams, q_from_rho
 from .errors import DomainError
 from .similarity import (
     SimilarityX,
@@ -250,15 +250,35 @@ def open_grid(lo: float, hi: float, steps: int) -> list:
     """Nodes lo + (hi - lo) k / steps for k = 1..steps, on (lo, hi].
 
     Each node is capped at hi, so rounding never steps past the right end;
-    a single step is hi itself.
+    a single step is hi itself.  Near the float maximum, where (hi - lo) k
+    overflows, a node is the weighted mean lo (1 - k/steps) + hi k/steps.
     """
     if steps == 1:
         return [hi]
-    return [min(hi, lo + (hi - lo) * (k + 1) / steps) for k in range(steps)]
+    nodes = []
+    for k in range(1, steps + 1):
+        stride = (hi - lo) * k
+        node = lo + stride / steps if math.isfinite(stride) else lo * (1.0 - k / steps) + hi * (k / steps)
+        nodes.append(min(hi, node))
+    return nodes
+
+
+def _admissible(rho: float, r: float) -> bool:
+    """Whether both certify's domain test and RhoParams accept (rho, r).
+
+    The two differ by rounding next to r = 1/sqrt(rho).
+    """
+    if classify(rho, r) is RegionId.OUT_OF_DOMAIN:
+        return False
+    try:
+        RhoParams(rho, r)
+    except DomainError:
+        return False
+    return True
 
 
 def _sweep_row(rho: float, r_range: tuple) -> list:
-    """(rho, r, certificate) along one row; the certificate is None off the domain."""
+    """(rho, r, certificate) along one row; see sweep_points for the failures."""
     lo, hi, steps = r_range
     if lo is None:
         lo = 1.0 / math.sqrt(rho) + 1e-6
@@ -268,19 +288,21 @@ def _sweep_row(rho: float, r_range: tuple) -> list:
     for r in open_grid(lo, hi, steps):
         try:
             out.append((rho, r, certify(rho, r)))
-        except DomainError:
-            out.append((rho, r, None))
+        except DomainError as exc:
+            out.append((rho, r, exc if _admissible(rho, r) else None))
     return out
 
 
 def sweep_points(rho_range: tuple, r_range: tuple, workers: int = 1):
-    """Yield (rho, r, Certificate or None) over a sweep grid in row-major order.
+    """Yield (rho, r, outcome) over a sweep grid in row-major order.
 
     rho runs over open_grid(*rho_range).  r runs over open_grid(*r_range),
     where a lower end of None stands for 1/sqrt(rho) + 1e-6, the row's own
     edge of the domain (such a row is empty once that edge reaches 1).
-    Points outside the domain yield None.  With workers > 1 the rows are
-    certified in a process pool; the order and the values do not change.
+    The outcome is the Certificate, None outside the domain, or, for an
+    admissible point whose certificate fails, say by overflow, the
+    DomainError that certify raised.  With workers > 1 the rows are certified in a process pool; the
+    order and the values do not change.
     """
     row = functools.partial(_sweep_row, r_range=r_range)
     rhos = open_grid(*rho_range)

@@ -130,6 +130,19 @@ class TestSweep:
         assert code == 1
         assert "OutOfDomain" in out
 
+    def test_overflowing_points_are_uncertified_not_off_domain(self, capsys):
+        # every point is admissible, but q^2 overflows at rho near 1.7e308
+        argv = ("sweep", "--rho", "1e76", "1.7e308", "4", "--r", "0.05", "1", "4", "--workers", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 16
+        assert len({row[0] for row in rows}) == 4
+        assert {row[2] for row in rows} == {"Uncertified"}
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert all("overflows" in rec["failure_reason"] for rec in json.loads(out))
+
     def test_single_point_range(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--rho", "2", "2", "1", "--r", "1", "1", "1")
         lines = out.strip().split("\n")

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from crouzeix_lab import dense_small
 from crouzeix_lab.core_matrix import (
     MIRROR_Z,
     EllipseGeometry,
@@ -18,6 +17,7 @@ from crouzeix_lab.core_matrix import (
     mu_rho,
     normalize,
     q_from_rho,
+    spectral_projectors,
 )
 from crouzeix_lab.errors import DomainError
 
@@ -26,6 +26,10 @@ def rand_unitary(rng, n=3):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(z)
     return q
+
+
+def unit(rng):
+    return complex(np.exp(2j * np.pi * rng.uniform()))
 
 
 class TestConstruction:
@@ -110,7 +114,7 @@ class TestFoci:
                 c2=complex(vals[8], vals[9]),
             )
             lo, hi = foci_of_general(p)
-            eigs = list(dense_small.eigvals_3x3(p.matrix()))
+            eigs = list(np.linalg.eigvals(p.matrix()))
             d_lo = min(abs(z - lo) for z in eigs)
             d_hi = min(abs(z - hi) for z in eigs)
             assert d_lo < 1e-8 and d_hi < 1e-8
@@ -200,9 +204,72 @@ class TestNormalize:
         rec = normalize(B)
         assert np.abs(rec.apply(B) - rec.normalized_form()).max() < 1e-10
 
+    @pytest.mark.parametrize("rho_lo, rho_hi", [(1.001, 1.1), (1.1, 3.0), (3.0, 30.0), (30.0, 500.0)])
+    def test_roundtrip_large_shift(self, rho_lo, rho_hi):
+        # |d|/|c| = 1e3: the shift dominates every entry, yet (q, r) come back
+        rng = np.random.default_rng(int(rho_hi))
+        for _ in range(100):
+            rho = float(np.exp(rng.uniform(np.log(rho_lo), np.log(rho_hi))))
+            r = float(rng.uniform(1.0 / math.sqrt(rho) + 1e-3, 1.0))
+            q = q_from_rho(rho, r)
+            U = rand_unitary(rng)
+            rec = normalize(unit(rng) * (U @ build_A(q, r) @ U.conj().T) + 1e3 * unit(rng) * np.eye(3))
+            assert abs(rec.params.q - q) < 1e-8 * q
+            assert abs(rec.params.r - r) < 1e-8
+
+    @pytest.mark.parametrize(
+        "rho, r",
+        [
+            (4.0, 0.5 + 1e-6),  # r -> 1/sqrt(rho), where q -> 0
+            (2.0, 1.0),
+            (1.0 + 1e-6, 1.0),  # rho -> 1
+            (math.sqrt(2.0), 0.9),
+            (10.0, 0.5),
+            (3.0, 0.77),
+            (500.0, 1.0),
+        ],
+    )
+    def test_roundtrip_domain_edges(self, rho, r):
+        rng = np.random.default_rng(8)
+        q = q_from_rho(rho, r)
+        for _ in range(20):
+            U = rand_unitary(rng)
+            c = complex(rng.normal(), rng.normal())
+            d = complex(rng.normal(), rng.normal())
+            rec = normalize(c * (U @ build_A(q, r) @ U.conj().T) + d * np.eye(3))
+            assert abs(rec.params.q - q) < 1e-8 * q
+            assert abs(rec.params.r - r) < 1e-8
+
+    def test_tridiagonal_affine_is_the_focal_closed_form(self):
+        # delta^2 = b1 c1 + b2 c2, and the foci t +- delta come back off (a, b)
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            v = rng.standard_normal(10)
+            p = TridiagonalParams(*(complex(v[2 * k], v[2 * k + 1]) for k in range(5)))
+            a, b = normalize(p).affine
+            s_sq = p.b1 * p.c1 + p.b2 * p.c2
+            assert abs((1.0 / a) ** 2 - s_sq) < 1e-12 * abs(s_sq)
+            lo, hi = foci_of_general(p)
+            ends = ((-1.0 - b) / a, (1.0 - b) / a)
+            gap = min(max(abs(ends[0] - lo), abs(ends[1] - hi)), max(abs(ends[0] - hi), abs(ends[1] - lo)))
+            assert gap < 1e-12 * (1.0 + abs(p.a) + abs(lo - hi))
+
+    def test_spectral_projectors(self):
+        A = build_A_rho(3.0, 0.8)
+        E_plus, E_zero, E_minus = spectral_projectors(A)
+        assert np.abs(E_plus + E_zero + E_minus - np.eye(3)).max() < 1e-12
+        assert np.abs(E_plus - E_minus - A).max() < 1e-12
+        for E in (E_plus, E_zero, E_minus):
+            assert np.abs(E @ E - E).max() < 1e-10
+
     def test_non_centered_rejected(self):
-        with pytest.raises(DomainError):
-            normalize(np.diag([0.0, 1.0, 5.0]).astype(complex))
+        # the middle eigenvalue 0.3 is off the focal midpoint, also under a shift of 1e3 I
+        U = rand_unitary(np.random.default_rng(10))
+        off_center = build_A(0.9, 0.7)
+        off_center[1, 1] = 0.3
+        for B in (np.diag([0.0, 1.0, 5.0]).astype(complex), U @ off_center @ U.conj().T + 1e3 * np.eye(3)):
+            with pytest.raises(DomainError, match="not centered"):
+                normalize(B)
 
     def test_non_elliptic_rejected(self):
         # alpha = 0.5, beta = 1.5, gamma = 0 violates 2 a b g = b^2 - a^2

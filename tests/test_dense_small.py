@@ -13,26 +13,6 @@ def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestGeneralEigenvalues:
-    def test_random_complex_vs_numpy(self):
-        rng = np.random.default_rng(45)
-        key = lambda z: (z.real, z.imag)
-        for _ in range(500):
-            M = rand_complex(rng, 3, 3)
-            w_np = sorted(np.linalg.eigvals(M), key=key)
-            w_me = sorted(ds.eigvals_3x3(M), key=key)
-            scale = 1 + max(abs(z) for z in w_np)
-            for a, b in zip(w_np, w_me):
-                assert abs(a - b) < 1e-10 * scale
-
-    def test_family_spectrum(self):
-        # the family matrix has spectrum {1, 0, -1} by construction
-        w = sorted(ds.eigvals_3x3(build_A(0.8, 0.6)), key=lambda z: z.real)
-        assert abs(w[0] + 1) < 1e-14
-        assert abs(w[1]) < 1e-14
-        assert abs(w[2] - 1) < 1e-14
-
-
 class TestOperatorNorm:
     def test_3x3_vs_numpy(self):
         rng = np.random.default_rng(48)
@@ -72,50 +52,6 @@ class TestConditionNumber:
         M = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
             ds.condition_number(M)
-
-
-class TestSchur:
-    def test_unitary_triangular_reconstruction(self):
-        rng = np.random.default_rng(53)
-        for _ in range(300):
-            M = rand_complex(rng, 3, 3)
-            Q, U = ds.schur_3x3(M)
-            assert np.abs(Q @ Q.conj().T - np.eye(3)).max() < 1e-13
-            assert np.abs(Q @ U @ Q.conj().T - M).max() < 1e-11
-            assert max(abs(U[1, 0]), abs(U[2, 0]), abs(U[2, 1])) < 1e-13
-
-    def test_eig_order_on_family(self):
-        # conjugated family members come back with diagonal (1, 0, -1)
-        rng = np.random.default_rng(54)
-        for _ in range(300):
-            q = 10 ** rng.uniform(-2, 1)
-            r = rng.uniform(0.05, 1.0)
-            A = build_A(q, r)
-            Uu, _ = np.linalg.qr(rand_complex(rng, 3, 3))
-            M = Uu @ A @ Uu.conj().T
-            Q, U = ds.schur_3x3(M, eig_order=(1.0, 0.0, -1.0))
-            d = np.diagonal(U)
-            assert abs(d[0] - 1) < 1e-10
-            assert abs(d[1]) < 1e-10
-            assert abs(d[2] + 1) < 1e-10
-            assert np.abs(Q @ U @ Q.conj().T - M).max() < 1e-11
-
-    def test_repeated_eigenvalues(self):
-        # a defective eigenvalue, and two where M - lam I has rank 1, so every
-        # cross product in the eigenvector step vanishes and it falls back to e_0
-        rng = np.random.default_rng(55)
-        u, v = rand_complex(rng, 3), rand_complex(rng, 3)
-        cases = (
-            np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]),  # Jordan block
-            np.eye(3) + np.outer(u, v.conj()),
-            np.diag([1.0, 1.0, -1.0]),
-        )
-        for M in cases:
-            for order in (None, (1.0, 0.0, -1.0)):
-                Q, U = ds.schur_3x3(M, eig_order=order)
-                assert np.abs(Q @ U @ Q.conj().T - M).max() < 1e-12
-                assert np.abs(Q @ Q.conj().T - np.eye(3)).max() < 1e-12
-                assert np.abs(np.tril(U, -1)).max() < 1e-12
 
 
 def hermitian_part(M, th):

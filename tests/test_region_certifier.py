@@ -15,6 +15,7 @@ from crouzeix_lab.region_certifier import (
     certify,
     classify,
     figure2_data,
+    open_grid,
     p_smallr,
     r1,
     r3,
@@ -201,6 +202,21 @@ class TestSweep:
         assert s["total"] == len(seen) == 41 * 3
         assert max(seen) == 7.3
         assert all(1.0 < rho <= 7.3 for rho in seen)
+
+
+class TestOpenGrid:
+    def test_matches_the_plain_formula_below_overflow(self):
+        for lo, hi, steps in ((1.0, 50.0, 500), (1.0, 7.3, 41), (0.05, 1.0, 7), (1e76, 1e300, 9)):
+            nodes = [min(hi, lo + (hi - lo) * k / steps) for k in range(1, steps + 1)]
+            assert open_grid(lo, hi, steps) == nodes
+
+    def test_nodes_stay_distinct_near_the_float_maximum(self):
+        # (hi - lo) k overflows for k >= 2 here; the nodes must not collapse onto hi
+        nodes = open_grid(1e76, 1.7e308, 4)
+        assert len(set(nodes)) == 4
+        assert nodes == sorted(nodes)
+        assert nodes[-1] == 1.7e308
+        assert nodes[0] == 1.7e308 / 4
 
 
 class TestFigure2:
