@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .permutation_ext import perm_from_cycles, verify_observation
 from .ratio_search import worst_ratio_search
-from .region_certifier import Certificate, certify, figure2_data, open_grid, r1, r3, replay_proofs, sweep_points
+from .region_certifier import (Certificate, _uncertified, certify, figure2_data, open_grid, r1, r3,
+                               replay_proofs, sweep_points)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -90,10 +91,10 @@ class SweepConfig:
 
 
 def _uncertified_record(rho: float, r: float, failure) -> dict:
-    """Sweep record of a point without a certificate: OutOfDomain when failure
-    is None, else Uncertified with the DomainError that certify raised."""
+    """Sweep record of a point without a certificate, labeled by `_uncertified`."""
+    region, reason = _uncertified(failure)
     return {
-        "region": "OutOfDomain" if failure is None else "Uncertified",
+        "region": region,
         "rho": rho,
         "r": r,
         "X": None,
@@ -103,7 +104,7 @@ def _uncertified_record(rho: float, r: float, failure) -> dict:
         "product": 0.0,
         "crouzeix_constant": 0.0,
         "verdict": False,
-        "failure_reason": "outside admissible domain" if failure is None else str(failure),
+        "failure_reason": reason,
     }
 
 

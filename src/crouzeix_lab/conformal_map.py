@@ -23,6 +23,7 @@ spectral projectors of A.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,15 +53,6 @@ Q_CHAIN_COEFFS = (
 )
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not (rho > 1.0):
-        raise DomainError(f"rho must exceed 1, got {rho}")
-    if not math.isfinite(rho):
-        raise DomainError(f"rho must be finite, got {rho}")
-    return rho
-
-
 def _pow4(rho: float) -> float:
     """rho**4, taken as inf from rho = 1e77 on, just below where Python's
     float ** raises OverflowError; 4 / rho**4 is then below 1e-307."""
@@ -69,7 +61,7 @@ def _pow4(rho: float) -> float:
 
 def default_n_factors(rho: float) -> int:
     """Bracket length heuristic: factors shrink like rho^{-8n}."""
-    rho = _check_rho(rho)
+    rho = core_matrix.check_rho(rho)
     return max(1, math.ceil(16.0 / (8.0 * math.log10(rho))))
 
 
@@ -85,7 +77,7 @@ def eval_f(z: complex, rho: float, n_terms: int | None = None) -> complex:
     Raises DomainError when z lies outside the (closed) elliptic disk with
     foci -1, +1 and half-axes (rho +- 1/rho)/2.
     """
-    rho = _check_rho(rho)
+    rho = core_matrix.check_rho(rho)
     z = complex(z)
     a = (rho + 1.0 / rho) / 2.0
     b = (rho - 1.0 / rho) / 2.0
@@ -156,7 +148,7 @@ def c_bracket(rho: float, n_factors: int | None = None) -> CBracket:
     With n = 0 the upper end is the bare envelope 2/rho: its rounding is
     absorbed by the first factor's gap of about 2 rho^{-4} while rho < 1e4.
     """
-    rho = _check_rho(rho)
+    rho = core_matrix.check_rho(rho)
     n = default_n_factors(rho) if n_factors is None else int(n_factors)
     if n < 0:
         raise DomainError("n_factors must be nonnegative")
@@ -193,7 +185,7 @@ def c_upper_closed(rho: float) -> float:
     The sharpened form 2 / (rho sqrt(1 + 4 rho^{-4})) is valid once
     rho^4 >= 4, which is exactly where the sign chain q(t) <= 0 applies.
     """
-    rho = _check_rho(rho)
+    rho = core_matrix.check_rho(rho)
     if rho * rho >= 2.0:
         return 2.0 / (rho * math.sqrt(1.0 + 4.0 / _pow4(rho)))
     return 2.0 / rho
@@ -224,6 +216,27 @@ def _poly_mul(a, b) -> list:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
+
+
+def _poly_pow(a, k: int) -> list:
+    """a^k for an ascending coefficient list, exact as _poly_mul."""
+    out = [1]
+    for _ in range(k):
+        out = _poly_mul(out, a)
+    return out
+
+
+def _poly_sub(a, b) -> list:
+    """a - b for ascending coefficient lists, trailing zeros dropped."""
+    out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_deriv(coeffs) -> tuple:
+    """Derivative of an ascending coefficient list."""
+    return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
 
 
 def _poly_eval(coeffs, t):
@@ -262,18 +275,9 @@ def q_sign_chain_check() -> QSignChainResult:
     dominates q for t >= 4 once the low-order positive terms are absorbed.
     """
     # (i) exact expansion over the integers
-    def poly_pow(a: list[int], k: int) -> list[int]:
-        out = [1]
-        for _ in range(k):
-            out = _poly_mul(out, a)
-        return out
-
-    first = _poly_mul([4, 1], _poly_mul(poly_pow([1, 0, 1], 4), poly_pow([1, 0, 0, 0, 1], 4)))
-    second = _poly_mul([0] * 9 + [1], _poly_mul(poly_pow([1, 1], 4), poly_pow([1, 0, 0, 1], 4)))
-    q_exact = [a - b for a, b in zip(first, second)]
-    while q_exact and q_exact[-1] == 0:
-        q_exact.pop()
-    coeff_ok = q_exact == list(Q_CHAIN_COEFFS)
+    first = _poly_mul([4, 1], _poly_mul(_poly_pow([1, 0, 1], 4), _poly_pow([1, 0, 0, 0, 1], 4)))
+    second = _poly_mul([0] * 9 + [1], _poly_mul(_poly_pow([1, 1], 4), _poly_pow([1, 0, 0, 1], 4)))
+    coeff_ok = _poly_sub(first, second) == list(Q_CHAIN_COEFFS)
 
     # (ii) grid sign check; Horner in float on the verified coefficients
     ts = np.linspace(4.0, _Q_GRID_T_MAX, _Q_GRID_POINTS)

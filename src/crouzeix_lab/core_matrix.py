@@ -35,12 +35,21 @@ __all__ = [
     "TridiagonalParams",
     "build_A",
     "build_A_rho",
+    "check_rho",
     "foci_of_general",
     "mu_rho",
     "normalize",
     "q_from_rho",
     "spectral_projectors",
 ]
+
+
+def check_rho(rho: float) -> float:
+    """rho as a float; raises DomainError unless 1 < rho < inf, so for NaN too."""
+    rho = float(rho)
+    if not 1.0 < rho < math.inf:
+        raise DomainError(f"rho must be finite and exceed 1, got {rho}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -65,10 +74,7 @@ class RhoParams:
     r: float
 
     def __post_init__(self) -> None:
-        if not (self.rho > 1.0):
-            raise DomainError(f"rho must exceed 1, got {self.rho}")
-        if not math.isfinite(self.rho):
-            raise DomainError(f"rho must be finite, got {self.rho}")
+        check_rho(self.rho)
         if not (1.0 / math.sqrt(self.rho) < self.r <= 1.0):
             raise DomainError(f"r={self.r} outside (1/sqrt(rho), 1] for rho={self.rho}")
 
@@ -170,8 +176,8 @@ def foci_of_general(params: TridiagonalParams) -> tuple[complex, complex]:
 
 #: normalize's tolerances, each relative to the scale it is compared with:
 #: the ellipticity residual, alpha/beta/gamma for the degenerate cases, and
-#: |det B1| against 1 + |t|/|delta|, which grows with the shift as the
-#: rounding of B - tI does.
+#: |det B1|.  The residual and |det B1| scale with 1 + |t|/|delta| too, which
+#: grows with the shift as the rounding of B - tI does.
 _ELLIPTIC_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
 _CENTER_TOL = 1e-8
@@ -281,7 +287,7 @@ def normalize(B: np.ndarray | TridiagonalParams) -> NormalizationRecord:
     2 a b g = b^2 - a^2, equivalently b/a = r^2.
 
     Raises DomainError for non-centered spectra, coincident foci, or a
-    relative residual above 1e-9.
+    relative residual above 1e-9 (1 + |t|/|delta|).
     """
     if isinstance(B, TridiagonalParams):
         B = B.matrix()
@@ -303,7 +309,8 @@ def normalize(B: np.ndarray | TridiagonalParams) -> NormalizationRecord:
     # trace 0 and tr(B1^2) = 2 leave det B1 as the only freedom of the spectrum;
     # written as `not <=` so that a NaN determinant fails too
     det = abs(complex(np.linalg.det(B1)))
-    if not det <= _CENTER_TOL * (1.0 + abs(t) / abs(delta)):
+    shift = 1.0 + abs(t) / abs(delta)
+    if not det <= _CENTER_TOL * shift:
         raise DomainError(f"spectrum is not centered: the normalized determinant is {det:.3g}, not 0")
 
     columns = [E[:, np.argmax(np.linalg.norm(E, axis=0))] for E in spectral_projectors(B1)]
@@ -347,7 +354,7 @@ def normalize(B: np.ndarray | TridiagonalParams) -> NormalizationRecord:
 
     scale = 1.0 + alpha * alpha + beta * beta + abs(gamma) ** 2
     residual = abs(2.0 * alpha * beta * gamma.conjugate() + alpha * alpha - beta * beta)
-    if residual > _ELLIPTIC_TOL * scale:
+    if residual > _ELLIPTIC_TOL * scale * shift:
         raise DomainError(
             f"numerical range is not an ellipse centered at the middle eigenvalue (residual {residual:.3g})"
         )

@@ -5,7 +5,8 @@ Operator norms and condition numbers come from the singular values of one
 Hermitian eigensystems.  The support function is sampled on
 even grids of m directions: K(theta + pi) = -K(theta), so one batched
 eigen-solve over the first half-turn gives the second half from its bottom
-eigenpairs.  Polynomials are evaluated by Horner's rule.  Functions of the
+eigenpairs.  p(M) has one Horner chain, `horner_states`, which the ratio
+search resumes trial by trial and `eval_poly` runs in full.  Functions of the
 family matrix need no general calculus here: its spectrum is {-1, 0, 1}, so
 `core_matrix.spectral_projectors` gives them, and `normalize` reads its
 Schur basis off the same projectors.
@@ -24,6 +25,7 @@ __all__ = [
     "MAX_N",
     "condition_number",
     "eval_poly",
+    "horner_states",
     "operator_norm",
     "support_function_grid",
 ]
@@ -65,18 +67,30 @@ def condition_number(M: np.ndarray) -> float:
 # polynomial calculus
 
 
-def eval_poly(M: np.ndarray, coeffs: Sequence[complex]) -> np.ndarray:
-    """Evaluate p(M) by Horner's rule; coeffs ascending, p(z) = sum c_k z^k."""
+def horner_states(M: np.ndarray, coeffs: Sequence[complex], j: int | None = None,
+                  above: list | None = None) -> list:
+    """Horner states of p(M) for ascending coeffs, p(z) = sum c_k z^k.
+
+    Entry k is the state after c_d, ..., c_k, so entry 0 is p(M).  Entries
+    above j come from `above`, the states of a polynomial agreeing with
+    coeffs there: a change in c_j alone costs j + 1 steps and matches a full
+    pass bit for bit.  Without `above`, j is the degree.
+    """
     A = _as_square(M)
-    cs = [complex(c) for c in coeffs]
+    I = np.eye(A.shape[0], dtype=complex)
+    states = list(above) if above else [None] * (len(coeffs) + 1)
+    for k in range(len(coeffs) - 1 if j is None else j, -1, -1):
+        ck = complex(coeffs[k])
+        states[k] = ck * I if states[k + 1] is None else states[k + 1] @ A + ck * I
+    return states
+
+
+def eval_poly(M: np.ndarray, coeffs: Sequence[complex]) -> np.ndarray:
+    """p(M) by Horner's rule, entry 0 of horner_states; coeffs ascending."""
+    cs = list(coeffs)
     if not cs:
         raise ValueError("need at least one coefficient")
-    n = A.shape[0]
-    I = np.eye(n, dtype=complex)
-    R = cs[-1] * I
-    for c in reversed(cs[:-1]):
-        R = R @ A + c * I
-    return R
+    return horner_states(M, cs)[0]
 
 
 # ---------------------------------------------------------------------------

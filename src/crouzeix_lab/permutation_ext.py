@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dense_small
 from .errors import DomainError
-from .ratio_search import RatioResult, _check_search_settings, _max_abs_over, coordinate_search
+from .ratio_search import RatioResult, _check_search_settings, _grid_states, coordinate_search
 
 __all__ = [
     "PermSpec",
@@ -308,10 +308,10 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     shift_worst = 0.0
     if shift_checked:
         pts0 = pts - a
-        den = np.array([_max_abs_over(pts, c) for c in polys])
+        den = np.array([np.abs(_grid_states(pts, c)[0]).max() for c in polys])
         shifted = [_taylor_shift(c, a) for c in polys]
         num_s = _poly_norms(DP, shifted)
-        den_s = np.array([_max_abs_over(pts0, c) for c in shifted])
+        den_s = np.array([np.abs(_grid_states(pts0, c)[0]).max() for c in shifted])
         ratio_a = lhs / den
         ratio_0 = num_s / den_s
         shift_worst = float(np.max(np.abs(ratio_a - ratio_0) / (1.0 + ratio_a)))

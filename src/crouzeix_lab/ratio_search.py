@@ -13,21 +13,22 @@ seeded multi-start coordinate ascent; it is reproducible and monotone in its
 evaluation budget, and it reports the best ratio found together with the
 polynomial achieving it.
 
-Most coordinate trials skip the polish: it never lowers the grid maximum
-`top` and IEEE division is monotone, so ||p(A)|| / top bounds a trial's ratio,
-and a trial whose bound can be neither accepted nor recorded changes nothing.
-A trial changes one coefficient c[j], so it resumes the Horner evaluations of
-p(A) and of p on the grid at state j + 1, kept from when the current
-polynomial became current, and runs only j + 1 steps.  Before the full grid,
-it resumes them on the 32 grid points where the current |p| is largest: their
-maximum is at most `top`, so a trial that this smaller bound already rules out
-is skipped after 32 points instead of 2048 (most are).  That bound is shrunk
-by a few ulps, so rounding that depended on a point's place in the array
-could only make the search skip less.  On a point array the denominator is
-the grid maximum itself, so both rules skip there, for the same reason.  The
-golden-section polish advances every bracket four steps per evaluation of p,
-by evaluating the whole tree of brackets those steps can reach and then
-walking it.
+Most coordinate trials skip the polish: it never lowers the grid maximum `top`
+and IEEE division is monotone, so ||p(A)|| / top bounds a trial's ratio, and a
+trial whose bound can be neither accepted nor recorded changes nothing.  p has
+one Horner chain per target, `dense_small.horner_states` for p(A) and
+`_grid_states` for p on points.  A trial changes one coefficient c[j], so it
+resumes both at state j + 1, kept from when the current polynomial became
+current, and runs only j + 1 steps; the polish reads |p| on the grid from
+those states.  Before the full grid, it resumes them on the 32 grid points
+where the current |p| is largest: their maximum is at most `top`, so a trial
+that this smaller bound already rules out is skipped after 32 points instead
+of 2048 (most are).  That bound is shrunk by a few ulps, so rounding that
+depended on a point's place in the array could only make the search skip less.
+On a point array the denominator is the grid maximum itself, so both rules
+skip there, for the same reason.  The golden-section polish advances every
+bracket four steps per evaluation of p, by evaluating the whole tree of
+brackets those steps can reach and then walking it.
 
 Every value comes from the same operations in the same order.  numpy's
 elementwise complex multiply-add, abs, cos and sin give an element the same
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense_small
-from .core_matrix import build_A_rho
+from .core_matrix import build_A_rho, check_rho
 from .errors import DegenerateDenominatorError, DomainError
 
 __all__ = [
@@ -138,10 +139,7 @@ class RatioResult:
 
 def boundary_samples(rho: float, m: int) -> np.ndarray:
     """m points (a cos t, b sin t) on the ellipse with semi-axes a, b = (rho +- 1/rho)/2."""
-    if not rho > 1.0:
-        raise DomainError(f"rho must exceed 1, got {rho}")
-    if not math.isfinite(rho):
-        raise DomainError(f"rho must be finite, got {rho}")
+    check_rho(rho)
     if m < 8:
         raise DomainError(f"need at least 8 samples, got {m}")
     a = (rho + 1.0 / rho) / 2.0
@@ -153,11 +151,11 @@ def boundary_samples(rho: float, m: int) -> np.ndarray:
 class EllipseBoundary:
     """Sampled boundary ellipse with a polished maximum-modulus evaluator.
 
-    The grid maximum of |p| alone (`top`) moves by O(h^2) under refinement;
-    following it with a golden-section polish inside each near-maximal
-    bracket brings the value to grid-independent accuracy, which
-    ratio_for_poly relies on.  The polish never lowers it, so top(c) <=
-    max_abs_poly(c), the bound by which coordinate_search skips the polish.
+    The grid maximum of |p| moves by O(h^2) under refinement; following it
+    with a golden-section polish inside each near-maximal bracket brings the
+    value to grid-independent accuracy, which ratio_for_poly relies on.  The
+    polish never lowers the grid maximum, the bound by which coordinate_search
+    skips the polish.
 
     The polish runs 41 golden-section steps in 11 evaluations of p: each
     evaluation covers the 2^4 - 1 brackets that the next four steps can
@@ -177,13 +175,15 @@ class EllipseBoundary:
     def _at(self, t: np.ndarray) -> np.ndarray:
         return self._a * np.cos(t) + 1j * self._b * np.sin(t)
 
-    def top(self, coeffs) -> float:
-        """Grid maximum of |p|, the first stage of max_abs_poly and a lower bound on it."""
-        return _max_abs_over(self.points, coeffs)
+    def max_abs_poly(self, coeffs, vals: np.ndarray | None = None) -> float:
+        """Polished maximum of |p| over the ellipse.
 
-    def max_abs_poly(self, coeffs) -> float:
-        cs = np.asarray(tuple(coeffs), dtype=complex)[::-1]
-        vals = _abs_over(self.points, coeffs)
+        vals is |p| on self.points; a caller holding the grid states of p
+        passes it, and it is computed here otherwise.
+        """
+        cs = tuple(complex(c) for c in coeffs)
+        if vals is None:
+            vals = np.abs(_grid_states(self.points, cs)[0])
         top = float(vals.max())
         if len(cs) <= 1:
             return top
@@ -202,15 +202,15 @@ class EllipseBoundary:
         refined = f.max() if peaks.size else top
         return max(top, float(refined))
 
-    def _golden_steps(self, cs, lo: np.ndarray, hi: np.ndarray, depth: int) -> tuple:
+    def _golden_steps(self, cs: tuple, lo: np.ndarray, hi: np.ndarray, depth: int) -> tuple:
         """depth golden-section steps on every bracket (lo, hi) from one evaluation of p.
 
         Level l of the tree holds, in rows of k brackets, the 2^l brackets
         that l steps can reach; the children of row i are (x1, hi) at row i
         and (lo, x2) at row i + 2^l of level l + 1.  All probes go through one
-        _at and polyval; the walk then takes the branch that f(x1) < f(x2)
-        picks, bracket by bracket, as a step at a time does.  Returns the
-        next (lo, hi) and the last step's probe values.
+        _at and one Horner pass; the walk then takes the branch that
+        f(x1) < f(x2) picks, bracket by bracket, as a step at a time does.
+        Returns the next (lo, hi) and the last step's probe values.
         """
         k = lo.size
         los, his, x1s, x2s = [lo], [hi], [], []
@@ -220,7 +220,7 @@ class EllipseBoundary:
             x2s.append(los[level] + w)
             los.append(np.concatenate((x1s[level], los[level])))
             his.append(np.concatenate((his[level], x2s[level])))
-        f = np.abs(np.polyval(cs, self._at(np.concatenate(x1s + x2s))))
+        f = np.abs(_grid_states(self._at(np.concatenate(x1s + x2s)), cs)[0])
         half = f.size // 2
         # at is the flat index of each bracket's row in level l, which starts
         # at (2^l - 1) k; the next level starts 2^l rows on, and moving down
@@ -234,14 +234,6 @@ class EllipseBoundary:
         return los[depth][row], his[depth][row], f[np.concatenate((last, last + half))]
 
 
-def _abs_over(points: np.ndarray, coeffs) -> np.ndarray:
-    return np.abs(np.polyval(np.asarray(tuple(coeffs), dtype=complex)[::-1], points))
-
-
-def _max_abs_over(points: np.ndarray, coeffs) -> float:
-    return float(_abs_over(points, coeffs).max())
-
-
 def _points(boundary) -> np.ndarray:
     """The sample points of an EllipseBoundary or of a point array, which must not be empty."""
     if isinstance(boundary, EllipseBoundary):
@@ -252,45 +244,19 @@ def _points(boundary) -> np.ndarray:
     return pts
 
 
-def _horner(A: np.ndarray, pts: np.ndarray, c, j: int, above: tuple | None = None) -> tuple:
-    """Horner states of p(A) and of p over pts, for ascending coefficients c.
+def _grid_states(pts: np.ndarray, c, j: int | None = None, above: list | None = None) -> list:
+    """Horner states of p over pts, for ascending coefficients c.
 
-    Entry k of each list is the state after c[d], ..., c[k], computed as
-    eval_poly and np.polyval compute it, so entry 0 is p.  Entries above j
-    come from `above`, the states of a polynomial agreeing with c there: a
-    change in c[j] alone costs j + 1 steps and matches a full pass bit for
-    bit.  Without `above`, j must be the degree.
+    Entry k is the state after c[d], ..., c[k], so entry 0 is p.  Entries
+    above j come from `above`, the states of a polynomial agreeing with c
+    there: a change in c[j] alone costs j + 1 steps and matches a full pass
+    bit for bit.  Without `above`, j is the degree.  Elementwise, so on
+    pts[S] with states [g[S] ...] it gives p[S].
     """
-    mats, grid = above or (None, None)
-    return _matrix_states(A, c, j, mats), _grid_states(pts, c, j, grid)
-
-
-def _matrix_states(A: np.ndarray, c, j: int, above: list | None) -> list:
-    """The p(A) chain of _horner."""
-    mats = list(above or [None] * (j + 2))
-    I = np.eye(A.shape[0], dtype=complex)
-    for k in range(j, -1, -1):
-        ck = complex(c[k])
-        mats[k] = ck * I if mats[k + 1] is None else mats[k + 1] @ A + ck * I
-    return mats
-
-
-def _grid_states(pts: np.ndarray, c, j: int, above: list | None) -> list:
-    """The chain of _horner over pts; elementwise, so on pts[S] with states [g[S] ...] it gives p[S]."""
-    grid = list(above or [None] * (j + 1) + [np.zeros_like(pts)])
-    for k in range(j, -1, -1):
+    grid = list(above) if above else [None] * len(c) + [np.zeros_like(pts)]
+    for k in range(len(c) - 1 if j is None else j, -1, -1):
         grid[k] = grid[k + 1] * pts + complex(c[k])
     return grid
-
-
-def _grid_top(grid: list) -> float:
-    return float(np.abs(grid[0]).max())
-
-
-def _num_top(states: tuple) -> tuple:
-    """||p(A)|| and the grid maximum of |p|, from the Horner states of p."""
-    mats, grid = states
-    return dense_small.operator_norm(mats[0]), _grid_top(grid)
 
 
 def _subset(pts: np.ndarray, grid: list) -> tuple:
@@ -301,20 +267,16 @@ def _subset(pts: np.ndarray, grid: list) -> tuple:
     return pts[S], [g[S] for g in grid]
 
 
-def _boundary_max(boundary, coeffs, top: float | None = None) -> float:
-    """Maximum of |p| over the boundary: polished on an EllipseBoundary; on a
-    point array the grid maximum, which is top when the caller has it."""
-    if isinstance(boundary, EllipseBoundary):
-        return boundary.max_abs_poly(coeffs)
-    return _max_abs_over(boundary, coeffs) if top is None else top
+def _boundary_max(boundary, coeffs, vals: np.ndarray) -> float:
+    """Maximum of |p| over the boundary, from vals = |p| on its sample points.
 
-
-def _score(boundary, coeffs, num: float, top: float) -> float:
-    """num over the boundary maximum of |p|."""
-    denom = _boundary_max(boundary, coeffs, top)
+    Polished on an EllipseBoundary, the grid maximum on a point array.
+    Raises DegenerateDenominatorError below _DENOM_FLOOR.
+    """
+    denom = boundary.max_abs_poly(coeffs, vals) if isinstance(boundary, EllipseBoundary) else float(vals.max())
     if denom < _DENOM_FLOOR:
         raise DegenerateDenominatorError(f"boundary maximum {denom} too small to divide by")
-    return num / denom
+    return denom
 
 
 def ratio_for_poly(A: np.ndarray, p: PolySpec, boundary) -> float:
@@ -323,8 +285,9 @@ def ratio_for_poly(A: np.ndarray, p: PolySpec, boundary) -> float:
     boundary is either an EllipseBoundary (polished maximum) or a plain array
     of boundary points (grid maximum).
     """
-    states = _horner(dense_small._as_square(A), _points(boundary), p.coeffs, p.degree)
-    return _score(boundary, p.coeffs, *_num_top(states))
+    vals = np.abs(_grid_states(_points(boundary), p.coeffs)[0])
+    num = dense_small.operator_norm(dense_small.eval_poly(A, p.coeffs))
+    return num / _boundary_max(boundary, p.coeffs, vals)
 
 
 def _ruled_out(upper: float, cur: float, best: float) -> bool:
@@ -365,9 +328,14 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     A = dense_small._as_square(A)
     pts = _points(boundary)
 
+    def evaluate(c: np.ndarray) -> tuple:
+        """The Horner states of p(A) and of p on the grid, and the ratio they give."""
+        mats, grid = dense_small.horner_states(A, c), _grid_states(pts, c)
+        return mats, grid, dense_small.operator_norm(mats[0]) / _boundary_max(boundary, c, np.abs(grid[0]))
+
     best_c = np.zeros(degree + 1, dtype=complex)
     best_c[0] = 1.0
-    best = _score(boundary, best_c, *_num_top(_horner(A, pts, best_c, degree)))
+    best = evaluate(best_c)[2]
     evals = 1
     if degree == 0:
         return RatioResult(best, PolySpec.of(best_c), evals, seed)
@@ -380,12 +348,11 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     rng = np.random.default_rng(seed)
     while evals < budget:
         c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        scale = _boundary_max(boundary, c)
-        if scale < _DENOM_FLOOR:
+        try:
+            c /= _boundary_max(boundary, c, np.abs(_grid_states(pts, c)[0]))
+        except DegenerateDenominatorError:
             continue
-        c /= scale
-        mats, grid = states = _horner(A, pts, c, degree)
-        cur = _score(boundary, c, *_num_top(states))
+        mats, grid, cur = evaluate(c)
         evals += 1
         record(cur, c)
         sub_pts, sub_grid = _subset(pts, grid)
@@ -398,19 +365,21 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                         break
                     trial = c.copy()
                     trial[j] += delta
-                    trial_mats = _matrix_states(A, trial, j, mats)
+                    trial_mats = dense_small.horner_states(A, trial, j, mats)
                     num = dense_small.operator_norm(trial_mats[0])
                     evals += 1
                     # num / top bounds the ratio, as the polish never lowers
                     # top, and so does num over the top of any part of the grid
-                    sub_top = _grid_top(_grid_states(sub_pts, trial, j, sub_grid)) * _SUBSET_SHRINK
+                    sub_grid_top = float(np.abs(_grid_states(sub_pts, trial, j, sub_grid)[0]).max())
+                    sub_top = sub_grid_top * _SUBSET_SHRINK
                     if sub_top >= _DENOM_FLOOR and _ruled_out(num / sub_top, cur, best):
                         continue
                     trial_grid = _grid_states(pts, trial, j, grid)
-                    top = _grid_top(trial_grid)
+                    vals = np.abs(trial_grid[0])
+                    top = float(vals.max())
                     if top >= _DENOM_FLOOR and _ruled_out(num / top, cur, best):
                         continue
-                    val = _score(boundary, trial, num, top)
+                    val = num / _boundary_max(boundary, trial, vals)
                     record(val, trial)
                     if val > cur * (1.0 + 1e-12):
                         c, cur, mats, grid, improved = trial, val, trial_mats, trial_grid, True

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conformal_map import _poly_eval, _poly_mul, c_upper_closed, q_sign_chain_check
-from .core_matrix import NormalizedParams, RhoParams, q_from_rho
+from .conformal_map import _poly_deriv, _poly_eval, _poly_mul, _poly_sub, c_upper_closed, q_sign_chain_check
+from .core_matrix import NormalizedParams, RhoParams, check_rho, q_from_rho
 from .errors import DomainError
 from .similarity import (
     SimilarityX,
@@ -83,8 +83,7 @@ def r1(rho: float) -> float:
     c = 1 + 4u.  Its positive root, taken as 2c / (b + sqrt(b^2 + 48 c u)),
     neither cancels nor overflows, and tends to 1/3 as rho grows.
     """
-    if not 1.0 < rho < math.inf:
-        raise DomainError(f"rho must be finite and exceed 1, got {rho}")
+    check_rho(rho)
     u = 1.0 / (rho * rho)
     b = 3.0 + u * (16.0 + 4.0 * u)
     c = 1.0 + 4.0 * u
@@ -113,9 +112,10 @@ def classify(rho: float, r: float) -> RegionId:
 
     Precedence: Diagonalizable, then SmallR, then Strip, then LargeRhoR;
     the diagonalizable certificate is the strongest (no conformal bound
-    enters), the rest follow the order of the regional propositions.
+    enters), the rest follow the order of the regional propositions.  Every
+    other input, a non-finite rho or r included, is OutOfDomain.
     """
-    if not (rho > 1.0) or not (0.0 < r <= 1.0) or r * r * rho <= 1.0:
+    if not 1.0 < rho < math.inf or not (0.0 < r <= 1.0) or r * r * rho <= 1.0:
         return RegionId.OUT_OF_DOMAIN
     x = r * r + 1.0 / (r * r)
     y = rho + 1.0 / rho
@@ -277,6 +277,14 @@ def _admissible(rho: float, r: float) -> bool:
     return True
 
 
+def _uncertified(failure) -> tuple:
+    """(region, reason) of a sweep point without a certificate: OutOfDomain when
+    failure is None, else Uncertified with the DomainError that certify raised."""
+    if failure is None:
+        return RegionId.OUT_OF_DOMAIN.value, "outside admissible domain"
+    return "Uncertified", str(failure)
+
+
 def _sweep_row(rho: float, r_range: tuple) -> list:
     """(rho, r, certificate) along one row; see sweep_points for the failures."""
     lo, hi, steps = r_range
@@ -326,7 +334,9 @@ def sweep_grid(
 
     rho runs over the open-left grid (rho_min, rho_max]; r over
     (1/sqrt(rho) + 1e-6, 1] per rho.  Returns counts per region, the worst
-    product and kappa seen, and every failing point (empty on success).
+    product and kappa seen, and every failing point (empty on success); a
+    point without a certificate counts in total and fails as `_uncertified`
+    labels it.
     """
     if n_rho < 1 or n_r < 1:
         raise DomainError("grid sizes must be positive")
@@ -340,6 +350,9 @@ def sweep_grid(
     }
     for rho, r, cert in sweep_points((rho_min, rho_max, n_rho), (None, 1.0, n_r), workers):
         summary["total"] += 1
+        if not isinstance(cert, Certificate):
+            summary["failures"].append((rho, r, *_uncertified(cert)))
+            continue
         summary["by_region"][cert.region.value] += 1
         summary["worst_product"] = max(summary["worst_product"], cert.product)
         summary["worst_kappa"] = max(summary["worst_kappa"], cert.kappa)
@@ -375,10 +388,6 @@ _P3 = (1, 0, -7, 0, 7, 0, 24, 0, 9)  # (1+t^2)(1-8t^2+15t^4+9t^6) expanded
 _P4 = (2, -10, 2, 10, 19, 410, -812, -1020, 2435, -810, 84, 0, 18)
 _P5 = (-2, 10, -44, 20, 212, -270, 20, 0, 6)
 _P9 = (-140, 120, 496, -3116, 4400, 10364, -38295, 12584, 77722, -69288, 9009, 1728, 1728)
-
-
-def _poly_deriv(coeffs):
-    return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
 
 
 def B_of(r: float, rho: float) -> float:
@@ -572,12 +581,7 @@ def replay_proofs() -> ProofReplayReport:
     )
 
     # (e)+(f) p8 = p4^2 - p5^2 p3 factors exactly; p9 <= p9(4/7) < 0
-    p8_direct = [a - b for a, b in zip(
-        _poly_mul(_P4, _P4) + [0] * 40,
-        _poly_mul(_poly_mul(_P5, _P5), _P3) + [0] * 40,
-    )]
-    while p8_direct and p8_direct[-1] == 0:
-        p8_direct.pop()
+    p8_direct = _poly_sub(_poly_mul(_P4, _P4), _poly_mul(_poly_mul(_P5, _P5), _P3))
     prefactor = _poly_mul(_poly_mul([0, 0, 1], _poly_mul([-1, 2], [-1, 2])),
                           _poly_mul([1, 0, -3], [1, 0, -3]))
     p8_factored = _poly_mul(prefactor, list(_P9))

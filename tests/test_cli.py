@@ -72,6 +72,13 @@ class TestVerify:
         assert out == ""
         assert "rho" in err
 
+    def test_non_finite_rho_at_small_r_exit_2(self, capsys):
+        # classify rules rho = inf out of the domain before r1 sees it
+        code, out, err = run_cli(capsys, "verify", "--rho", "inf", "--r", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "admissible domain" in err
+
     @pytest.mark.parametrize("rho", ["1e77", "1e100", "1e150"])
     def test_huge_rho_certifies(self, capsys, rho):
         # rho**4 overflows above about 1.16e77, where 1 + 4/rho^4 is 1 anyway
@@ -129,6 +136,12 @@ class TestSweep:
                                "--r", "0.3", "0.5", "2")
         assert code == 1
         assert "OutOfDomain" in out
+
+    def test_non_finite_rho_rows_are_out_of_domain(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--rho", "2", "inf", "2", "--r", "0.5", "1", "2", "--workers", "1")
+        assert code == 1
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[:3] for row in rows] == [["inf", "0.75", "OutOfDomain"], ["inf", "1", "OutOfDomain"]] * 2
 
     def test_overflowing_points_are_uncertified_not_off_domain(self, capsys):
         # every point is admissible, but q^2 overflows at rho near 1.7e308

@@ -217,6 +217,20 @@ class TestNormalize:
             assert abs(rec.params.q - q) < 1e-8 * q
             assert abs(rec.params.r - r) < 1e-8
 
+    def test_roundtrip_shift_1e6(self):
+        # |d|/|c| = 1e6: the ellipticity residual grows with the shift as the
+        # determinant does, and both tests scale with 1 + |t|/|delta|
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            rho = float(np.exp(rng.uniform(np.log(1.001), np.log(500.0))))
+            r = float(rng.uniform(1.0 / math.sqrt(rho) + 1e-3, 1.0))
+            q = q_from_rho(rho, r)
+            U = rand_unitary(rng)
+            c = unit(rng) * 10.0 ** rng.uniform(-3, 3)
+            rec = normalize(c * (U @ build_A(q, r) @ U.conj().T) + 1e6 * abs(c) * unit(rng) * np.eye(3))
+            assert abs(rec.params.q - q) < 1e-6 * q
+            assert abs(rec.params.r - r) < 1e-7
+
     @pytest.mark.parametrize(
         "rho, r",
         [
@@ -272,10 +286,14 @@ class TestNormalize:
                 normalize(B)
 
     def test_non_elliptic_rejected(self):
-        # alpha = 0.5, beta = 1.5, gamma = 0 violates 2 a b g = b^2 - a^2
+        # alpha = 0.5, beta = 1.5, gamma = 0 violates 2 a b g = b^2 - a^2; the
+        # spectrum is centered, so only the ellipticity test rejects it, also
+        # under a shift of 1e6 I
         B = np.array([[1, 1.0, 0], [0, 0, 3.0], [0, 0, -1]], dtype=complex)
-        with pytest.raises(DomainError):
-            normalize(B)
+        U = rand_unitary(np.random.default_rng(12))
+        for shifted in (B, U @ B @ U.conj().T + 1e6 * np.eye(3)):
+            with pytest.raises(DomainError, match="not an ellipse"):
+                normalize(shifted)
 
     def test_record_json_roundtrip(self):
         rec = normalize(build_A(1.1, 0.8))

@@ -11,8 +11,7 @@ from crouzeix_lab.ratio_search import (
     EllipseBoundary,
     PolySpec,
     RatioResult,
-    _horner,
-    _num_top,
+    _grid_states,
     _ruled_out,
     boundary_samples,
     coordinate_search,
@@ -398,10 +397,35 @@ class TestPolishSkip:
         calls = []
         polish = EllipseBoundary.max_abs_poly
         monkeypatch.setattr(EllipseBoundary, "max_abs_poly",
-                            lambda self, c: calls.append(1) or polish(self, c))
+                            lambda self, *args: calls.append(1) or polish(self, *args))
         res = worst_ratio_search(*_criterion_6_point(0), 8, 500, 0)
         assert res.evaluations == 500
         assert len(calls) < 250
+
+    def test_polish_reads_the_search_grid_states(self, monkeypatch):
+        # every evaluation of p on the 2048-point grid is one of the search's
+        # own Horner passes: a polish takes |p| there from them
+        polishes, in_polish, full = [], [False], {True: 0, False: 0}
+        grid_states, polyval, polish = ratio_search._grid_states, np.polyval, EllipseBoundary.max_abs_poly
+
+        def count(pts):
+            if np.size(pts) == 2048:
+                full[in_polish[0]] += 1
+
+        def counted_polish(self, *args):
+            polishes.append(1)
+            in_polish[0] = True
+            try:
+                return polish(self, *args)
+            finally:
+                in_polish[0] = False
+
+        monkeypatch.setattr(ratio_search, "_grid_states", lambda pts, *args: count(pts) or grid_states(pts, *args))
+        monkeypatch.setattr(np, "polyval", lambda p, x: count(x) or polyval(p, x))
+        monkeypatch.setattr(EllipseBoundary, "max_abs_poly", counted_polish)
+        assert worst_ratio_search(7.3, 0.8, 8, 500, 2).evaluations == 500
+        assert len(polishes) > 10 and full[False] > 0
+        assert full[True] == 0
 
     def test_grid_maximum_never_exceeds_polished_maximum(self):
         rng = np.random.default_rng(15)
@@ -410,9 +434,10 @@ class TestPolishSkip:
             deg = int(rng.integers(0, 13))
             cs = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) * 10.0 ** rng.uniform(-3, 3)
             eb = EllipseBoundary(rho, int(rng.choice([8, 64, 2048])))
-            top = eb.top(cs)
+            vals = np.abs(_grid_states(eb.points, cs)[0])
+            top = vals.max()
             assert top == np.abs(np.polyval(cs[::-1], eb.points)).max()
-            assert top <= eb.max_abs_poly(cs)
+            assert top <= eb.max_abs_poly(cs) == eb.max_abs_poly(cs, vals)
 
     def test_most_trials_stop_at_the_subset_bound(self, monkeypatch):
         full = []
@@ -465,7 +490,7 @@ class TestSkipRule:
 
 
 class TestResumedHorner:
-    """Resuming at c[j] from the current states reproduces eval_poly and np.polyval bit for bit."""
+    """Resuming at c[j] from the current states matches a full pass and np.polyval bit for bit."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_trials_match_full_evaluation(self, n):
@@ -475,21 +500,17 @@ class TestResumedHorner:
         for m in (1, 2, 7, 2048):
             pts = ring[rng.permutation(2048)[:m]]
             c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-            states = _horner(A, pts, c, 8)
+            mats, grid = dense_small.horner_states(A, c), _grid_states(pts, c)
             for j in range(9):
                 for delta in (0.5, -0.5, 0.5j, -0.5j):
                     trial = c.copy()
                     trial[j] += delta
-                    mats, grid = trial_states = _horner(A, pts, trial, j, states)
-                    pA = dense_small.eval_poly(A, trial)
-                    vals = np.abs(np.polyval(trial[::-1], pts))
-                    num, top = _num_top(trial_states)
-                    assert np.array_equal(mats[0], pA)
-                    assert num == dense_small.operator_norm(pA)
-                    assert np.array_equal(np.abs(grid[0]), vals)
-                    assert top == vals.max()
+                    trial_mats = dense_small.horner_states(A, trial, j, mats)
+                    trial_grid = _grid_states(pts, trial, j, grid)
+                    assert np.array_equal(trial_mats[0], dense_small.eval_poly(A, trial))
+                    assert np.array_equal(np.abs(trial_grid[0]), np.abs(np.polyval(trial[::-1], pts)))
                     # accept the trial, as the search does, so later trials resume from it
-                    c, states = trial, trial_states
+                    c, mats, grid = trial, trial_mats, trial_grid
 
     @pytest.mark.parametrize("m", (8, 64, 2048))
     def test_subset_resume_matches_full_grid(self, m):
@@ -498,7 +519,7 @@ class TestResumedHorner:
         rng = np.random.default_rng(70 + m)
         pts = EllipseBoundary(1.5 + m / 100, m).points
         c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        grid = _horner(np.eye(1), pts, c, 8)[1]
+        grid = _grid_states(pts, c)
         for j in range(9):
             for delta in (0.5, -0.5, 0.5j, -0.5j):
                 sub_pts, sub_grid = ratio_search._subset(pts, grid)
@@ -507,8 +528,8 @@ class TestResumedHorner:
                 assert np.abs(grid[0][S]).min() == np.sort(np.abs(grid[0]))[-S.size]
                 trial = c.copy()
                 trial[j] += delta
-                sub = ratio_search._grid_states(sub_pts, trial, j, sub_grid)
-                full = ratio_search._grid_states(pts, trial, j, grid)
+                sub = _grid_states(sub_pts, trial, j, sub_grid)
+                full = _grid_states(pts, trial, j, grid)
                 for k in range(10):
                     assert np.array_equal(sub[k], full[k][S])
                 c, grid = trial, full

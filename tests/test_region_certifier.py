@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crouzeix_lab import dense_small, region_certifier
+from crouzeix_lab import cli, dense_small, region_certifier
 from crouzeix_lab.errors import DomainError
 from crouzeix_lab.region_certifier import (
     B_of,
@@ -96,6 +96,14 @@ class TestClassify:
         assert classify(1e200, 0.5) is RegionId.SMALL_R
         assert classify(0.9, 0.5) is RegionId.OUT_OF_DOMAIN
         assert classify(4.0, 0.5) is RegionId.OUT_OF_DOMAIN
+
+    @pytest.mark.parametrize("rho, r", [
+        (math.inf, 0.5), (math.inf, 1.0), (math.nan, 0.5), (-math.inf, 0.5), (2.0, math.nan), (2.0, math.inf),
+    ])
+    def test_non_finite_input_is_out_of_domain(self, rho, r):
+        assert classify(rho, r) is RegionId.OUT_OF_DOMAIN
+        with pytest.raises(DomainError, match="not in the admissible domain"):
+            certify(rho, r)
 
     def test_large_rho_r_stays_right_of_sqrt_half(self):
         # the closed-norm certificate needs x <= 5/2, i.e. r >= 1/sqrt2
@@ -188,6 +196,25 @@ class TestSweep:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             sweep_grid(0, 10)
+
+    def test_points_without_a_certificate_count_and_fail(self):
+        # q^2 overflows near the float maximum, so no point there is certified
+        s = sweep_grid(2, 2, rho_min=1e76, rho_max=1.7e308)
+        assert s["total"] == 4
+        assert s["verdict_true"] == 0
+        assert sum(s["by_region"].values()) == 0
+        assert [f[2] for f in s["failures"]] == ["Uncertified"] * 4
+        assert all("overflows" in f[3] for f in s["failures"])
+        # an infinite rho_max puts the last row off the domain
+        s = sweep_grid(1, 2, rho_min=2.0, rho_max=math.inf)
+        assert s["total"] == 2
+        assert [f[2:] for f in s["failures"]] == [("OutOfDomain", "outside admissible domain")] * 2
+
+    def test_failures_match_the_cli_records(self, capsys):
+        s = sweep_grid(2, 2, rho_min=1e76, rho_max=1.7e308)
+        assert cli.main(["sweep", "--rho", "1e76", "1.7e308", "2", "--workers", "1", "--format", "json"]) == 1
+        records = json.loads(capsys.readouterr().out)
+        assert s["failures"] == [(rec["rho"], rec["r"], rec["region"], rec["failure_reason"]) for rec in records]
 
     def test_rho_grid_stays_inside_rho_max(self, monkeypatch):
         # 1 + 6.3 * 41 / 41 rounds to 7.300000000000001 without the cap
