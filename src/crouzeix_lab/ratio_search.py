@@ -26,9 +26,22 @@ that this smaller bound already rules out is skipped after 32 points instead
 of 2048 (most are).  That bound is shrunk by a few ulps, so rounding that
 depended on a point's place in the array could only make the search skip less.
 On a point array the denominator is the grid maximum itself, so both rules
-skip there, for the same reason.  The golden-section polish advances every
-bracket four steps per evaluation of p, by evaluating the whole tree of
-brackets those steps can reach and then walking it.
+skip there, for the same reason.
+
+Before a trial resumes p(A) and takes its SVD, the subset bound is tried with
+an O(1) bound on the numerator in place of ||p(A)||.  The trial adds s to c_j,
+so p_trial(A) = p(A) + s A^j and ||p_trial(A)|| <= ||p(A)|| + |s| ||A^j||;
+||A^j|| for j = 0..d comes once per search from one chain of powers, and the
+current polynomial's computed ||p(A)|| and Horner envelope
+gamma sum |c_k| ||A||_F^k are kept when it becomes current.  The bound covers
+the rounding of both chains, of the SVD and of the computed A^j, so it is
+never below the computed numerator, and a trial it rules out is one the exact
+path would skip.  On the family, A^3 = A, so ||A^j|| takes only three
+values; about three trials in four stop at this bound.
+
+The golden-section polish advances every bracket four steps per evaluation
+of p, by evaluating the whole tree of brackets those steps can reach and then
+walking it.
 
 Every value comes from the same operations in the same order.  numpy's
 elementwise complex multiply-add, abs, cos and sin give an element the same
@@ -73,6 +86,9 @@ _LOOKAHEAD = 4
 # run, and the factor that shrinks that bound by eight ulps of 1
 _SUBSET = 32
 _SUBSET_SHRINK = 1.0 - 2.0 ** -49
+# worst_ratio_search refuses rho^max(degree, 1) above this: beyond it the
+# boundary maximum of a normalized p and the SVD of p(A) break down
+_POWER_CEILING = 1e300
 
 
 @dataclass(frozen=True)
@@ -290,6 +306,49 @@ def ratio_for_poly(A: np.ndarray, p: PolySpec, boundary) -> float:
     return num / _boundary_max(boundary, p.coeffs, vals)
 
 
+class _NumeratorBound:
+    """Upper bound on the computed ||p(A)|| of a coordinate trial, in O(1) per trial.
+
+    A trial adds s to c_j, so p_trial(A) = p_c(A) + s A^j and
+    ||p_trial(A)|| <= ||p_c(A)|| + |s| ||A^j||.  The bound covers every
+    rounding between that inequality and the computed numerator: the Horner
+    error gamma sum |c_k| ||A||_F^k of the current chain and of the trial's
+    (Higham 2002, section 5), the relative error gamma of the SVD, the error of
+    the computed A^j behind ||A^j||, and, by a final 1 + 1e-12, its own.
+    gamma = k u / (1 - k u) with k = 8 (degree + 2)(n + 4) is a generous
+    cover for all of them.  A term that is not finite makes the bound inf.
+    """
+
+    def __init__(self, A: np.ndarray, degree: int):
+        k = 8 * (degree + 2) * (A.shape[0] + 4) * 2.0 ** -53
+        self._gamma = gamma = k / (1.0 - k)
+        with np.errstate(all="ignore"):
+            fro = float(np.linalg.norm(A)) * (1.0 + gamma)
+            powers = np.array(dense_small.horner_states(A, [0.0] * degree + [1.0])[degree::-1])
+        # the computed A^k of one chain, each normed by numpy's SVD as in
+        # operator_norm, all in one batch; an overflowed power has norm inf
+        finite = np.isfinite(powers).all(axis=(1, 2))
+        norms = np.full(degree + 1, math.inf)
+        norms[finite] = np.linalg.svd(powers[finite], compute_uv=False)[:, 0]
+        # weight[k] = gamma ||A||_F^k bounds the Horner error of a unit c_k, and
+        # reach[k] >= ||A^k|| + weight[k]
+        self._weight = [gamma]
+        for _ in range(degree):
+            self._weight.append(self._weight[-1] * fro)
+        self._reach = [(1.0 + 2.0 * gamma) * norm + 2.0 * w for norm, w in zip(norms.tolist(), self._weight)]
+        self._base = math.inf
+
+    def track(self, c: np.ndarray, num: float) -> None:
+        """Make c, whose computed ||p_c(A)|| is num, the current polynomial."""
+        env = sum(math.hypot(z.real, z.imag) * w for z, w in zip(c.tolist(), self._weight))
+        self._base = (1.0 + 2.0 * self._gamma) * num + 2.0 * env
+
+    def __call__(self, j: int, step: complex) -> float:
+        """Bound on the computed ||p(A)|| of the current c with c_j moved by step."""
+        upper = (self._base + abs(complex(step)) * self._reach[j]) * (1.0 + self._gamma) * (1.0 + 1e-12)
+        return upper if upper < math.inf else math.inf
+
+
 def _ruled_out(upper: float, cur: float, best: float) -> bool:
     """Whether a trial whose ratio is at most upper can be neither accepted nor recorded.
 
@@ -329,16 +388,18 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     pts = _points(boundary)
 
     def evaluate(c: np.ndarray) -> tuple:
-        """The Horner states of p(A) and of p on the grid, and the ratio they give."""
+        """The Horner states of p(A) and of p on the grid, ||p(A)||, and the ratio they give."""
         mats, grid = dense_small.horner_states(A, c), _grid_states(pts, c)
-        return mats, grid, dense_small.operator_norm(mats[0]) / _boundary_max(boundary, c, np.abs(grid[0]))
+        num = dense_small.operator_norm(mats[0])
+        return mats, grid, num, num / _boundary_max(boundary, c, np.abs(grid[0]))
 
     best_c = np.zeros(degree + 1, dtype=complex)
     best_c[0] = 1.0
-    best = evaluate(best_c)[2]
+    best = evaluate(best_c)[3]
     evals = 1
     if degree == 0:
         return RatioResult(best, PolySpec.of(best_c), evals, seed)
+    bound = _NumeratorBound(A, degree)
 
     def record(val: float, c: np.ndarray):
         nonlocal best, best_c
@@ -352,7 +413,8 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
             c /= _boundary_max(boundary, c, np.abs(_grid_states(pts, c)[0]))
         except DegenerateDenominatorError:
             continue
-        mats, grid, cur = evaluate(c)
+        mats, grid, num, cur = evaluate(c)
+        bound.track(c, num)
         evals += 1
         record(cur, c)
         sub_pts, sub_grid = _subset(pts, grid)
@@ -365,13 +427,16 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                         break
                     trial = c.copy()
                     trial[j] += delta
-                    trial_mats = dense_small.horner_states(A, trial, j, mats)
-                    num = dense_small.operator_norm(trial_mats[0])
                     evals += 1
                     # num / top bounds the ratio, as the polish never lowers
-                    # top, and so does num over the top of any part of the grid
+                    # top, and so does any bound on num over the top of any
+                    # part of the grid: first the bound, then num itself
                     sub_grid_top = float(np.abs(_grid_states(sub_pts, trial, j, sub_grid)[0]).max())
                     sub_top = sub_grid_top * _SUBSET_SHRINK
+                    if sub_top >= _DENOM_FLOOR and _ruled_out(bound(j, trial[j] - c[j]) / sub_top, cur, best):
+                        continue
+                    trial_mats = dense_small.horner_states(A, trial, j, mats)
+                    num = dense_small.operator_norm(trial_mats[0])
                     if sub_top >= _DENOM_FLOOR and _ruled_out(num / sub_top, cur, best):
                         continue
                     trial_grid = _grid_states(pts, trial, j, grid)
@@ -384,6 +449,7 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                     if val > cur * (1.0 + 1e-12):
                         c, cur, mats, grid, improved = trial, val, trial_mats, trial_grid, True
                         sub_pts, sub_grid = _subset(pts, grid)
+                        bound.track(c, num)
                 if evals >= budget:
                     break
             if not improved:
@@ -392,6 +458,13 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
 
 
 def worst_ratio_search(rho: float, r: float, degree: int, budget: int, seed: int) -> RatioResult:
-    """Worst ratio found for the family matrix at (rho, r); never above 2 here."""
+    """Worst ratio found for the family matrix at (rho, r); never above 2 here.
+
+    Raises DomainError when rho^max(degree, 1) exceeds 1e300.
+    """
     A = build_A_rho(rho, r)
+    ceiling = _POWER_CEILING ** (1.0 / max(degree, 1))
+    if rho > ceiling:
+        raise DomainError(f"rho = {rho:.6g} too large at degree {degree}: "
+                          f"rho^{max(degree, 1)} must not exceed 1e300 (rho <= {ceiling:.15g})")
     return coordinate_search(A, EllipseBoundary(rho), degree, budget, seed)

@@ -251,6 +251,13 @@ class TestRatio:
         assert out == ""
         assert "seed -1" in err
 
+    @pytest.mark.parametrize("rho, r, budget", [("1e26", "0.9", "40"), ("1e100", "0.5", "60")])
+    def test_rho_above_the_power_ceiling_exit_2(self, capsys, rho, r, budget):
+        code, out, err = run_cli(capsys, "ratio", "--rho", rho, "--r", r, "--degree", "12", "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert f"rho = {float(rho):g} too large at degree 12" in err
+
 
 class TestPerm:
     def test_three_cycle(self, capsys):

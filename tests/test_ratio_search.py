@@ -1,5 +1,7 @@
 """Worst polynomial ratio search: boundary oracle, evaluator, and optimizer."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +270,27 @@ class TestSearch:
     def test_negative_seed_raises(self):
         with pytest.raises(DomainError, match="seed -1"):
             worst_ratio_search(2.0, 1.0, 3, 10, -1)
+
+    @pytest.mark.parametrize("degree", range(2, 13))
+    def test_power_ceiling(self, degree):
+        ceiling = 1e300 ** (1.0 / degree)
+        assert worst_ratio_search(0.999 * ceiling, 0.9, degree, 20, 0).evaluations == 20
+        with pytest.raises(DomainError, match=f"too large at degree {degree}"):
+            worst_ratio_search(1.001 * ceiling, 0.9, degree, 20, 0)
+
+    def test_power_ceiling_refuses_before_searching(self, monkeypatch):
+        # these crashed inside the search: a degenerate denominator, an SVD that did not converge
+        monkeypatch.setattr(ratio_search, "coordinate_search", None)
+        for rho, r in ((1e26, 0.9), (1e100, 0.5)):
+            with pytest.raises(DomainError, match=re.escape(f"rho = {rho:g} too large at degree 12")):
+                worst_ratio_search(rho, r, 12, 40, 0)
+
+    @pytest.mark.parametrize("degree", (0, 1))
+    def test_below_degree_two_the_family_bound_binds_first(self, degree):
+        # rho^1 <= 1e300 never binds: build_A_rho refuses rho above about 1.3e154
+        assert worst_ratio_search(1e154, 0.9, degree, 5, 0).evaluations == (1 if degree == 0 else 5)
+        with pytest.raises(DomainError, match="overflows q"):
+            worst_ratio_search(1e155, 0.9, degree, 5, 0)
         with pytest.raises(DomainError, match="seed -5"):
             coordinate_search(build_A_rho(2.0, 1.0), boundary_samples(2.0, 64), 3, 10, -5)
 
@@ -358,6 +381,10 @@ class TestPolishSkip:
         (2.0, 1.0, 4, 90, 3),
         (7.3, 0.8, 12, 250, 11),
         (1.2, 0.95, 2, 120, 5),
+        # the numerator bound never fires, has its largest envelope, sits at the power ceiling
+        (1.05, 0.99, 12, 300, 1),
+        (50.0, 0.99, 12, 300, 1),
+        (1e25, 0.9, 12, 60, 0),
     ])
     def test_family_matches_polishing_every_trial(self, rho, r, degree, budget, seed):
         A = build_A_rho(rho, r)
@@ -448,6 +475,14 @@ class TestPolishSkip:
         assert res.evaluations == 500
         assert len(full) < 0.25 * 500
 
+    def test_most_trials_skip_the_matrix_work(self, monkeypatch):
+        # one chain for the powers of A, one per start and one per trial the numerator bound lets through
+        calls = []
+        horner_states = dense_small.horner_states
+        monkeypatch.setattr(dense_small, "horner_states", lambda *args: calls.append(1) or horner_states(*args))
+        assert worst_ratio_search(*_criterion_6_point(0), 8, 500, 0).evaluations == 500
+        assert len(calls) < 200
+
     def test_point_array_trials_stop_at_the_subset_bound(self, monkeypatch):
         full = []
         grid_states = ratio_search._grid_states
@@ -460,6 +495,74 @@ class TestPolishSkip:
     def test_pinned_search_result(self):
         # exact floats from the search that polished every trial
         assert worst_ratio_search(2.0, 1.0, 6, 150, 7).to_json() == PINNED_2_1_6_150_7
+
+
+def _perm_matrix(rng, n):
+    """aI + DP for a random diagonal D, permutation P and shift a."""
+    P = np.eye(n)[rng.permutation(n)]
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * np.eye(n) + np.diag(d) @ P
+
+
+class TestNumeratorBound:
+    """The O(1) numerator bound is at least the computed ||p(A)|| of every trial, and never raises or warns."""
+
+    @staticmethod
+    def _check(A, c):
+        degree = len(c) - 1
+        bound = ratio_search._NumeratorBound(A, degree)
+        bound.track(c, dense_small.operator_norm(dense_small.horner_states(A, c)[0]))
+        for j in range(degree + 1):
+            # the search's steps, and steps so small that rounding outweighs them
+            for step in (0.5, 2.0 ** -10, 2.0 ** -30, 2.0 ** -50):
+                for delta in (step, -step, 1j * step, -1j * step):
+                    trial = c.copy()
+                    trial[j] += delta
+                    num = dense_small.operator_norm(dense_small.horner_states(A, trial)[0])
+                    assert bound(j, trial[j] - c[j]) >= num
+
+    @pytest.mark.parametrize("rho", (1.05, 2.0, 50.0, "ceiling"))
+    def test_family(self, rho):
+        rng = np.random.default_rng(90)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for degree in range(1, 13):
+                at = 0.999 * 1e300 ** (1.0 / max(degree, 2)) if rho == "ceiling" else rho
+                A = build_A_rho(at, float(rng.uniform(1.0 / math.sqrt(at) + 1e-6, 1.0)))
+                boundary = EllipseBoundary(at)
+                for scale in (1e-3, 1.0, 1e3):
+                    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+                    c *= scale / boundary.max_abs_poly(c)
+                    self._check(A, c)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_perm_matrices(self, n):
+        rng = np.random.default_rng(100 + n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for degree in range(1, 13):
+                for scale in (1e-3, 1.0, 1e3):
+                    c = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) * scale
+                    self._check(_perm_matrix(rng, n), c)
+
+    def test_bound_is_the_triangle_inequality(self):
+        # p = z^3 has p(A) = A^3 = A, and adding z doubles it: the bound is 2 ||A|| up to its rounding covers
+        A = build_A_rho(3.0, 0.8)
+        bound = ratio_search._NumeratorBound(A, 4)
+        c = np.zeros(5, dtype=complex)
+        c[3] = 1.0
+        bound.track(c, dense_small.operator_norm(A))
+        assert bound(1, 1.0) == pytest.approx(2 * dense_small.operator_norm(A), rel=1e-11)
+
+    def test_overflow_makes_the_bound_infinite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = ratio_search._NumeratorBound(1e200 * np.eye(3, dtype=complex), 3)
+            bound.track(np.ones(4, dtype=complex), 1.0)
+            assert bound(0, 0.5) == math.inf
+            bound = ratio_search._NumeratorBound(np.eye(3, dtype=complex), 3)
+            bound.track(np.ones(4, dtype=complex), math.inf)
+            assert bound(2, 0.5) == math.inf
 
 
 class TestSkipRule:

@@ -22,7 +22,10 @@ exits 1 if any non-float mismatch was found, else 0.
 
 Inputs: criterion 6's 100 searches (seed 303, degree 8, budget 500), the
 normal matrix diag(1, 0, -1) at (8, 500, 0) and (6, 300, 17), 16 more
-searches of degree 3 to 12, 120 `verify_observation` reports (seed 505,
+searches of degree 3 to 12, three family searches at the edges of the
+numerator bound (rho, r, degree, budget, seed) = (1.05, 0.99, 12, 300, 1),
+(50, 0.99, 12, 300, 1) and (1e25, 0.9, 12, 60, 0), a search on 512 points
+(rho 3, r 0.8, degree 8, budget 500, seed 9), 120 `verify_observation` reports (seed 505,
 n = 1..8, degree 4, budget 60), `ratio_for_poly` on an EllipseBoundary and
 on 1, 2, 7 and 2048 points, `EllipseBoundary.max_abs_poly` of the Chebyshev
 polynomials T_1..T_12 (rho in {1.01, 1.05, 1.2}, m in {8, 64, 2048}) and of
@@ -232,6 +235,12 @@ def main() -> None:
         r = float(rng.uniform(1.0 / math.sqrt(rho) + 1e-6, 1.0))
         degree = 3 + k % 10
         _emit(f"search {k}", worst_ratio_search(rho, r, degree, 200, seed=k).to_json())
+    for rho, r, degree, budget, seed in ((1.05, 0.99, 12, 300, 1), (50.0, 0.99, 12, 300, 1),
+                                         (1e25, 0.9, 12, 60, 0)):
+        result = coordinate_search(build_A_rho(rho, r), EllipseBoundary(rho), degree, budget, seed)
+        _emit(f"edge {rho} {r} {degree} {budget} {seed}", result.to_json())
+    result = coordinate_search(build_A_rho(3.0, 0.8), boundary_samples(3.0, 512), 8, 500, 9)
+    _emit("points 3.0 0.8 8 500 9", result.to_json())
 
     for k, (a, d, perm, seed) in enumerate(_perm_instances(505, 120)):
         report = permutation_ext.verify_observation(a, d, perm, 4, 60, seed)
