@@ -7,7 +7,7 @@ axes rho +- 1/rho, the quantity of interest is
 
 maximised over polynomials p of bounded degree.  The maximum principle lets
 the denominator run over the boundary ellipse only, which we sample densely
-and then polish around every near-maximal sample with a golden-section pass,
+and then polish around every near-maximal sample with a few Newton steps,
 so the denominator is stable under grid refinement.  The search itself is a
 seeded multi-start coordinate ascent; it is reproducible and monotone in its
 evaluation budget, and it reports the best ratio found together with the
@@ -39,15 +39,14 @@ never below the computed numerator, and a trial it rules out is one the exact
 path would skip.  On the family, A^3 = A, so ||A^j|| takes only three
 values; about three trials in four stop at this bound.
 
-The golden-section polish advances every bracket four steps per evaluation
-of p, by evaluating the whole tree of brackets those steps can reach and then
-walking it.
+The polish takes a few bracketed Newton steps on log|p(z(t))|, which is
+smooth in t, from all the selected grid peaks at once.
 
 Every value comes from the same operations in the same order.  numpy's
 elementwise complex multiply-add, abs, cos and sin give an element the same
 value whatever the array's length and the element's place in it, which the
 tests check with ==, so results are bit-identical to evaluating every point
-on its own and to polishing a step at a time.
+on its own and to polishing every trial.
 """
 
 from __future__ import annotations
@@ -73,21 +72,20 @@ __all__ = [
 
 _MAX_DEGREE = 12
 _DENOM_FLOOR = 1e-300
-# near-maximal grid samples polished by golden section, and the relative
+# near-maximal grid samples polished by Newton steps, and the relative
 # slack deciding which local maxima count as near-maximal
 _REFINE_CAP = 8
 _REFINE_SLACK = 0.98
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = 41
-# golden-section steps taken per evaluation of p
-_LOOKAHEAD = 4
+# Newton steps per peak: the fewest that reach rounding on an m = 8 grid
+_NEWTON_STEPS = 6
 # grid points, those of largest |p| for the current polynomial, on which a
 # search trial's grid maximum is bounded from below before the full grid is
 # run, and the factor that shrinks that bound by eight ulps of 1
 _SUBSET = 32
 _SUBSET_SHRINK = 1.0 - 2.0 ** -49
-# worst_ratio_search refuses rho^max(degree, 1) above this: beyond it the
-# boundary maximum of a normalized p and the SVD of p(A) break down
+# coordinate_search refuses max|z|^max(degree, 1) above this on the boundary,
+# worst_ratio_search rho^max(degree, 1): beyond it the boundary maximum of a
+# normalized p and the SVD of p(A) break down
 _POWER_CEILING = 1e300
 
 
@@ -168,16 +166,11 @@ class EllipseBoundary:
     """Sampled boundary ellipse with a polished maximum-modulus evaluator.
 
     The grid maximum of |p| moves by O(h^2) under refinement; following it
-    with a golden-section polish inside each near-maximal bracket brings the
-    value to grid-independent accuracy, which ratio_for_poly relies on.  The
-    polish never lowers the grid maximum, the bound by which coordinate_search
-    skips the polish.
-
-    The polish runs 41 golden-section steps in 11 evaluations of p: each
-    evaluation covers the 2^4 - 1 brackets that the next four steps can
-    reach from each current one, with abscissae from the same float
-    operations as a step at a time, and the f(x1) < f(x2) comparisons then
-    pick the path those steps would take, so every value is unchanged.
+    with Newton steps inside each near-maximal bracket [t0 - h, t0 + h]
+    brings the value to grid-independent accuracy, which ratio_for_poly
+    relies on.  The polish returns the larger of the grid maximum and |p|
+    where the steps end, so it never lowers the grid maximum, the bound by
+    which coordinate_search skips the polish.
     """
 
     def __init__(self, rho: float, m: int = 2048):
@@ -201,53 +194,51 @@ class EllipseBoundary:
         if vals is None:
             vals = np.abs(_grid_states(self.points, cs)[0])
         top = float(vals.max())
-        if len(cs) <= 1:
+        if len(cs) <= 1 or not top > 0.0:  # zero, or NaN from non-finite coefficients
             return top
         left = np.roll(vals, 1)
         right = np.roll(vals, -1)
         peaks = np.nonzero((vals >= left) & (vals >= right) & (vals >= _REFINE_SLACK * top))[0]
         if peaks.size > _REFINE_CAP:
             peaks = peaks[np.argsort(vals[peaks])[::-1][:_REFINE_CAP]]
-        t0 = self._h * peaks
-        lo = t0 - self._h
-        hi = t0 + self._h
-        # golden section over all brackets at once; 41 steps shrink each
-        # bracket by ~4e-9 so the quadratic peak error is below rounding
-        for done in range(0, _GOLDEN_STEPS, _LOOKAHEAD):
-            lo, hi, f = self._golden_steps(cs, lo, hi, min(_LOOKAHEAD, _GOLDEN_STEPS - done))
-        refined = f.max() if peaks.size else top
-        return max(top, float(refined))
+        t = self._h * peaks
+        lo, hi = t - self._h, t + self._h
+        # the steps do not depend on the scale of p, so they run on p / max|c_k|,
+        # which neither overflows nor underflows; a constant p of positive
+        # degree, as the search starts from, has slope and curvature 0 / 0
+        scale = max(abs(c) for c in cs)
+        unit = [c / scale for c in cs]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                t, lo, hi = self._newton_step(unit, t, lo, hi)
+        return max(top, float(np.abs(_grid_states(self._at(t), cs)[0]).max()))
 
-    def _golden_steps(self, cs: tuple, lo: np.ndarray, hi: np.ndarray, depth: int) -> tuple:
-        """depth golden-section steps on every bracket (lo, hi) from one evaluation of p.
+    def _newton_step(self, c: list, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+        """One Newton step on log|p(z(t))| toward its maximum in [lo, hi]; returns t, lo, hi.
 
-        Level l of the tree holds, in rows of k brackets, the 2^l brackets
-        that l steps can reach; the children of row i are (x1, hi) at row i
-        and (lo, x2) at row i + 2^l of level l + 1.  All probes go through one
-        _at and one Horner pass; the walk then takes the branch that
-        f(x1) < f(x2) picks, bracket by bracket, as a step at a time does.
-        Returns the next (lo, hi) and the last step's probe values.
+        With w1 = p'/p, w2 = p''/p, z' = -a sin t + i b cos t and z'' = -z,
+        the slope is Re(w1 z') and the curvature Re((w2 - w1^2) z'^2 - w1 z).
+        t becomes the bracket end on its side of the peak.  The step is taken
+        where the curvature is negative and the step stays in the bracket;
+        elsewhere t bisects, so a coarse grid's start where log|p| is convex,
+        a step that overshoots, or a zero of p (NaN curvature) cannot stall it.
         """
-        k = lo.size
-        los, his, x1s, x2s = [lo], [hi], [], []
-        for level in range(depth):
-            w = _GOLDEN * (his[level] - los[level])
-            x1s.append(his[level] - w)
-            x2s.append(los[level] + w)
-            los.append(np.concatenate((x1s[level], los[level])))
-            his.append(np.concatenate((his[level], x2s[level])))
-        f = np.abs(_grid_states(self._at(np.concatenate(x1s + x2s)), cs)[0])
-        half = f.size // 2
-        # at is the flat index of each bracket's row in level l, which starts
-        # at (2^l - 1) k; the next level starts 2^l rows on, and moving down
-        # adds 2^l rows more: 1 or 2 times 2^l rows as f(x1) < f(x2) or not
-        rows_on = 2 - (f[:half] < f[half:])
-        at = np.arange(k)
-        for level in range(depth):
-            last = at
-            at = at + (k << level) * rows_on[at]
-        row = at - ((1 << depth) - 1) * k
-        return los[depth][row], his[depth][row], f[np.concatenate((last, last + half))]
+        z = self._at(t)
+        states = _grid_states(z, c)
+        # p' and p''/2 from two chains over the Horner states of p
+        d1 = d2 = 0.0
+        for s in states[len(c) - 1:0:-1]:
+            d2 = d2 * z + d1
+            d1 = d1 * z + s
+        w1, w2 = d1 / states[0], 2.0 * d2 / states[0]
+        dz = -self._a * np.sin(t) + 1j * self._b * np.cos(t)
+        slope = (w1 * dz).real
+        curv = ((w2 - w1 * w1) * dz * dz - w1 * z).real
+        up = slope > 0.0
+        lo, hi = np.where(up, t, lo), np.where(up, hi, t)
+        new = t - slope / curv
+        keep = (curv < 0.0) & (lo <= new) & (new <= hi)
+        return np.where(keep, new, 0.5 * (lo + hi)), lo, hi
 
 
 def _points(boundary) -> np.ndarray:
@@ -382,10 +373,15 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     boundary is an EllipseBoundary or an array of points, as in ratio_for_poly.
     Candidate order is a fixed function of the seed alone, so a larger budget
     evaluates a superset of candidates and the recorded best never decreases.
+    Raises DomainError when max|z|^max(degree, 1) on the boundary exceeds 1e300.
     """
     _check_search_settings(degree, budget, seed)
     A = dense_small._as_square(A)
     pts = _points(boundary)
+    reach = float(np.abs(pts).max())
+    if reach > _POWER_CEILING ** (1.0 / max(degree, 1)):
+        raise DomainError(f"boundary points reach |z| = {reach:.6g}: "
+                          f"|z|^{max(degree, 1)} must not exceed 1e300 at degree {degree}")
 
     def evaluate(c: np.ndarray) -> tuple:
         """The Horner states of p(A) and of p on the grid, ||p(A)||, and the ratio they give."""

@@ -28,9 +28,11 @@ numerator bound (rho, r, degree, budget, seed) = (1.05, 0.99, 12, 300, 1),
 (rho 3, r 0.8, degree 8, budget 500, seed 9), 120 `verify_observation` reports (seed 505,
 n = 1..8, degree 4, budget 60), `ratio_for_poly` on an EllipseBoundary and
 on 1, 2, 7 and 2048 points, `EllipseBoundary.max_abs_poly` of the Chebyshev
-polynomials T_1..T_12 (rho in {1.01, 1.05, 1.2}, m in {8, 64, 2048}) and of
-40 random polynomials on an m = 8 boundary, 48 seeded `normalize(B).to_json()` records (or
-the DomainError text) for disguised family members, mirrored members,
+polynomials T_1..T_12 (rho in {1.01, 1.05, 1.2}, m in {8, 64, 2048}), of
+40 random polynomials on an m = 8 boundary, of z^1..z^12 at rho = 1e3 (m in
+{8, 64, 2048}), where the peaks are flat, and of 26 random polynomials of
+degree 0 to 12 scaled by 1e-320 and by 1e250 (rho in {1.05, 3}), 48 seeded
+`normalize(B).to_json()` records (or the DomainError text) for disguised family members, mirrored members,
 degenerate and non-centered spectra, and the stdout and exit code of every
 subcommand for fixed arguments: `ratio`, `perm`, `verify`, `replay`, a
 `sweep` in csv and json with `--workers 1`, and `figures --which regions`
@@ -263,6 +265,15 @@ def main() -> None:
     for k in range(40):
         cs = rng.standard_normal(1 + k % 13) + 1j * rng.standard_normal(1 + k % 13)
         _emit(f"max_abs_poly m=8 {k}", small.max_abs_poly(cs))
+    # |z^d| is nearly constant on a nearly circular ellipse, so its peaks are flat
+    for d in range(1, 13):
+        _emit(f"max_abs_poly monomial {d}",
+              [EllipseBoundary(1e3, m).max_abs_poly([0] * d + [1]) for m in (8, 64, 2048)])
+    rng = np.random.default_rng(909)
+    for scale in (1e-320, 1e250):
+        for k in range(13):
+            cs = (rng.standard_normal(1 + k) + 1j * rng.standard_normal(1 + k)) * scale
+            _emit(f"max_abs_poly scaled {scale!r} {k}", [EllipseBoundary(rho).max_abs_poly(cs) for rho in (1.05, 3.0)])
 
     for k, B in enumerate(_normalize_inputs(707, 48)):
         try:
