@@ -247,6 +247,17 @@ def _poly_eval(coeffs, t):
     return acc
 
 
+def _extreme(vals, *coords, largest=False) -> tuple:
+    """First minimum of a grid, or first maximum if largest, as (value, point).
+
+    vals and every coordinate array share one shape (or flatten to one
+    order); the point holds each coordinate at the extremum's index.
+    """
+    vals = np.asarray(vals)
+    k = int(np.argmax(vals) if largest else np.argmin(vals))
+    return float(vals.flat[k]), tuple(float(np.ravel(c)[k]) for c in coords)
+
+
 @dataclass(frozen=True)
 class QSignChainResult:
     """Outcome of the q(t) <= 0 verification (truthy on success)."""
@@ -284,9 +295,7 @@ def q_sign_chain_check() -> QSignChainResult:
     vals = _poly_eval(Q_CHAIN_COEFFS, ts)
     # scale out t^19 to keep the comparison finite for large t
     scaled = vals / ts**19
-    k = int(np.argmax(scaled))
-    grid_max = float(scaled[k])
-    worst_t = float(ts[k])
+    grid_max, (worst_t,) = _extreme(scaled, ts, largest=True)
     grid_ok = bool(np.all(scaled < 0.0))
 
     # (iii) the chained bound's coefficients are all negative, so it is

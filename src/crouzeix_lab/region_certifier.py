@@ -24,8 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conformal_map import _poly_deriv, _poly_eval, _poly_mul, _poly_sub, c_upper_closed, q_sign_chain_check
-from .core_matrix import NormalizedParams, RhoParams, check_rho, q_from_rho
+from .conformal_map import (_extreme, _poly_deriv, _poly_eval, _poly_mul, _poly_sub, c_upper_closed,
+                            q_sign_chain_check)
+from .core_matrix import NormalizedParams, check_rho, q_from_rho
 from .errors import DomainError
 from .similarity import (
     SimilarityX,
@@ -113,9 +114,11 @@ def classify(rho: float, r: float) -> RegionId:
     Precedence: Diagonalizable, then SmallR, then Strip, then LargeRhoR;
     the diagonalizable certificate is the strongest (no conformal bound
     enters), the rest follow the order of the regional propositions.  Every
-    other input, a non-finite rho or r included, is OutOfDomain.
+    other input, a non-finite rho or r included, is OutOfDomain.  Next to
+    r = 1/sqrt(rho) the tests r^2 rho > 1 and RhoParams's r > 1/sqrt(rho)
+    differ by rounding; a point must pass both.
     """
-    if not 1.0 < rho < math.inf or not (0.0 < r <= 1.0) or r * r * rho <= 1.0:
+    if not 1.0 < rho < math.inf or not (1.0 / math.sqrt(rho) < r <= 1.0) or r * r * rho <= 1.0:
         return RegionId.OUT_OF_DOMAIN
     x = r * r + 1.0 / (r * r)
     y = rho + 1.0 / rho
@@ -263,20 +266,6 @@ def open_grid(lo: float, hi: float, steps: int) -> list:
     return nodes
 
 
-def _admissible(rho: float, r: float) -> bool:
-    """Whether both certify's domain test and RhoParams accept (rho, r).
-
-    The two differ by rounding next to r = 1/sqrt(rho).
-    """
-    if classify(rho, r) is RegionId.OUT_OF_DOMAIN:
-        return False
-    try:
-        RhoParams(rho, r)
-    except DomainError:
-        return False
-    return True
-
-
 def _uncertified(failure) -> tuple:
     """(region, reason) of a sweep point without a certificate: OutOfDomain when
     failure is None, else Uncertified with the DomainError that certify raised."""
@@ -297,7 +286,7 @@ def _sweep_row(rho: float, r_range: tuple) -> list:
         try:
             out.append((rho, r, certify(rho, r)))
         except DomainError as exc:
-            out.append((rho, r, exc if _admissible(rho, r) else None))
+            out.append((rho, r, None if classify(rho, r) is RegionId.OUT_OF_DOMAIN else exc))
     return out
 
 
@@ -451,13 +440,6 @@ class ChainCheck:
     worst_margin: float
     worst_point: tuple
 
-    def __post_init__(self):
-        # numpy scalars sneak in from grid reductions; pin plain types so
-        # serialization and equality behave
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "worst_margin", float(self.worst_margin))
-        object.__setattr__(self, "worst_point", tuple(float(t) for t in self.worst_point))
-
     def to_json(self) -> dict:
         return {
             "pass": self.passed,
@@ -492,16 +474,19 @@ _GRID_1D = 10001
 _GRID_2D = 200
 
 
-def _grid_min(vals: np.ndarray, ts: np.ndarray) -> tuple[float, float]:
-    k = int(np.argmin(vals))
-    return float(vals[k]), float(ts[k])
+def _poly_grid(coeffs, lo: float, hi: float) -> tuple:
+    """A polynomial's values on _GRID_1D evenly spaced nodes of [lo, hi], and the nodes."""
+    ts = np.linspace(lo, hi, _GRID_1D)
+    return _poly_eval(coeffs, ts), ts
 
 
 def replay_proofs() -> ProofReplayReport:
     """Re-run every displayed inequality chain on documented grids.
 
-    These are confidence checks of the displayed algebra, not formal
-    certificates; margins are reported so a reader can judge the slack.
+    Each chain is evaluated on whole arrays and read at its worst point by
+    `_extreme`.  These are confidence checks of the displayed algebra, not
+    formal certificates; margins are reported so a reader can judge the
+    slack.
     """
     # (a) q(t) <= 0 for t >= 4
     qres = q_sign_chain_check()
@@ -509,58 +494,43 @@ def replay_proofs() -> ProofReplayReport:
         passed=bool(qres), worst_margin=qres.grid_max, worst_point=(qres.worst_t,)
     )
 
-    # (b) strip: P(mu^2) positive at the anchor and increasing in x and y
-    x0, y0 = 2.2795, 10.0
-    anchor = _strip_P_mu2(x0, y0)
-    xs = np.linspace(2.2795, 2.35, _GRID_2D)
-    ys = np.linspace(10.0, 30.0, _GRID_2D)
+    # (b) strip: P(mu^2) positive at the anchor and increasing in x and y;
+    # the "ij" grid flattens x-major, so a tie goes to the smallest x, then y
+    anchor = _strip_P_mu2(2.2795, 10.0)
+    X, Y = np.meshgrid(np.linspace(2.2795, 2.35, _GRID_2D), np.linspace(10.0, 30.0, _GRID_2D),
+                       indexing="ij")
     h = 1e-6
-    worst = math.inf
-    worst_pt = (x0, y0)
-    for x in xs:
-        for y in ys:
-            dx = (_strip_P_mu2(x + h, y) - _strip_P_mu2(x, y)) / h
-            dy = (_strip_P_mu2(x, y + h) - _strip_P_mu2(x, y)) / h
-            m = min(dx, dy)
-            if m < worst:
-                worst, worst_pt = m, (float(x), float(y))
+    P = _strip_P_mu2(X, Y)
+    slope = np.minimum((_strip_P_mu2(X + h, Y) - P) / h, (_strip_P_mu2(X, Y + h) - P) / h)
+    worst, worst_pt = _extreme(slope, X, Y)
     strip_P = ChainCheck(
         passed=anchor > 0.0 and worst > 0.0,
         worst_margin=min(anchor, worst),
         worst_point=worst_pt,
     )
 
-    # (c) p1, p2, p3 increasing on [1/2, 1/sqrt3); exact root identity at 1/2
+    # (c) p1, p2, p3 increasing on [1/2, 1/sqrt3); exact root identity at 1/2.
+    # Where several polynomials compete, min keeps the first on ties.
     half = Fraction(1, 2)
-    p3_half = _poly_eval(_P3, half)
     exact_ok = (
-        p3_half == Fraction(25, 256)
+        _poly_eval(_P3, half) == Fraction(25, 256)
         and _poly_eval(_P1, half) + _poly_eval(_P2, half) * Fraction(5, 16) == 0
         and _poly_eval(_poly_deriv(_P3), half) == Fraction(25, 16)
     )
-    ts = np.linspace(0.5, 1.0 / math.sqrt(3.0) - 1e-12, _GRID_1D)
-    worst123 = math.inf
-    worst_t = 0.5
-    for coeffs in (_P1, _P2, _P3):
-        dvals = _poly_eval(_poly_deriv(coeffs), ts)
-        m, t_at = _grid_min(dvals, ts)
-        if m < worst123:
-            worst123, worst_t = m, t_at
-    p123 = ChainCheck(
-        passed=exact_ok and worst123 > 0.0, worst_margin=worst123, worst_point=(worst_t,)
+    t_end = 1.0 / math.sqrt(3.0) - 1e-12
+    worst123, worst_t = min(
+        (_extreme(*_poly_grid(_poly_deriv(coeffs), 0.5, t_end)) for coeffs in (_P1, _P2, _P3)),
+        key=lambda e: e[0],
     )
+    p123 = ChainCheck(passed=exact_ok and worst123 > 0.0, worst_margin=worst123, worst_point=worst_t)
 
     # (d) p5 < 0 and increasing on [1/2, 4/7]
-    ts = np.linspace(0.5, 4.0 / 7.0, _GRID_1D)
-    p5_vals = _poly_eval(_P5, ts)
-    p5_max, p5_at = _grid_min(-p5_vals, ts)  # max value = -min(-v)
-    p5_max = -p5_max
-    dmin, d_at = _grid_min(_poly_eval(_poly_deriv(_P5), ts), ts)
-    p5_end = _poly_eval(_P5, Fraction(4, 7))
+    p5_max, p5_at = _extreme(*_poly_grid(_P5, 0.5, 4.0 / 7.0), largest=True)
+    dmin, d_at = _extreme(*_poly_grid(_poly_deriv(_P5), 0.5, 4.0 / 7.0))
     p45 = ChainCheck(
-        passed=p5_max < 0.0 and dmin > 0.0 and p5_end < 0,
+        passed=p5_max < 0.0 and dmin > 0.0 and _poly_eval(_P5, Fraction(4, 7)) < 0,
         worst_margin=max(p5_max, -dmin),
-        worst_point=(p5_at if p5_max >= -dmin else d_at,),
+        worst_point=p5_at if p5_max >= -dmin else d_at,
     )
 
     # (d') p6 > 0 on [1/2, 0.5327] and p7 > 0 on [0.5327, 4/7] give p4 > 0
@@ -568,76 +538,60 @@ def replay_proofs() -> ProofReplayReport:
     p6[12] -= 2
     p7 = list(_P4)
     p7[12] -= 1
-    ts6 = np.linspace(0.5, 0.5327, _GRID_1D)
-    ts7 = np.linspace(0.5327, 4.0 / 7.0, _GRID_1D)
-    m6, at6 = _grid_min(_poly_eval(tuple(p6), ts6), ts6)
-    m7, at7 = _grid_min(_poly_eval(tuple(p7), ts7), ts7)
-    m4, at4 = _grid_min(_poly_eval(_P4, np.linspace(0.5, 4.0 / 7.0, _GRID_1D)),
-                        np.linspace(0.5, 4.0 / 7.0, _GRID_1D))
-    p67 = ChainCheck(
-        passed=m6 > 0.0 and m7 > 0.0 and m4 > 0.0,
-        worst_margin=min(m6, m7, m4),
-        worst_point=(at6 if m6 <= min(m7, m4) else (at7 if m7 <= m4 else at4),),
-    )
+    mins = [
+        _extreme(*_poly_grid(p6, 0.5, 0.5327)),
+        _extreme(*_poly_grid(p7, 0.5327, 4.0 / 7.0)),
+        _extreme(*_poly_grid(_P4, 0.5, 4.0 / 7.0)),
+    ]
+    m67, at67 = min(mins, key=lambda e: e[0])
+    p67 = ChainCheck(passed=all(m > 0.0 for m, _ in mins), worst_margin=m67, worst_point=at67)
 
     # (e)+(f) p8 = p4^2 - p5^2 p3 factors exactly; p9 <= p9(4/7) < 0
     p8_direct = _poly_sub(_poly_mul(_P4, _P4), _poly_mul(_poly_mul(_P5, _P5), _P3))
     prefactor = _poly_mul(_poly_mul([0, 0, 1], _poly_mul([-1, 2], [-1, 2])),
                           _poly_mul([1, 0, -3], [1, 0, -3]))
-    p8_factored = _poly_mul(prefactor, list(_P9))
-    identity_ok = p8_direct == p8_factored
+    identity_ok = p8_direct == _poly_mul(prefactor, list(_P9))
     p9_end = _poly_eval(_P9, Fraction(4, 7))
-    ts = np.linspace(0.5, 4.0 / 7.0, _GRID_1D)
-    p9_vals = _poly_eval(_P9, ts)
-    p9_max = float(p9_vals.max())
-    p9_at = float(ts[int(np.argmax(p9_vals))])
+    p9_max, p9_at = _extreme(*_poly_grid(_P9, 0.5, 4.0 / 7.0), largest=True)
     p89 = ChainCheck(
         passed=identity_ok and p9_end < 0 and p9_max <= float(p9_end) + 1e-9,
         worst_margin=p9_max,
-        worst_point=(p9_at,),
+        worst_point=p9_at,
     )
 
     # (g) B <= 0 along r = r1(rho), rho in [5/2, 10]
-    worstB = -math.inf
-    worstB_at = (2.5,)
-    for i in range(_GRID_1D):
-        rho = 2.5 + 7.5 * i / (_GRID_1D - 1)
-        b = B_of(r1(rho), rho)
-        if b > worstB:
-            worstB, worstB_at = b, (rho,)
+    rhos = 2.5 + 7.5 * np.arange(_GRID_1D) / (_GRID_1D - 1)
+    r1s = np.array([r1(rho) for rho in rhos.tolist()])
+    worstB, worstB_at = _extreme(B_of(r1s, rhos), rhos, largest=True)
     B_sign = ChainCheck(passed=worstB <= 0.0, worst_margin=worstB, worst_point=worstB_at)
 
     # (h) F' < 0 on (2, 2.96] and F(2.96) > 0
     ys = np.linspace(2.0 + 1e-9, 2.96, _GRID_1D)
     s = np.sqrt(np.maximum(ys * ys - 4.0, 1e-30))
-    fprime = (122.0 * ys - 75.0 * s - 75.0 * ys * ys / s) / 200.0
-    fp_max = float(fprime.max())
-    fp_at = float(ys[int(np.argmax(fprime))])
+    fp_max, fp_at = _extreme((122.0 * ys - 75.0 * s - 75.0 * ys * ys / s) / 200.0, ys, largest=True)
     f_end = F_of(2.96)
     F_sign = ChainCheck(
         passed=fp_max < 0.0 and f_end > 0.0,
         worst_margin=fp_max if fp_max >= -f_end else -f_end,
-        worst_point=(fp_at,),
+        worst_point=fp_at,
     )
 
-    # (i) Q(rho^2/4) <= 0 at r = 0.77: direct on [10, 50], a < 0 for rho >= 21
-    worstQ = -math.inf
-    worstQ_at = (10.0,)
-    for i in range(_GRID_1D):
-        rho = 10.0 + 40.0 * i / (_GRID_1D - 1)
-        qv = _Q_at_quarter_rho_sq(rho)
-        if qv > worstQ:
-            worstQ, worstQ_at = qv, (rho,)
+    # (i) Q(rho^2/4) <= 0 at r = 0.77: direct on [10, 50], a < 0 for rho >= 21.
+    # Q goes point by point: it takes y**4, and numpy's power may round
+    # differently from Python's float **.
+    rhos = 10.0 + 40.0 * np.arange(_GRID_1D) / (_GRID_1D - 1)
+    worstQ, worstQ_at = _extreme([_Q_at_quarter_rho_sq(rho) for rho in rhos.tolist()], rhos, largest=True)
     x077 = 0.77**2 + 1.0 / 0.77**2
 
-    def a_of(rho: float) -> float:
+    def a_of(rho):
         alpha = rho * rho / (rho + 1.0 / rho) ** 2
         return x077**4 * alpha * alpha - 40.0 * x077 * alpha + 64.0
 
-    a_branch_ok = a_of(21.0) < 0.0 and a_of(20.0) > 0.0
-    a_grid = np.array([a_of(rho) for rho in np.linspace(21.0, 1000.0, 2001)])
-    a_branch_ok = a_branch_ok and bool(np.all(a_grid < 0.0)) and bool(
-        np.all(np.diff([a_of(rho) for rho in np.linspace(10.0, 1000.0, 2001)]) < 0.0)
+    a_branch_ok = (
+        a_of(21.0) < 0.0
+        and a_of(20.0) > 0.0
+        and bool(np.all(a_of(np.linspace(21.0, 1000.0, 2001)) < 0.0))
+        and bool(np.all(np.diff(a_of(np.linspace(10.0, 1000.0, 2001))) < 0.0))
     )
     Q_sign = ChainCheck(
         passed=worstQ <= 0.0 and a_branch_ok, worst_margin=worstQ, worst_point=worstQ_at
@@ -652,15 +606,9 @@ def replay_proofs() -> ProofReplayReport:
         (11.0, 12.0): -1994.0,
         (10.0, 11.0): -721.0,
     }
-    worstH = -math.inf
-    worstH_at = (10.0, 11.0)
-    h_ok = True
-    for (rm, rp), ref in displayed.items():
-        val = _H_interval(rm, rp)
-        if not (val < 0.0 and abs(val - ref) <= 0.01 * abs(ref)):
-            h_ok = False
-        if val > worstH:
-            worstH, worstH_at = val, (rm, rp)
+    vals = [_H_interval(rm, rp) for rm, rp in displayed]
+    h_ok = all(val < 0.0 and abs(val - ref) <= 0.01 * abs(ref) for val, ref in zip(vals, displayed.values()))
+    worstH, worstH_at = _extreme(vals, *zip(*displayed), largest=True)
     H_table = ChainCheck(passed=h_ok, worst_margin=worstH, worst_point=worstH_at)
 
     return ProofReplayReport(

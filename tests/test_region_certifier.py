@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from crouzeix_lab import cli, dense_small, region_certifier
+from crouzeix_lab import cli, conformal_map, dense_small, region_certifier
+from crouzeix_lab.core_matrix import RhoParams
 from crouzeix_lab.errors import DomainError
 from crouzeix_lab.region_certifier import (
     B_of,
@@ -104,6 +105,31 @@ class TestClassify:
         assert classify(rho, r) is RegionId.OUT_OF_DOMAIN
         with pytest.raises(DomainError, match="not in the admissible domain"):
             certify(rho, r)
+
+    def test_knife_edge_point_is_out_of_domain(self, capsys):
+        # r^2 rho > 1 holds here, but RhoParams's 1/sqrt(rho) < r does not
+        rho, r = 3.9121992590362207, 0.5055795706555682
+        assert classify(rho, r) is RegionId.OUT_OF_DOMAIN
+        with pytest.raises(DomainError, match="not in the admissible domain"):
+            certify(rho, r)
+        assert cli.main(["verify", "--rho", repr(rho), "--r", repr(r)]) == cli.EXIT_DOMAIN
+        assert "not in the admissible domain" in capsys.readouterr().err
+
+    def test_in_domain_only_where_rho_params_accepts(self):
+        # every classified point passes RhoParams, and an unclassified one
+        # fails certify on the domain test, next to r = 1/sqrt(rho)
+        rng = np.random.default_rng(11)
+        for rho in rng.uniform(1.05, 50.0, 200).tolist():
+            r = 1.0 / math.sqrt(rho)
+            for _ in range(3):
+                r = math.nextafter(r, 0.0)
+            for _ in range(7):
+                if classify(rho, r) is RegionId.OUT_OF_DOMAIN:
+                    with pytest.raises(DomainError, match="not in the admissible domain"):
+                        certify(rho, r)
+                else:
+                    RhoParams(rho, r)
+                r = math.nextafter(r, 1.0)
 
     def test_large_rho_r_stays_right_of_sqrt_half(self):
         # the closed-norm certificate needs x <= 5/2, i.e. r >= 1/sqrt2
@@ -275,6 +301,40 @@ class TestReplay:
         for name in CHAIN_NAMES:
             assert d[name]["pass"] is True
             assert isinstance(d[name]["worst_margin"], float)
+
+    @pytest.mark.parametrize("chain, module, name, broken", [
+        ("q_chain", conformal_map, "Q_CHAIN_COEFFS", (5,) + conformal_map.Q_CHAIN_COEFFS[1:]),
+        ("strip_P", region_certifier, "_strip_P_mu2", None),
+        ("p1_p2_p3_chain", region_certifier, "_P2", (-2, 10, -4, 0, -3)),
+        ("p4_p5_chain", region_certifier, "_P5", tuple(-c for c in region_certifier._P5)),
+        ("p6_p7", region_certifier, "_P4", tuple(-c for c in region_certifier._P4)),
+        ("p8_p9_chain", region_certifier, "_P9", region_certifier._P9[:-1] + (1729,)),
+        ("B_sign", region_certifier, "B_of", None),
+        ("F_sign", region_certifier, "F_of", None),
+        ("Q_sign", region_certifier, "_Q_at_quarter_rho_sq", None),
+        ("H_table", region_certifier, "_H_interval", None),
+    ], ids=CHAIN_NAMES)
+    def test_each_chain_can_fail(self, monkeypatch, chain, module, name, broken):
+        # a function input is flipped to the wrong sign, a coefficient
+        # table is perturbed
+        if broken is None:
+            good = getattr(module, name)
+            broken = lambda *args: -good(*args)  # noqa: E731
+        monkeypatch.setattr(module, name, broken)
+        rep = replay_proofs()
+        assert getattr(rep, chain).passed is False
+        assert rep.all_passed is False
+
+    def test_strip_and_B_chains_run_on_arrays(self, monkeypatch):
+        calls = {"_strip_P_mu2": 0, "B_of": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(region_certifier, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(region_certifier, name, counted)
+        assert replay_proofs().all_passed
+        assert calls["_strip_P_mu2"] <= 4
+        assert calls["B_of"] == 1
 
 
 class TestAlgebraicIdentities:

@@ -36,7 +36,10 @@ degree 0 to 12 scaled by 1e-320 and by 1e250 (rho in {1.05, 3}), 48 seeded
 degenerate and non-centered spectra, and the stdout and exit code of every
 subcommand for fixed arguments: `ratio`, `perm`, `verify`, `replay`, a
 `sweep` in csv and json with `--workers 1`, and `figures --which regions`
-and `--which figure2`.  It takes about a minute on one core.
+and `--which figure2`, and the one-point json `sweep` at each of 16 seeded
+points (seed 1010) within 3 ulps of r = 1/sqrt(rho) where the tests
+r^2 rho > 1 and r > 1/sqrt(rho) disagree by rounding.  It takes about a
+minute on one core.
 """
 
 from __future__ import annotations
@@ -128,6 +131,20 @@ def _normalize_inputs(seed: int, count: int):
         c = complex(rng.standard_normal(), rng.standard_normal())
         d = complex(rng.standard_normal(), rng.standard_normal())
         yield c * (U @ M @ U.conj().T) + d * np.eye(3)
+
+
+def _domain_edge_points(seed: int, count: int) -> list:
+    """(rho, r) within 3 ulps of r = 1/sqrt(rho) where r^2 rho > 1 and
+    r > 1/sqrt(rho) disagree."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        rho = float(rng.uniform(1.05, 50.0))
+        near = [1.0 / math.sqrt(rho)]
+        for _ in range(3):
+            near = [math.nextafter(near[0], 0.0)] + near + [math.nextafter(near[-1], 2.0)]
+        found += [(rho, r) for r in near if (r * r * rho > 1.0) != (1.0 / math.sqrt(rho) < r)]
+    return found[:count]
 
 
 def _load(path: str) -> dict:
@@ -283,6 +300,10 @@ def main() -> None:
 
     for argv in CLI_RUNS:
         _emit("cli " + " ".join(argv), _cli(argv))
+    for k, (rho, r) in enumerate(_domain_edge_points(1010, 16)):
+        argv = ("sweep", "--rho", repr(rho), repr(rho), "1", "--r", repr(r), repr(r), "1",
+                "--workers", "1", "--format", "json")
+        _emit(f"domain edge {k}", _cli(argv))
 
 
 if __name__ == "__main__":
