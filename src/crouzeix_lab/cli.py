@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .permutation_ext import perm_from_cycles, verify_observation
@@ -68,28 +66,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    rho_range: tuple
-    r_range: tuple | str
-    parallel_workers: int
-    output_path: str | None
-    format: str
-
-    def __post_init__(self):
-        lo, hi, steps = self.rho_range
-        if not (lo < hi and steps >= 1) and not (lo == hi and steps == 1):
-            raise DomainError(f"bad rho range {self.rho_range}")
-        if self.r_range != "auto":
-            lo, hi, steps = self.r_range
-            if not (lo < hi and steps >= 1) and not (lo == hi and steps == 1):
-                raise DomainError(f"bad r range {self.r_range}")
-        if self.parallel_workers < 1:
-            raise DomainError("need at least one worker")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"unknown format {self.format!r}")
-
-
 def _uncertified_record(rho: float, r: float, failure) -> dict:
     """Sweep record of a point without a certificate, labeled by `_uncertified`."""
     region, reason = _uncertified(failure)
@@ -121,12 +97,13 @@ def _write_output(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
-def run_sweep(config: SweepConfig) -> tuple:
+def run_sweep(rho_range: tuple, r_range: tuple | str) -> tuple:
     """All grid records in row-major order plus the all-verdicts flag."""
-    r_range = (None, 1.0, config.rho_range[2]) if config.r_range == "auto" else config.r_range
+    if r_range == "auto":
+        r_range = (None, 1.0, rho_range[2])
     records = [
         outcome.to_json() if isinstance(outcome, Certificate) else _uncertified_record(rho, r, outcome)
-        for rho, r, outcome in sweep_points(config.rho_range, r_range, config.parallel_workers)
+        for rho, r, outcome in sweep_points(rho_range, r_range)
     ]
     return records, all(rec["verdict"] for rec in records)
 
@@ -168,18 +145,15 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        config = SweepConfig(
-            rho_range=_parse_range(args.rho, "--rho"),
-            r_range="auto" if args.r == ["auto"] else _parse_range(args.r, "--r"),
-            parallel_workers=args.workers or os.cpu_count() or 1,
-            output_path=args.out,
-            format=args.format,
-        )
+        rho_range = _parse_range(args.rho, "--rho")
+        r_range = "auto" if args.r == ["auto"] else _parse_range(args.r, "--r")
+        if args.workers < 0:
+            raise DomainError("need at least one worker")
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
-    records, all_true = run_sweep(config)
-    code = _write_output(_sweep_text(records, config.format), config.output_path)
+    records, all_true = run_sweep(rho_range, r_range)
+    code = _write_output(_sweep_text(records, args.format), args.out)
     if code != EXIT_OK:
         return code
     return EXIT_OK if all_true else EXIT_FAIL
@@ -189,9 +163,12 @@ def _parse_range(tokens: list, flag: str) -> tuple:
     if len(tokens) != 3:
         raise DomainError(f"{flag} takes three values: lo hi steps (or 'auto' for --r)")
     try:
-        return float(tokens[0]), float(tokens[1]), int(tokens[2])
+        lo, hi, steps = float(tokens[0]), float(tokens[1]), int(tokens[2])
     except ValueError:
         raise DomainError(f"cannot parse {flag} range {tokens}")
+    if not (lo < hi and steps >= 1) and not (lo == hi and steps == 1):
+        raise DomainError(f"bad {flag.lstrip('-')} range {(lo, hi, steps)}")
+    return lo, hi, steps
 
 
 def _figures_regions(grid: int) -> list:
@@ -285,7 +262,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", nargs="+", default=["auto"],
                    help="'auto' for (1/sqrt(rho), 1] per row, or LO HI STEPS")
     p.add_argument("--workers", type=int, default=0,
-                   help="worker processes; default the cpu count")
+                   help="ignored, accepted for compatibility: the sweep runs in one process")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_sweep)

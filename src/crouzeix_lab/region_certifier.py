@@ -16,9 +16,7 @@ chain behind the two hardest regions on documented grids.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -255,7 +253,10 @@ def open_grid(lo: float, hi: float, steps: int) -> list:
     Each node is capped at hi, so rounding never steps past the right end;
     a single step is hi itself.  Near the float maximum, where (hi - lo) k
     overflows, a node is the weighted mean lo (1 - k/steps) + hi k/steps.
+    Fewer than one step raises DomainError.
     """
+    if steps < 1:
+        raise DomainError(f"a grid needs at least one step, got {steps}")
     if steps == 1:
         return [hi]
     nodes = []
@@ -274,42 +275,26 @@ def _uncertified(failure) -> tuple:
     return "Uncertified", str(failure)
 
 
-def _sweep_row(rho: float, r_range: tuple) -> list:
-    """(rho, r, certificate) along one row; see sweep_points for the failures."""
-    lo, hi, steps = r_range
-    if lo is None:
-        lo = 1.0 / math.sqrt(rho) + 1e-6
-        if lo >= 1.0:
-            return []
-    out = []
-    for r in open_grid(lo, hi, steps):
-        try:
-            out.append((rho, r, certify(rho, r)))
-        except DomainError as exc:
-            out.append((rho, r, None if classify(rho, r) is RegionId.OUT_OF_DOMAIN else exc))
-    return out
-
-
-def sweep_points(rho_range: tuple, r_range: tuple, workers: int = 1):
-    """Yield (rho, r, outcome) over a sweep grid in row-major order.
+def sweep_points(rho_range: tuple, r_range: tuple):
+    """Yield (rho, r, outcome) over a sweep grid in row-major order, in this process.
 
     rho runs over open_grid(*rho_range).  r runs over open_grid(*r_range),
     where a lower end of None stands for 1/sqrt(rho) + 1e-6, the row's own
     edge of the domain (such a row is empty once that edge reaches 1).
     The outcome is the Certificate, None outside the domain, or, for an
     admissible point whose certificate fails, say by overflow, the
-    DomainError that certify raised.  With workers > 1 the rows are certified in a process pool; the
-    order and the values do not change.
+    DomainError that certify raised.
     """
-    row = functools.partial(_sweep_row, r_range=r_range)
-    rhos = open_grid(*rho_range)
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            for points in pool.imap(row, rhos):
-                yield from points
-    else:
-        for rho in rhos:
-            yield from row(rho)
+    lo, hi, steps = r_range
+    for rho in open_grid(*rho_range):
+        row_lo = 1.0 / math.sqrt(rho) + 1e-6 if lo is None else lo
+        if lo is None and row_lo >= 1.0:
+            continue
+        for r in open_grid(row_lo, hi, steps):
+            try:
+                yield rho, r, certify(rho, r)
+            except DomainError as exc:
+                yield rho, r, None if classify(rho, r) is RegionId.OUT_OF_DOMAIN else exc
 
 
 def sweep_grid(
@@ -317,15 +302,14 @@ def sweep_grid(
     n_r: int = 500,
     rho_min: float = 1.0,
     rho_max: float = 50.0,
-    workers: int = 1,
 ) -> dict:
     """Certify an n_rho x n_r grid over {1 < rho <= rho_max, 1/sqrt(rho) < r <= 1}.
 
     rho runs over the open-left grid (rho_min, rho_max]; r over
-    (1/sqrt(rho) + 1e-6, 1] per rho.  Returns counts per region, the worst
-    product and kappa seen, and every failing point (empty on success); a
-    point without a certificate counts in total and fails as `_uncertified`
-    labels it.
+    (1/sqrt(rho) + 1e-6, 1] per rho, all in this process.  Returns counts
+    per region, the worst product and kappa seen, and every failing point
+    (empty on success); a point without a certificate counts in total and
+    fails as `_uncertified` labels it.
     """
     if n_rho < 1 or n_r < 1:
         raise DomainError("grid sizes must be positive")
@@ -337,7 +321,7 @@ def sweep_grid(
         "worst_kappa": 0.0,
         "failures": [],
     }
-    for rho, r, cert in sweep_points((rho_min, rho_max, n_rho), (None, 1.0, n_r), workers):
+    for rho, r, cert in sweep_points((rho_min, rho_max, n_rho), (None, 1.0, n_r)):
         summary["total"] += 1
         if not isinstance(cert, Certificate):
             summary["failures"].append((rho, r, *_uncertified(cert)))

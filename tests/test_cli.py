@@ -163,10 +163,37 @@ class TestSweep:
         assert len(lines) == 2
 
     def test_workers_identical(self, capsys):
-        code1, out_serial, _ = run_cli(capsys, "sweep", "--rho", "1", "10", "5", "--workers", "1")
-        code2, out_parallel, _ = run_cli(capsys, "sweep", "--rho", "1", "10", "5", "--workers", "2")
-        assert code1 == code2 == 0
-        assert out_serial == out_parallel
+        argv = ("sweep", "--rho", "1", "10", "5")
+        runs = [run_cli(capsys, *argv, *workers) for workers in ((), ("--workers", "1"), ("--workers", "2"))]
+        assert [code for code, _, _ in runs] == [0, 0, 0]
+        assert runs[0][1] == runs[1][1] == runs[2][1]
+
+    def test_negative_workers_exit_4(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--rho", "1", "10", "5", "--workers", "-1")
+        assert code == 4
+        assert out == ""
+
+    def test_sweep_starts_no_process(self, capsys, monkeypatch):
+        import multiprocessing.process
+
+        def refuse(self):
+            raise AssertionError("the sweep started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        code, out, _ = run_cli(capsys, "sweep", "--rho", "1", "10", "5", "--workers", "2")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 5 * 5
+
+    @pytest.mark.parametrize("argv, regions", [
+        (("--rho", "1.1", "1.2", "2", "--r", "0.5", "1", "2"), {"Diagonalizable", "OutOfDomain"}),
+        (("--rho", "1e76", "1.7e308", "2"), {"Uncertified"}),
+    ])
+    def test_records_share_the_certificate_key_order(self, capsys, argv, regions):
+        _, out, _ = run_cli(capsys, "sweep", *argv, "--format", "json")
+        records = json.loads(out)
+        assert {rec["region"] for rec in records} == regions
+        keys = list(cli.certify(2.0, 1.0).to_json())
+        assert all(list(rec) == keys for rec in records)
 
     def test_bad_nargs_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--rho", "1", "20")
@@ -204,9 +231,11 @@ class TestFigures:
         assert max(row["value"] for row in data) <= 1.0 + 1e-9
         assert abs(data[-1]["rho"] - 10.0) < 1e-9
 
-    def test_bad_grid_exit_4(self, capsys):
-        code, _, _ = run_cli(capsys, "figures", "--which", "figure2", "--grid", "1")
+    @pytest.mark.parametrize("which, grid", [("figure2", "1"), ("regions", "0"), ("regions", "-3")])
+    def test_bad_grid_exit_4(self, capsys, which, grid):
+        code, out, _ = run_cli(capsys, "figures", "--which", which, "--grid", grid)
         assert code == 4
+        assert out == ""
 
 
 class TestReplay:
