@@ -40,13 +40,13 @@ path would skip.  On the family, A^3 = A, so ||A^j|| takes only three
 values; about three trials in four stop at this bound.
 
 The polish takes a few bracketed Newton steps on log|p(z(t))|, which is
-smooth in t, from all the selected grid peaks at once.
+smooth in t, from each selected grid peak in turn, in Python floats.
 
 Every value comes from the same operations in the same order.  numpy's
-elementwise complex multiply-add, abs, cos and sin give an element the same
-value whatever the array's length and the element's place in it, which the
-tests check with ==, so results are bit-identical to evaluating every point
-on its own and to polishing every trial.
+elementwise complex multiply-add, abs, cos and sin give an element of the
+grid, subset and final passes the same value whatever the array's length and
+the element's place in it, which the tests check with ==, so results are
+bit-identical to evaluating every point on its own and to polishing every trial.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ class PolySpec:
             raise DomainError("coeffs length must be degree + 1")
         if not any(c != 0 for c in cs):
             raise DomainError("polynomial must have a nonzero coefficient")
+        if not np.isfinite(cs).all():
+            raise DomainError("polynomial coefficients must be finite")
 
     @classmethod
     def of(cls, coeffs) -> "PolySpec":
@@ -153,13 +155,7 @@ class RatioResult:
 
 def boundary_samples(rho: float, m: int) -> np.ndarray:
     """m points (a cos t, b sin t) on the ellipse with semi-axes a, b = (rho +- 1/rho)/2."""
-    check_rho(rho)
-    if m < 8:
-        raise DomainError(f"need at least 8 samples, got {m}")
-    a = (rho + 1.0 / rho) / 2.0
-    b = (rho - 1.0 / rho) / 2.0
-    t = 2.0 * math.pi * np.arange(m) / m
-    return a * np.cos(t) + 1j * b * np.sin(t)
+    return EllipseBoundary(rho, m).points
 
 
 class EllipseBoundary:
@@ -168,18 +164,22 @@ class EllipseBoundary:
     The grid maximum of |p| moves by O(h^2) under refinement; following it
     with Newton steps inside each near-maximal bracket [t0 - h, t0 + h]
     brings the value to grid-independent accuracy, which ratio_for_poly
-    relies on.  The polish returns the larger of the grid maximum and |p|
-    where the steps end, so it never lowers the grid maximum, the bound by
-    which coordinate_search skips the polish.
+    relies on.  The steps run peak by peak in Python floats, which on at most
+    8 peaks cost less than numpy's per-call overhead.  The polish returns
+    the larger of the grid maximum and |p| where the steps end, so it never
+    lowers the grid maximum, the bound by which coordinate_search skips it.
     """
 
     def __init__(self, rho: float, m: int = 2048):
+        check_rho(rho)
+        if m < 8:
+            raise DomainError(f"need at least 8 samples, got {m}")
         self.rho = float(rho)
         self.m = int(m)
-        self.points = boundary_samples(rho, m)
         self._a = (rho + 1.0 / rho) / 2.0
         self._b = (rho - 1.0 / rho) / 2.0
         self._h = 2.0 * math.pi / self.m
+        self.points = self._at(2.0 * math.pi * np.arange(m) / m)
 
     def _at(self, t: np.ndarray) -> np.ndarray:
         return self._a * np.cos(t) + 1j * self._b * np.sin(t)
@@ -194,51 +194,46 @@ class EllipseBoundary:
         if vals is None:
             vals = np.abs(_grid_states(self.points, cs)[0])
         top = float(vals.max())
-        if len(cs) <= 1 or not top > 0.0:  # zero, or NaN from non-finite coefficients
+        if len(cs) <= 1 or not 0.0 < top < math.inf:  # zero, or p overflowed
             return top
-        left = np.roll(vals, 1)
-        right = np.roll(vals, -1)
-        peaks = np.nonzero((vals >= left) & (vals >= right) & (vals >= _REFINE_SLACK * top))[0]
+        ring = np.concatenate((vals[-1:], vals, vals[:1]))
+        peaks = np.nonzero((vals >= ring[:-2]) & (vals >= ring[2:]) & (vals >= _REFINE_SLACK * top))[0]
         if peaks.size > _REFINE_CAP:
             peaks = peaks[np.argsort(vals[peaks])[::-1][:_REFINE_CAP]]
-        t = self._h * peaks
-        lo, hi = t - self._h, t + self._h
         # the steps do not depend on the scale of p, so they run on p / max|c_k|,
-        # which neither overflows nor underflows; a constant p of positive
-        # degree, as the search starts from, has slope and curvature 0 / 0
+        # which neither overflows nor underflows
         scale = max(abs(c) for c in cs)
         unit = [c / scale for c in cs]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_NEWTON_STEPS):
-                t, lo, hi = self._newton_step(unit, t, lo, hi)
+        t = np.array([self._polish_peak(unit, self._h * k) for k in peaks.tolist()])
         return max(top, float(np.abs(_grid_states(self._at(t), cs)[0]).max()))
 
-    def _newton_step(self, c: list, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
-        """One Newton step on log|p(z(t))| toward its maximum in [lo, hi]; returns t, lo, hi.
+    def _polish_peak(self, c: list, t: float) -> float:
+        """_NEWTON_STEPS bracketed Newton steps on log|p(z(t))| from t toward its maximum in [t - h, t + h].
 
         With w1 = p'/p, w2 = p''/p, z' = -a sin t + i b cos t and z'' = -z,
         the slope is Re(w1 z') and the curvature Re((w2 - w1^2) z'^2 - w1 z).
         t becomes the bracket end on its side of the peak.  The step is taken
         where the curvature is negative and the step stays in the bracket;
         elsewhere t bisects, so a coarse grid's start where log|p| is convex,
-        a step that overshoots, or a zero of p (NaN curvature) cannot stall it.
+        a step that overshoots, a zero of p (NaN slope) or a curvature of 0 cannot stall it.
         """
-        z = self._at(t)
-        states = _grid_states(z, c)
-        # p' and p''/2 from two chains over the Horner states of p
-        d1 = d2 = 0.0
-        for s in states[len(c) - 1:0:-1]:
-            d2 = d2 * z + d1
-            d1 = d1 * z + s
-        w1, w2 = d1 / states[0], 2.0 * d2 / states[0]
-        dz = -self._a * np.sin(t) + 1j * self._b * np.cos(t)
-        slope = (w1 * dz).real
-        curv = ((w2 - w1 * w1) * dz * dz - w1 * z).real
-        up = slope > 0.0
-        lo, hi = np.where(up, t, lo), np.where(up, hi, t)
-        new = t - slope / curv
-        keep = (curv < 0.0) & (lo <= new) & (new <= hi)
-        return np.where(keep, new, 0.5 * (lo + hi)), lo, hi
+        lo, hi = t - self._h, t + self._h
+        for _ in range(_NEWTON_STEPS):
+            cos, sin = math.cos(t), math.sin(t)
+            z = complex(self._a * cos, self._b * sin)
+            p = d1 = d2 = 0j  # p, p' and p''/2 from one Horner chain
+            for ck in reversed(c):
+                d2, d1, p = d2 * z + d1, d1 * z + p, p * z + ck
+            slope = curv = math.nan
+            if p != 0:
+                w1, w2 = d1 / p, 2.0 * d2 / p
+                dz = complex(-self._a * sin, self._b * cos)
+                slope = (w1 * dz).real
+                curv = ((w2 - w1 * w1) * dz * dz - w1 * z).real
+            lo, hi = (t, hi) if slope > 0.0 else (lo, t)
+            new = t - slope / curv if curv < 0.0 else math.nan
+            t = new if lo <= new <= hi else 0.5 * (lo + hi)
+        return t
 
 
 def _points(boundary) -> np.ndarray:
@@ -290,11 +285,16 @@ def ratio_for_poly(A: np.ndarray, p: PolySpec, boundary) -> float:
     """||p(A)|| divided by the maximum of |p| over the sampled boundary.
 
     boundary is either an EllipseBoundary (polished maximum) or a plain array
-    of boundary points (grid maximum).
+    of boundary points (grid maximum).  Raises DomainError if either overflows.
     """
-    vals = np.abs(_grid_states(_points(boundary), p.coeffs)[0])
-    num = dense_small.operator_norm(dense_small.eval_poly(A, p.coeffs))
-    return num / _boundary_max(boundary, p.coeffs, vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.abs(_grid_states(_points(boundary), p.coeffs)[0])
+        mat = dense_small.eval_poly(A, p.coeffs)
+    denom = _boundary_max(boundary, p.coeffs, vals)
+    num = dense_small.operator_norm(mat) if np.isfinite(mat).all() else math.inf
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise DomainError(f"||p(A)|| = {num} and boundary maximum {denom} must be finite")
+    return num / denom
 
 
 class _NumeratorBound:

@@ -60,6 +60,11 @@ class TestSpecs:
         with pytest.raises(DomainError):
             PolySpec.of([0, 0])
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, complex(0.0, -math.inf)))
+    def test_polyspec_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            PolySpec.of([1, bad])
+
     def test_polyspec_rejects_degree_13(self):
         with pytest.raises(DomainError):
             PolySpec.of([1] * 14)
@@ -117,6 +122,14 @@ class TestRatioForPoly:
             np.polyval(cs[::-1], bnd.points)
         ).max()
         assert abs(raw - grid) < 1e-15
+
+    @pytest.mark.parametrize("coeffs", ([1, math.nan], [1, math.inf], [1e308, 1e308]))
+    def test_non_finite_polynomial_raises_domain_error(self, coeffs):
+        # nan and inf escaped as LinAlgError from the SVD; an overflowing p gave nan and warned
+        A = build_A_rho(2.0, 1.0)
+        for boundary in (EllipseBoundary(2.0), boundary_samples(2.0, 64)):
+            with pytest.raises(DomainError, match="finite"):
+                ratio_for_poly(A, PolySpec.of(coeffs), boundary)
 
     def test_degenerate_denominator(self):
         A = build_A_rho(2.0, 1.0)
@@ -213,7 +226,8 @@ class TestBoundaryMaximum:
                 assert np.count_nonzero(near) > 8
             self._check_against_golden_section(eb, cheb)
 
-    def test_one_polish_makes_one_grid_pass_per_newton_step_and_one_more(self, monkeypatch):
+    def test_one_polish_makes_one_grid_pass_given_vals_and_two_without(self, monkeypatch):
+        # the Newton steps run per peak in floats: the only grid pass is |p| where they end
         rng = np.random.default_rng(18)
         cs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         eb = EllipseBoundary(3.0)
@@ -222,7 +236,29 @@ class TestBoundaryMaximum:
         grid_states = ratio_search._grid_states
         monkeypatch.setattr(ratio_search, "_grid_states", lambda pts, *args: calls.append(1) or grid_states(pts, *args))
         eb.max_abs_poly(cs, vals)
-        assert len(calls) == ratio_search._NEWTON_STEPS + 1
+        assert len(calls) == 1
+        eb.max_abs_poly(cs)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("case", ("root of p", "constant p", "overflowed p'"))
+    def test_degenerate_newton_step_bisects_without_raising(self, monkeypatch, case):
+        # at a zero of p the slope is NaN, a constant p has curvature 0, and
+        # p' overflowing where p does not makes the curvature NaN: the array
+        # rule bisected toward t0 - h at each, where floats could divide by 0
+        eb = EllipseBoundary(2.0)
+        if case == "root of p":
+            t0 = 0.7
+            c = [-complex(eb._a * math.cos(t0), eb._b * math.sin(t0)), 1 + 0j]
+        elif case == "constant p":
+            t0, c = 0.7, [1 + 0j, 0j, 0j]
+        else:
+            t0, c = math.pi / 2, [0j, 0j, 1.7e308 + 0j]
+        h = eb._h
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert t0 - h <= eb._polish_peak(c, t0) <= t0 + h
+            monkeypatch.setattr(ratio_search, "_NEWTON_STEPS", 1)
+            assert eb._polish_peak(c, t0) == 0.5 * ((t0 - h) + t0)
 
     @pytest.mark.parametrize("scale", (1e-320, 1e250))
     def test_tiny_and_huge_coefficients_polish_without_warning(self, scale):

@@ -30,8 +30,10 @@ n = 1..8, degree 4, budget 60), `ratio_for_poly` on an EllipseBoundary and
 on 1, 2, 7 and 2048 points, `EllipseBoundary.max_abs_poly` of the Chebyshev
 polynomials T_1..T_12 (rho in {1.01, 1.05, 1.2}, m in {8, 64, 2048}), of
 40 random polynomials on an m = 8 boundary, of z^1..z^12 at rho = 1e3 (m in
-{8, 64, 2048}), where the peaks are flat, and of 26 random polynomials of
-degree 0 to 12 scaled by 1e-320 and by 1e250 (rho in {1.05, 3}), 48 seeded
+{8, 64, 2048}), where the peaks are flat, of 26 random polynomials of
+degree 0 to 12 scaled by 1e-320 and by 1e250 (rho in {1.05, 3}), and of the
+`best_poly` of the first 20 criterion 6 searches at their rho (m in {8, 64,
+2048}), which have about five near-equal peaks, 48 seeded
 `normalize(B).to_json()` records (or the DomainError text) for disguised family members, mirrored members,
 degenerate and non-centered spectra, and the stdout and exit code of every
 subcommand for fixed arguments: `ratio`, `perm`, `verify`, `replay`, a
@@ -238,10 +240,13 @@ def diff(old_path: str, new_path: str) -> int:
 
 def main() -> None:
     rng = np.random.default_rng(303)
+    searched = []
     for k in range(100):
         rho = float(rng.uniform(1.05, 50.0))
         r = float(rng.uniform(1.0 / math.sqrt(rho) + 1e-6, 1.0))
-        _emit(f"criterion6 {k}", worst_ratio_search(rho, r, 8, 500, seed=k).to_json())
+        result = worst_ratio_search(rho, r, 8, 500, seed=k)
+        searched.append((rho, result.best_poly))
+        _emit(f"criterion6 {k}", result.to_json())
 
     D = np.diag([1.0, 0.0, -1.0]).astype(complex)
     for degree, budget, seed in ((8, 500, 0), (6, 300, 17)):
@@ -277,6 +282,9 @@ def main() -> None:
         cheb = np.polynomial.chebyshev.cheb2poly([0] * d + [1])
         _emit(f"max_abs_poly chebyshev {d}",
               [EllipseBoundary(rho, m).max_abs_poly(cheb) for rho in (1.01, 1.05, 1.2) for m in (8, 64, 2048)])
+    # the search's best polynomials have about five near-equal peaks
+    for k, (rho, poly) in enumerate(searched[:20]):
+        _emit(f"max_abs_poly search {k}", [EllipseBoundary(rho, m).max_abs_poly(poly.coeffs) for m in (8, 64, 2048)])
     rng = np.random.default_rng(808)
     small = EllipseBoundary(3.0, 8)
     for k in range(40):
