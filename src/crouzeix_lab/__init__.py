@@ -47,6 +47,7 @@ from .region_certifier import (
     ProofReplayReport,
     RegionId,
     certify,
+    certify_points,
     classify,
     figure2_data,
     r1,
@@ -116,6 +117,7 @@ __all__ = [
     "c_upper_closed",
     "canonical_G",
     "certify",
+    "certify_points",
     "coordinate_search",
     "check_mu_bound",
     "classify",

@@ -14,6 +14,7 @@ function of the arguments, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,8 +22,7 @@ import sys
 from .errors import DomainError
 from .permutation_ext import perm_from_cycles, verify_observation
 from .ratio_search import worst_ratio_search
-from .region_certifier import (Certificate, _uncertified, certify, figure2_data, open_grid, r1, r3,
-                               replay_proofs, sweep_points)
+from .region_certifier import certify, figure2_data, open_grid, r1, r3, replay_proofs, sweep_table
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,24 +66,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _uncertified_record(rho: float, r: float, failure) -> dict:
-    """Sweep record of a point without a certificate, labeled by `_uncertified`."""
-    region, reason = _uncertified(failure)
-    return {
-        "region": region,
-        "rho": rho,
-        "r": r,
-        "X": None,
-        "kappa": 0.0,
-        "norm_sq_upper": 0.0,
-        "c_upper": 0.0,
-        "product": 0.0,
-        "crouzeix_constant": 0.0,
-        "verdict": False,
-        "failure_reason": reason,
-    }
-
-
 def _write_output(text: str, path: str | None) -> int:
     if path is None:
         sys.stdout.write(text)
@@ -97,39 +79,20 @@ def _write_output(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
-def run_sweep(rho_range: tuple, r_range: tuple | str) -> tuple:
-    """All grid records in row-major order plus the all-verdicts flag."""
-    if r_range == "auto":
-        r_range = (None, 1.0, rho_range[2])
-    records = [
-        outcome.to_json() if isinstance(outcome, Certificate) else _uncertified_record(rho, r, outcome)
-        for rho, r, outcome in sweep_points(rho_range, r_range)
-    ]
-    return records, all(rec["verdict"] for rec in records)
-
-
 _SWEEP_COLUMNS = ("rho", "r", "region", "kappa", "norm_sq", "c_upper", "product", "verdict")
 
 
-def _sweep_text(records: list, fmt: str) -> str:
+def _sweep_text(table, fmt: str) -> str:
+    """A SweepTable as JSON records or as CSV rows, row-major."""
     if fmt == "json":
-        return _dump(records) + "\n"
+        return _dump(table.records()) + "\n"
     lines = [",".join(_SWEEP_COLUMNS)]
-    for rec in records:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(rec["rho"]),
-                    _fmt(rec["r"]),
-                    rec["region"],
-                    _fmt(rec["kappa"]),
-                    _fmt(rec["norm_sq_upper"]),
-                    _fmt(rec["c_upper"]),
-                    _fmt(rec["product"]),
-                    "true" if rec["verdict"] else "false",
-                )
-            )
-        )
+    cols = [c.tolist() for c in (table.rho, table.r, table.kappa, table.norm_sq_upper, table.c_upper,
+                                 table.product)]
+    for (rho, r, kappa, norm_sq, c_up, product), region, verdict in zip(
+            zip(*cols), table.region, table.verdict.tolist()):
+        lines.append(f"{rho:.17g},{r:.17g},{region},{kappa:.17g},{norm_sq:.17g},{c_up:.17g},"
+                     f"{product:.17g},{'true' if verdict else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -152,11 +115,13 @@ def cmd_sweep(args) -> int:
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
-    records, all_true = run_sweep(rho_range, r_range)
-    code = _write_output(_sweep_text(records, args.format), args.out)
+    if r_range == "auto":
+        r_range = (None, 1.0, rho_range[2])
+    table = sweep_table(rho_range, r_range)
+    code = _write_output(_sweep_text(table, args.format), args.out)
     if code != EXIT_OK:
         return code
-    return EXIT_OK if all_true else EXIT_FAIL
+    return EXIT_OK if table.verdict.all() else EXIT_FAIL
 
 
 def _parse_range(tokens: list, flag: str) -> tuple:
@@ -247,6 +212,7 @@ def cmd_perm(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="crouzeix-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

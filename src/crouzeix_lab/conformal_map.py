@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core_matrix, dense_small
+from .elementwise import namespace
 from .errors import DomainError
 
 __all__ = [
@@ -184,11 +185,11 @@ def c_upper_closed(rho: float) -> float:
 
     The sharpened form 2 / (rho sqrt(1 + 4 rho^{-4})) is valid once
     rho^4 >= 4, which is exactly where the sign chain q(t) <= 0 applies.
+    Floats or arrays; where rho**4 overflows, 4 rho^{-4} is 0.
     """
     rho = core_matrix.check_rho(rho)
-    if rho * rho >= 2.0:
-        return 2.0 / (rho * math.sqrt(1.0 + 4.0 / _pow4(rho)))
-    return 2.0 / rho
+    xp = namespace(rho)
+    return xp.where(rho * rho >= 2.0, 2.0 / (rho * xp.sqrt(1.0 + 4.0 / xp.power(rho, 4))), 2.0 / rho)
 
 
 def verify_fA_equals_cA(rho: float, r: float) -> float:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elementwise import Floats, namespace
 from .errors import DomainError
 
 __all__ = [
@@ -44,39 +45,40 @@ __all__ = [
 ]
 
 
-def check_rho(rho: float) -> float:
-    """rho as a float; raises DomainError unless 1 < rho < inf, so for NaN too."""
-    rho = float(rho)
-    if not 1.0 < rho < math.inf:
-        raise DomainError(f"rho must be finite and exceed 1, got {rho}")
+def check_rho(rho):
+    """rho as a float (or float array); DomainError unless 1 < rho < inf, so for NaN too."""
+    xp = namespace(rho)
+    if xp is Floats:
+        rho = float(rho)
+    xp.require((1.0 < rho) & (rho < math.inf), "rho must be finite and exceed 1, got {}", rho)
     return rho
 
 
 @dataclass(frozen=True)
 class NormalizedParams:
-    """Family parameters q > 0, 0 < r <= 1."""
+    """Family parameters q > 0, 0 < r <= 1 (floats or arrays)."""
 
     q: float
     r: float
 
     def __post_init__(self) -> None:
-        if not (self.q > 0.0):
-            raise DomainError(f"q must be positive, got {self.q}")
-        if not (0.0 < self.r <= 1.0):
-            raise DomainError(f"r must lie in (0, 1], got {self.r}")
+        xp = namespace(self.q, self.r)
+        xp.require(self.q > 0.0, "q must be positive, got {}", self.q)
+        xp.require((0.0 < self.r) & (self.r <= 1.0), "r must lie in (0, 1], got {}", self.r)
 
 
 @dataclass(frozen=True)
 class RhoParams:
-    """Ellipse-based parameters rho > 1 and 1/sqrt(rho) < r <= 1."""
+    """Ellipse-based parameters rho > 1 and 1/sqrt(rho) < r <= 1 (floats or arrays)."""
 
     rho: float
     r: float
 
     def __post_init__(self) -> None:
+        xp = namespace(self.rho, self.r)
         check_rho(self.rho)
-        if not (1.0 / math.sqrt(self.rho) < self.r <= 1.0):
-            raise DomainError(f"r={self.r} outside (1/sqrt(rho), 1] for rho={self.rho}")
+        xp.require((1.0 / xp.sqrt(self.rho) < self.r) & (self.r <= 1.0),
+                   "r={} outside (1/sqrt(rho), 1] for rho={}", self.r, self.rho)
 
 
 @dataclass(frozen=True)
@@ -128,21 +130,23 @@ def build_A(q: float, r: float) -> np.ndarray:
 
 
 def q_from_rho(rho: float, r: float) -> float:
-    """q making W(A(q, r)) the ellipse of parameter rho.
+    """q making W(A(q, r)) the ellipse of parameter rho; floats or arrays.
 
     q^2 = (y^2 - x^2)/x with x = r^2 + 1/r^2, y = rho + 1/rho; admissible
     exactly when rho > 1 and 1/sqrt(rho) < r <= 1 (the open lower bound is
     where q degenerates to 0).
     """
     RhoParams(rho, r)
-    x = r * r + 1.0 / (r * r)
-    y = rho + 1.0 / rho
+    return _q_from_xy(rho, r, r * r + 1.0 / (r * r), rho + 1.0 / rho)
+
+
+def _q_from_xy(rho: float, r: float, x: float, y: float) -> float:
+    """q_from_rho past its RhoParams check, given x = r^2 + 1/r^2 and y = rho + 1/rho."""
+    xp = namespace(x, y)
     q_sq = (y * y - x * x) / x
-    if not math.isfinite(q_sq):
-        raise DomainError(f"rho={rho} overflows q^2 = {q_sq}")
-    if q_sq <= 0.0:
-        raise DomainError(f"(rho={rho}, r={r}) gives q^2 = {q_sq} <= 0")
-    return math.sqrt(q_sq)
+    xp.require(xp.isfinite(q_sq), "rho={} overflows q^2 = {}", rho, q_sq)
+    xp.require(q_sq > 0.0, "(rho={}, r={}) gives q^2 = {} <= 0", rho, r, q_sq)
+    return xp.sqrt(q_sq)
 
 
 def build_A_rho(rho: float, r: float) -> np.ndarray:

@@ -9,7 +9,9 @@ regions, each carrying its own similarity construction and bound:
     LargeRhoR       the rest; norm^2 = psi(x, y) against the closed c bound
 
 with x = r^2 + 1/r^2 and y = rho + 1/rho.  `certify` emits a replayable
-Certificate per point; `replay_proofs` re-runs every displayed inequality
+Certificate per point.  `sweep_table` runs the same code once over arrays
+that hold a whole sweep grid (see `elementwise`), bit for bit as `certify`
+would point by point.  `replay_proofs` re-runs every displayed inequality
 chain behind the two hardest regions on documented grids.
 """
 
@@ -24,7 +26,8 @@ import numpy as np
 
 from .conformal_map import (_extreme, _poly_deriv, _poly_eval, _poly_mul, _poly_sub, c_upper_closed,
                             q_sign_chain_check)
-from .core_matrix import NormalizedParams, check_rho, q_from_rho
+from .core_matrix import NormalizedParams, _q_from_xy, check_rho
+from .elementwise import array_pass, namespace
 from .errors import DomainError
 from .similarity import (
     SimilarityX,
@@ -44,7 +47,9 @@ __all__ = [
     "ChainCheck",
     "ProofReplayReport",
     "RegionId",
+    "SweepTable",
     "certify",
+    "certify_points",
     "classify",
     "figure2_data",
     "open_grid",
@@ -54,6 +59,7 @@ __all__ = [
     "replay_proofs",
     "sweep_grid",
     "sweep_points",
+    "sweep_table",
 ]
 
 _PRODUCT_TOL = 1e-12
@@ -75,7 +81,7 @@ def p_smallr(r: float, rho: float) -> float:
 
 
 def r1(rho: float) -> float:
-    """Unique positive root of p_smallr(., rho), in closed form.
+    """Unique positive root of p_smallr(., rho), in closed form; floats or arrays.
 
     p_smallr is a quadratic in s = r^4.  Divided by rho^2 and written in
     u = 1/rho^2, it reads 12 u s^2 + b s - c with b = 3 + 16u + 4u^2 and
@@ -83,11 +89,12 @@ def r1(rho: float) -> float:
     neither cancels nor overflows, and tends to 1/3 as rho grows.
     """
     check_rho(rho)
+    xp = namespace(rho)
     u = 1.0 / (rho * rho)
     b = 3.0 + u * (16.0 + 4.0 * u)
     c = 1.0 + 4.0 * u
-    s = 2.0 * c / (b + math.sqrt(b * b + 48.0 * c * u))
-    return math.sqrt(math.sqrt(s))
+    s = 2.0 * c / (b + xp.sqrt(b * b + 48.0 * c * u))
+    return xp.sqrt(xp.sqrt(s))
 
 
 def r3(rho: float) -> float:
@@ -107,7 +114,8 @@ def r3(rho: float) -> float:
 
 
 def classify(rho: float, r: float) -> RegionId:
-    """Assign (rho, r) to its certifying region.
+    """Assign (rho, r) to its certifying region; on arrays, an object array
+    of RegionId members.
 
     Precedence: Diagonalizable, then SmallR, then Strip, then LargeRhoR;
     the diagonalizable certificate is the strongest (no conformal bound
@@ -116,17 +124,38 @@ def classify(rho: float, r: float) -> RegionId:
     r = 1/sqrt(rho) the tests r^2 rho > 1 and RhoParams's r > 1/sqrt(rho)
     differ by rounding; a point must pass both.
     """
-    if not 1.0 < rho < math.inf or not (1.0 / math.sqrt(rho) < r <= 1.0) or r * r * rho <= 1.0:
-        return RegionId.OUT_OF_DOMAIN
+    xp = namespace(rho, r)
+    inside = (1.0 < rho) & (rho < math.inf)
+    # outside the domain the region tests run on a stand-in point, so that
+    # they never take sqrt(rho <= 0) or 1/0
+    rho = xp.where(inside, rho, 2.0)
+    inside = inside & (1.0 / xp.sqrt(rho) < r) & (r <= 1.0) & (r * r * rho > 1.0)
+    r = xp.where(inside, r, 1.0)
     x = r * r + 1.0 / (r * r)
     y = rho + 1.0 / rho
-    if 2.0 * y * y <= x * x + 2.5 * x:
-        return RegionId.DIAGONALIZABLE
-    if r <= r1(rho):
-        return RegionId.SMALL_R
-    if rho >= 10.0 and r <= 0.77:
-        return RegionId.STRIP
-    return RegionId.LARGE_RHO_R
+    return xp.select(
+        (inside & (2.0 * y * y <= x * x + 2.5 * x), inside & (r <= r1(rho)),
+         inside & (rho >= 10.0) & (r <= 0.77), inside),
+        (RegionId.DIAGONALIZABLE, RegionId.SMALL_R, RegionId.STRIP, RegionId.LARGE_RHO_R),
+        RegionId.OUT_OF_DOMAIN,
+    )
+
+
+def _record(region: str, rho, r, X, kappa, norm_sq, c_up, product, constant, verdict, failure: str) -> dict:
+    """A certificate's JSON record; X is a dict of s, t, u, v, w, or None."""
+    return {
+        "region": region,
+        "rho": rho,
+        "r": r,
+        "X": X,
+        "kappa": kappa,
+        "norm_sq_upper": norm_sq,
+        "c_upper": c_up,
+        "product": product,
+        "crouzeix_constant": constant,
+        "verdict": verdict,
+        "failure_reason": failure,
+    }
 
 
 @dataclass(frozen=True)
@@ -152,19 +181,10 @@ class Certificate:
     failure_reason: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "region": self.region.value,
-            "rho": self.rho,
-            "r": self.r,
-            "X": {"s": self.X.s, "t": self.X.t, "u": self.X.u, "v": self.X.v, "w": self.X.w},
-            "kappa": self.kappa,
-            "norm_sq_upper": self.norm_sq_upper,
-            "c_upper": self.c_upper,
-            "product": self.product,
-            "crouzeix_constant": self.crouzeix_constant,
-            "verdict": self.verdict,
-            "failure_reason": self.failure_reason,
-        }
+        X = {"s": self.X.s, "t": self.X.t, "u": self.X.u, "v": self.X.v, "w": self.X.w}
+        return _record(self.region.value, self.rho, self.r, X, self.kappa, self.norm_sq_upper,
+                       self.c_upper, self.product, self.crouzeix_constant, self.verdict,
+                       self.failure_reason)
 
     @classmethod
     def from_json(cls, d: dict) -> "Certificate":
@@ -183,31 +203,32 @@ class Certificate:
         )
 
 
-def certify(rho: float, r: float) -> Certificate:
-    """Certificate for one admissible point; raises on OutOfDomain input."""
-    region = classify(rho, r)
-    if region is RegionId.OUT_OF_DOMAIN:
-        raise DomainError(f"(rho={rho}, r={r}) is not in the admissible domain")
-    q = q_from_rho(rho, r)
-    params = NormalizedParams(q=q, r=r)
+def _failure_reason(mu_ok, product_ok, mu, kappa, product) -> str:
+    if not mu_ok:
+        return f"||G|| bound mu = {mu!r} not certified by the norm polynomial"
+    if not product_ok:
+        return f"product = {product!r} exceeds 1"
+    return f"kappa = {kappa!r} exceeds 2"
+
+
+def _certify_region(region: RegionId, rho, r) -> tuple:
+    """(X, kappa, norm_sq_upper, c_upper, product, verdict, failure_reason)
+    of points that all lie in one admissible region, as floats or arrays.
+
+    Checks that fail raise DomainError, or on arrays record it per point
+    (see `elementwise`), in this order: q^2, NormalizedParams, the
+    builder, psi and c_upper_closed, the singular spectrum, G, a
+    non-finite ||G||^2, mu.
+    """
+    xp = namespace(rho, r)
     y = rho + 1.0 / rho
     x = r * r + 1.0 / (r * r)
-    failure = ""
-
+    params = NormalizedParams(q=_q_from_xy(rho, r, x, y), r=r)  # classify has done RhoParams's checks
+    mu, mu_ok, product = 0.0, True, 0.0
     if region is RegionId.DIAGONALIZABLE:
         X = build_X_diagonalizing(params)
-        kappa = singular_spectrum(X).kappa
-        verdict = kappa <= 2.0 + _KAPPA_TOL
-        if not verdict:
-            failure = f"kappa = {kappa!r} exceeds 2"
-        return Certificate(
-            region=region, rho=rho, r=r, X=X, kappa=kappa,
-            norm_sq_upper=1.0, c_upper=0.0, product=0.0,
-            crouzeix_constant=2.0 if verdict else 0.0,
-            verdict=verdict, failure_reason=failure,
-        )
-
-    if region is RegionId.SMALL_R:
+        norm_sq, c_up = 1.0, 0.0
+    elif region is RegionId.SMALL_R:
         X = build_X_smallr(params)
         mu = rho / 2.0
         c_up = 2.0 / rho
@@ -221,24 +242,26 @@ def certify(rho: float, r: float) -> Certificate:
         c_up = c_upper_closed(rho)
 
     kappa = singular_spectrum(X).kappa
-    g = canonical_G(X, params)
-    if region is not RegionId.LARGE_RHO_R:
-        try:
+    if region is not RegionId.DIAGONALIZABLE:
+        g = canonical_G(X, params)
+        if region is not RegionId.LARGE_RHO_R:
             norm_sq = norm_from_P(g)
-        except OverflowError:  # Python's float ** raises where a square overflows
-            norm_sq = math.inf
-    if not math.isfinite(norm_sq):
-        raise DomainError(f"rho={rho} overflows ||G||^2 = {norm_sq}")
-    mu_ok = region is RegionId.LARGE_RHO_R or check_mu_bound(g, mu)
-    if not mu_ok:
-        failure = f"||G|| bound mu = {mu!r} not certified by the norm polynomial"
-    product = c_up * math.sqrt(norm_sq)
-    verdict = mu_ok and product <= 1.0 + _PRODUCT_TOL
-    if verdict and kappa > 2.0 + _KAPPA_TOL:
-        verdict = False
-        failure = f"kappa = {kappa!r} exceeds 2"
-    if not verdict and not failure:
-        failure = f"product = {product!r} exceeds 1"
+        xp.require(xp.isfinite(norm_sq), "rho={} overflows ||G||^2 = {}", rho, norm_sq)
+        if region is not RegionId.LARGE_RHO_R:
+            mu_ok = check_mu_bound(g, mu)
+        product = c_up * xp.sqrt(norm_sq)
+    product_ok = product <= 1.0 + _PRODUCT_TOL
+    verdict = mu_ok & product_ok & xp.logical_not(kappa > 2.0 + _KAPPA_TOL)
+    failure = xp.text_where(xp.logical_not(verdict), _failure_reason, mu_ok, product_ok, mu, kappa, product)
+    return X, kappa, norm_sq, c_up, product, verdict, failure
+
+
+def certify(rho: float, r: float) -> Certificate:
+    """Certificate for one admissible point; raises on OutOfDomain input."""
+    region = classify(rho, r)
+    if region is RegionId.OUT_OF_DOMAIN:
+        raise DomainError(f"(rho={rho}, r={r}) is not in the admissible domain")
+    X, kappa, norm_sq, c_up, product, verdict, failure = _certify_region(region, rho, r)
     return Certificate(
         region=region, rho=rho, r=r, X=X, kappa=kappa,
         norm_sq_upper=norm_sq, c_upper=c_up, product=product,
@@ -253,26 +276,132 @@ def open_grid(lo: float, hi: float, steps: int) -> list:
     Each node is capped at hi, so rounding never steps past the right end;
     a single step is hi itself.  Near the float maximum, where (hi - lo) k
     overflows, a node is the weighted mean lo (1 - k/steps) + hi k/steps.
-    Fewer than one step raises DomainError.
+    Fewer than one step raises DomainError.  For an array of lower ends
+    the nodes come as a 2-D array, one row per end.
     """
     if steps < 1:
         raise DomainError(f"a grid needs at least one step, got {steps}")
     if steps == 1:
-        return [hi]
-    nodes = []
-    for k in range(1, steps + 1):
-        stride = (hi - lo) * k
-        node = lo + stride / steps if math.isfinite(stride) else lo * (1.0 - k / steps) + hi * (k / steps)
-        nodes.append(min(hi, node))
-    return nodes
+        return np.full((np.size(lo), 1), float(hi)) if np.ndim(lo) else [hi]
+    rows = np.asarray(lo, dtype=float)[..., None]
+    k = np.arange(1, steps + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stride = (hi - rows) * k
+        node = np.where(np.isfinite(stride), rows + stride / steps, rows * (1.0 - k / steps) + hi * (k / steps))
+    if not np.ndim(lo):
+        return [x if x < hi else hi for x in node.tolist()]
+    return np.where(node < hi, node, hi)  # min(hi, node), which keeps hi for a NaN node too
 
 
-def _uncertified(failure) -> tuple:
-    """(region, reason) of a sweep point without a certificate: OutOfDomain when
-    failure is None, else Uncertified with the DomainError that certify raised."""
-    if failure is None:
-        return RegionId.OUT_OF_DOMAIN.value, "outside admissible domain"
-    return "Uncertified", str(failure)
+_UNCERTIFIED = "Uncertified"
+_OUTSIDE = "outside admissible domain"
+
+
+@dataclass(frozen=True)
+class SweepTable:
+    """Every sweep point's certificate fields, one column per field, row-major.
+
+    region holds each point's RegionId value, or "Uncertified" for an
+    admissible point whose certificate raised (say by overflow); failure
+    holds the certificate's failure_reason, the DomainError text, or
+    "outside admissible domain".  A point without a certificate has X = 0,
+    zeros in the number columns and a false verdict.
+    """
+
+    rho: np.ndarray
+    r: np.ndarray
+    region: list
+    X: tuple
+    kappa: np.ndarray
+    norm_sq_upper: np.ndarray
+    c_upper: np.ndarray
+    product: np.ndarray
+    verdict: np.ndarray
+    failure: list
+
+    def records(self) -> list:
+        """Each point's JSON record: Certificate.to_json() where certified, else
+        the same keys with X null."""
+        cols = [c.tolist() for c in (self.rho, self.r, *self.X, self.kappa, self.norm_sq_upper,
+                                     self.c_upper, self.product, self.verdict)]
+        out = []
+        for i, (rho, r, s, t, u, v, w, kappa, norm_sq, c_up, product, verdict) in enumerate(zip(*cols)):
+            certified = self.region[i] not in (_UNCERTIFIED, RegionId.OUT_OF_DOMAIN.value)
+            X = {"s": s, "t": t, "u": u, "v": v, "w": w} if certified else None
+            out.append(_record(self.region[i], rho, r, X, kappa, norm_sq, c_up, product,
+                               2.0 if verdict else 0.0, verdict, self.failure[i]))
+        return out
+
+    def outcome(self, i: int):
+        """Point i as `sweep_points` yields it: a Certificate, None outside
+        the domain, or the DomainError that certify raised."""
+        if self.region[i] == RegionId.OUT_OF_DOMAIN.value:
+            return None
+        if self.region[i] == _UNCERTIFIED:
+            return DomainError(self.failure[i])
+        verdict = bool(self.verdict[i])
+        return Certificate(
+            region=RegionId(self.region[i]), rho=self.rho.item(i), r=self.r.item(i),
+            X=SimilarityX(*(c.item(i) for c in self.X)), kappa=self.kappa.item(i),
+            norm_sq_upper=self.norm_sq_upper.item(i), c_upper=self.c_upper.item(i),
+            product=self.product.item(i), crouzeix_constant=2.0 if verdict else 0.0,
+            verdict=verdict, failure_reason=self.failure[i],
+        )
+
+
+def _sweep_nodes(rho_range: tuple, r_range: tuple) -> tuple:
+    """(rho, r) arrays of the sweep grid in row-major order; see sweep_points."""
+    lo, hi, steps = r_range
+    rho = np.asarray(open_grid(*rho_range), dtype=float)
+    if lo is None:
+        # the row's edge; a row with rho <= 0 has none, and no admissible r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            edge = 1.0 / np.sqrt(rho) + 1e-6
+        keep = np.logical_not((rho <= 0.0) | (edge >= 1.0))
+        rho, lo = rho[keep], edge[keep]
+    rows = open_grid(np.broadcast_to(lo, rho.shape), hi, steps)
+    return np.repeat(rho, steps), rows.ravel()
+
+
+def certify_points(rho, r) -> SweepTable:
+    """Certify the points (rho[i], r[i]) in one array pass per region.
+
+    Each region's points go through `_certify_region` together, the code
+    that certify runs on one point, so every field and every DomainError
+    text is the one certify gives or raises.
+    """
+    rho, r = np.asarray(rho, dtype=float).ravel(), np.asarray(r, dtype=float).ravel()
+    n = rho.size
+    errors = [None] * n
+    with array_pass(errors, np.arange(n)):
+        regions = classify(rho, r)
+    X = tuple(np.zeros(n) for _ in range(5))
+    kappa, norm_sq, c_up, product = (np.zeros(n) for _ in range(4))
+    verdict = np.zeros(n, dtype=bool)
+    failure = [_OUTSIDE] * n
+    for region in (RegionId.DIAGONALIZABLE, RegionId.SMALL_R, RegionId.STRIP, RegionId.LARGE_RHO_R):
+        idx = np.flatnonzero(regions == region)
+        if idx.size == 0:
+            continue
+        with array_pass(errors, idx):
+            Xk, *fields, texts = _certify_region(region, rho[idx], r[idx])
+        for col, val in zip((*X, kappa, norm_sq, c_up, product, verdict),
+                            (Xk.s, Xk.t, Xk.u, Xk.v, Xk.w, *fields)):
+            col[idx] = val
+        for i, text in zip(idx.tolist(), texts):
+            failure[i] = text
+    labels = [region.value for region in regions.tolist()]
+    failed = [i for i, text in enumerate(errors) if text is not None and regions[i] is not RegionId.OUT_OF_DOMAIN]
+    for i in failed:
+        labels[i], failure[i] = _UNCERTIFIED, errors[i]
+    for col in (*X, kappa, norm_sq, c_up, product, verdict):
+        col[failed] = 0
+    return SweepTable(rho, r, labels, X, kappa, norm_sq, c_up, product, verdict, failure)
+
+
+def sweep_table(rho_range: tuple, r_range: tuple) -> SweepTable:
+    """Certify the sweep grid of sweep_points with certify_points."""
+    return certify_points(*_sweep_nodes(rho_range, r_range))
 
 
 def sweep_points(rho_range: tuple, r_range: tuple):
@@ -280,21 +409,15 @@ def sweep_points(rho_range: tuple, r_range: tuple):
 
     rho runs over open_grid(*rho_range).  r runs over open_grid(*r_range),
     where a lower end of None stands for 1/sqrt(rho) + 1e-6, the row's own
-    edge of the domain (such a row is empty once that edge reaches 1).
-    The outcome is the Certificate, None outside the domain, or, for an
-    admissible point whose certificate fails, say by overflow, the
-    DomainError that certify raised.
+    edge of the domain (such a row is empty once that edge reaches 1, and
+    for rho <= 0).  The outcome is the Certificate, None outside the
+    domain, or, for an admissible point whose certificate fails, say by
+    overflow, the DomainError that certify raised.  The grid is certified
+    by `sweep_table`.
     """
-    lo, hi, steps = r_range
-    for rho in open_grid(*rho_range):
-        row_lo = 1.0 / math.sqrt(rho) + 1e-6 if lo is None else lo
-        if lo is None and row_lo >= 1.0:
-            continue
-        for r in open_grid(row_lo, hi, steps):
-            try:
-                yield rho, r, certify(rho, r)
-            except DomainError as exc:
-                yield rho, r, None if classify(rho, r) is RegionId.OUT_OF_DOMAIN else exc
+    table = sweep_table(rho_range, r_range)
+    for i, (rho, r) in enumerate(zip(table.rho.tolist(), table.r.tolist())):
+        yield rho, r, table.outcome(i)
 
 
 def sweep_grid(
@@ -306,34 +429,25 @@ def sweep_grid(
     """Certify an n_rho x n_r grid over {1 < rho <= rho_max, 1/sqrt(rho) < r <= 1}.
 
     rho runs over the open-left grid (rho_min, rho_max]; r over
-    (1/sqrt(rho) + 1e-6, 1] per rho, all in this process.  Returns counts
-    per region, the worst product and kappa seen, and every failing point
-    (empty on success); a point without a certificate counts in total and
-    fails as `_uncertified` labels it.
+    (1/sqrt(rho) + 1e-6, 1] per rho, all in one `sweep_table`.  Returns
+    counts per region, the worst product and kappa seen, and every failing
+    point (empty on success); a point without a certificate counts in total
+    and fails as "OutOfDomain" or "Uncertified".
     """
     if n_rho < 1 or n_r < 1:
         raise DomainError("grid sizes must be positive")
-    summary = {
-        "total": 0,
-        "verdict_true": 0,
-        "by_region": {rid.value: 0 for rid in RegionId if rid is not RegionId.OUT_OF_DOMAIN},
-        "worst_product": 0.0,
-        "worst_kappa": 0.0,
-        "failures": [],
+    table = sweep_table((rho_min, rho_max, n_rho), (None, 1.0, n_r))
+    rhos, rs = table.rho.tolist(), table.r.tolist()
+    return {
+        "total": len(rhos),
+        "verdict_true": int(np.count_nonzero(table.verdict)),
+        "by_region": {rid.value: table.region.count(rid.value)
+                      for rid in RegionId if rid is not RegionId.OUT_OF_DOMAIN},
+        "worst_product": float(np.max(table.product, initial=0.0)),
+        "worst_kappa": float(np.max(table.kappa, initial=0.0)),
+        "failures": [(rhos[i], rs[i], table.region[i], table.failure[i])
+                     for i in np.flatnonzero(~table.verdict).tolist()],
     }
-    for rho, r, cert in sweep_points((rho_min, rho_max, n_rho), (None, 1.0, n_r)):
-        summary["total"] += 1
-        if not isinstance(cert, Certificate):
-            summary["failures"].append((rho, r, *_uncertified(cert)))
-            continue
-        summary["by_region"][cert.region.value] += 1
-        summary["worst_product"] = max(summary["worst_product"], cert.product)
-        summary["worst_kappa"] = max(summary["worst_kappa"], cert.kappa)
-        if cert.verdict:
-            summary["verdict_true"] += 1
-        else:
-            summary["failures"].append((rho, r, cert.region.value, cert.failure_reason))
-    return summary
 
 
 def figure2_data(grid: int) -> list[tuple[float, float]]:
@@ -341,14 +455,11 @@ def figure2_data(grid: int) -> list[tuple[float, float]]:
     rho in [5/2, 10]; every value is expected to stay at or below 1."""
     if grid < 2:
         raise DomainError("grid must be at least 2")
-    out = []
-    for i in range(grid):
-        rho = 2.5 + (10.0 - 2.5) * i / (grid - 1)
-        rr = r1(rho)
-        x = rr * rr + 1.0 / (rr * rr)
-        y = rho + 1.0 / rho
-        out.append((rho, 4.0 * psi(x, y) / (rho * rho)))
-    return out
+    rho = 2.5 + (10.0 - 2.5) * np.arange(grid) / (grid - 1)
+    rr = r1(rho)
+    x = rr * rr + 1.0 / (rr * rr)
+    y = rho + 1.0 / rho
+    return list(zip(rho.tolist(), (4.0 * psi(x, y) / (rho * rho)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +513,15 @@ def _H_interval(rho_minus: float, rho_plus: float) -> float:
 
 
 def _Q_at_quarter_rho_sq(rho: float, r: float = 0.77) -> float:
+    xp = namespace(rho)
     x = r * r + 1.0 / (r * r)
     y = rho + 1.0 / rho
     lam = rho * rho / 4.0
     return 4.0 * (
-        4.0 * x**4 * lam * lam
+        4.0 * xp.power(x, 4) * lam * lam
         - 20.0 * x * (2.0 * y * y - x * x) * lam
         + 25.0 * x * x
-        + 16.0 * y**4
+        + 16.0 * xp.power(y, 4)
         - 16.0 * x * x * y * y
     )
 
@@ -545,8 +657,7 @@ def replay_proofs() -> ProofReplayReport:
 
     # (g) B <= 0 along r = r1(rho), rho in [5/2, 10]
     rhos = 2.5 + 7.5 * np.arange(_GRID_1D) / (_GRID_1D - 1)
-    r1s = np.array([r1(rho) for rho in rhos.tolist()])
-    worstB, worstB_at = _extreme(B_of(r1s, rhos), rhos, largest=True)
+    worstB, worstB_at = _extreme(B_of(r1(rhos), rhos), rhos, largest=True)
     B_sign = ChainCheck(passed=worstB <= 0.0, worst_margin=worstB, worst_point=worstB_at)
 
     # (h) F' < 0 on (2, 2.96] and F(2.96) > 0
@@ -560,11 +671,9 @@ def replay_proofs() -> ProofReplayReport:
         worst_point=fp_at,
     )
 
-    # (i) Q(rho^2/4) <= 0 at r = 0.77: direct on [10, 50], a < 0 for rho >= 21.
-    # Q goes point by point: it takes y**4, and numpy's power may round
-    # differently from Python's float **.
+    # (i) Q(rho^2/4) <= 0 at r = 0.77: direct on [10, 50], a < 0 for rho >= 21
     rhos = 10.0 + 40.0 * np.arange(_GRID_1D) / (_GRID_1D - 1)
-    worstQ, worstQ_at = _extreme([_Q_at_quarter_rho_sq(rho) for rho in rhos.tolist()], rhos, largest=True)
+    worstQ, worstQ_at = _extreme(_Q_at_quarter_rho_sq(rhos), rhos, largest=True)
     x077 = 0.77**2 + 1.0 / 0.77**2
 
     def a_of(rho):

@@ -16,7 +16,8 @@ together with 1/2 <= sw <= 2.  Conjugating the constant-diagonal family
 matrix A by such an X yields G = [[1, alpha, gamma], [0, 0, beta],
 [0, 0, -1]] whose squared norm is the larger zero of an explicit quadratic
 P(lambda).  Four region-specific constructions of X are provided; each
-feeds the certifier for one part of the parameter domain.
+feeds the certifier for one part of the parameter domain.  Every function
+takes floats, or float arrays with one entry per point (see `elementwise`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_matrix import NormalizedParams
-from .errors import DomainError, SingularMatrixError
+from .elementwise import Floats, namespace
+from .errors import SingularMatrixError
 
 __all__ = [
     "CanonicalG",
@@ -52,7 +54,8 @@ _CLAMP = 1e-14
 
 @dataclass(frozen=True)
 class SimilarityX:
-    """Parameters of the upper-triangular similarity; validated on creation."""
+    """Parameters of the upper-triangular similarity (floats, or arrays of
+    one per point); validated on creation."""
 
     s: float
     t: float
@@ -63,15 +66,14 @@ class SimilarityX:
     def __post_init__(self) -> None:
         s, t, u, v, w = self.s, self.t, self.u, self.v, self.w
         xi = s * s + t * t + u * u + v * v + w * w
+        xp = namespace(xi)
         res1 = 2 * t * u * v - (s * s * v * v - t * t + t * t * v * v + t * t * w * w - v * v)
         res2 = 2.5 * s * w - xi
-        if abs(res1) > _RESIDUAL_TOL * (1.0 + xi * xi):
-            raise DomainError(f"sigma=1 constraint violated, residual {res1:.3e}")
-        if abs(res2) > _RESIDUAL_TOL * (1.0 + xi):
-            raise DomainError(f"kappa=2 constraint violated, residual {res2:.3e}")
+        xp.forbid(abs(res1) > _RESIDUAL_TOL * (1.0 + xi * xi),
+                  "sigma=1 constraint violated, residual {:.3e}", res1)
+        xp.forbid(abs(res2) > _RESIDUAL_TOL * (1.0 + xi), "kappa=2 constraint violated, residual {:.3e}", res2)
         sw = s * w
-        if not (0.5 - 1e-12 <= sw <= 2.0 + 1e-12):
-            raise DomainError(f"sw={sw} outside [1/2, 2]")
+        xp.require((0.5 - 1e-12 <= sw) & (sw <= 2.0 + 1e-12), "sw={} outside [1/2, 2]", sw)
 
     @property
     def sw(self) -> float:
@@ -118,8 +120,9 @@ class SingularSpectrumX:
 
     @property
     def kappa(self) -> float:
-        hi = max(self.sigma1, self.sigma_plus)
-        lo = min(self.sigma1, self.sigma_minus)
+        xp = namespace(self.sigma_plus)
+        hi = xp.maximum(self.sigma1, self.sigma_plus)
+        lo = xp.minimum(self.sigma1, self.sigma_minus)
         return hi / lo
 
 
@@ -132,19 +135,17 @@ def singular_spectrum(X: SimilarityX) -> SingularSpectrumX:
     """
     s, t, u, v, w = X.s, X.t, X.u, X.v, X.w
     xi = s * s + t * t + u * u + v * v + w * w
+    xp = namespace(xi)
     eta = s * s * w * w
     disc = xi * xi - 4.0 * eta
-    if disc < 0.0:
-        if disc < -_CLAMP * (1.0 + xi * xi):
-            raise DomainError(f"negative discriminant {disc:.3e} in singular spectrum")
-        disc = 0.0
-    root = math.sqrt(disc)
+    xp.forbid(disc < -_CLAMP * (1.0 + xi * xi), "negative discriminant {:.3e} in singular spectrum", disc)
+    root = xp.sqrt(xp.maximum(disc, 0.0))
     return SingularSpectrumX(
         xi=xi,
         eta=eta,
         sigma1=1.0,
-        sigma_minus=math.sqrt(max(0.0, (xi - root) / 2.0)),
-        sigma_plus=math.sqrt((xi + root) / 2.0),
+        sigma_minus=xp.sqrt(xp.maximum(0.0, (xi - root) / 2.0)),
+        sigma_plus=xp.sqrt((xi + root) / 2.0),
     )
 
 
@@ -166,8 +167,8 @@ class CanonicalG:
 def canonical_G(X: SimilarityX, params: NormalizedParams) -> CanonicalG:
     """Closed-form entries of X A X^{-1} for the family matrix A(q, r)."""
     s, t, u, v, w = X.s, X.t, X.u, X.v, X.w
-    if abs(s * w) < 1e-150:
-        raise SingularMatrixError("X is singular: s*w = 0")
+    xp = namespace(s, w)
+    xp.forbid(abs(s * w) < 1e-150, "X is singular: s*w = 0", error=SingularMatrixError)
     q, r = params.q, params.r
     r2 = r * r
     alpha = (q * s - r * t) / r
@@ -209,8 +210,9 @@ def norm_from_P(g: CanonicalG) -> float:
     b2 = g.beta * g.beta
     g2 = g.gamma * g.gamma
     ssum = a2 + b2
-    disc = (a2 - b2) ** 2 + g2 * (4.0 + 2.0 * ssum + g2)
-    return (2.0 + ssum + g2 + math.sqrt(disc)) / 2.0
+    xp = namespace(ssum, g2)
+    disc = xp.power(a2 - b2, 2) + g2 * (4.0 + 2.0 * ssum + g2)
+    return (2.0 + ssum + g2 + xp.sqrt(disc)) / 2.0
 
 
 def check_mu_bound(g: CanonicalG, mu: float) -> bool:
@@ -221,30 +223,28 @@ def check_mu_bound(g: CanonicalG, mu: float) -> bool:
     2 + alpha^2 + beta^2 + gamma^2 <= 2 mu^2, the same statement as the
     derivative form P'(mu^2) >= 0.
     """
-    if not mu > 0.0:
-        raise DomainError(f"mu must be positive, got {mu}")
     p = NormPolyP.from_G(g)
+    xp = namespace(mu, p.c1)
+    xp.require(mu > 0.0, "mu must be positive, got {}", mu)
     mu2 = mu * mu
     scale = 1.0 + mu2 * mu2 + abs(p.c0)
-    if p.eval(mu2) < -5e-10 * scale:
-        return False
-    return 2.0 + g.alpha**2 + g.beta**2 + g.gamma**2 <= 2.0 * mu2 + 1e-9 * (1.0 + mu2)
+    below = p.eval(mu2) < -5e-10 * scale
+    squares = xp.power(g.alpha, 2) + xp.power(g.beta, 2) + xp.power(g.gamma, 2)
+    return xp.logical_not(below) & (2.0 + squares <= 2.0 * mu2 + 1e-9 * (1.0 + mu2))
 
 
 def _sqrt_clamped(radicand: float, scale: float, what: str) -> float:
     """Square root that forgives roundoff-negative inputs near region edges."""
-    if radicand < 0.0:
-        if radicand < -_CLAMP * scale:
-            raise DomainError(f"{what}: radicand {radicand:.3e} is negative")
-        radicand = 0.0
-    return math.sqrt(radicand)
+    xp = namespace(radicand)
+    xp.forbid(radicand < -_CLAMP * scale, "{}: radicand {:.3e} is negative", what, radicand)
+    return xp.sqrt(xp.maximum(radicand, 0.0))
 
 
 def build_X_smallr(params: NormalizedParams) -> SimilarityX:
     """The small-r similarity: v = 0, w = 1, u the nonpositive root."""
     q, r = params.q, params.r
     q2r2 = q * q * r * r
-    r4 = r**4
+    r4 = namespace(r).power(r, 4)
     s = (1.0 + q2r2 + 4.0 * r4) / (2.0 * q2r2 + 2.0 * r4 + 2.0)
     t = (2.0 * s - 1.0) * q / (2.0 * r)
     rad = (2.0 - s) * (2.0 * s - 1.0) - 2.0 * t * t
@@ -255,9 +255,10 @@ def build_X_smallr(params: NormalizedParams) -> SimilarityX:
 def build_X_strip(r: float) -> SimilarityX:
     """Diagonal similarity diag(r/sqrt2, 1, r sqrt2); both constraints hold
     exactly and kappa = 2 on the admitted window r >= 1/sqrt2."""
-    r = float(r)
-    if not (0.0 < r <= 1.0):
-        raise DomainError(f"r must lie in (0, 1], got {r}")
+    xp = namespace(r)
+    if xp is Floats:
+        r = float(r)
+    xp.require((0.0 < r) & (r <= 1.0), "r must lie in (0, 1], got {}", r)
     return SimilarityX(s=r / math.sqrt(2.0), t=0.0, u=0.0, v=0.0, w=r * math.sqrt(2.0))
 
 
@@ -281,11 +282,11 @@ def build_X_diagonalizing(params: NormalizedParams) -> SimilarityX:
     kappa constraint admits the positive root s."""
     q, r = params.q, params.r
     x = r * r + 1.0 / (r * r)
+    xp = namespace(x, q)
     rad = 5.0 - 2.0 * x - 4.0 * q * q
-    if rad < -_CLAMP * (5.0 + 2.0 * x):
-        raise DomainError(f"diagonalizing similarity needs 5 - 2x >= 4q^2, got {rad:.3e}")
-    rad = max(rad, 0.0)
-    s = r * (math.sqrt(5.0 + 2.0 * x) - math.sqrt(rad)) / (math.sqrt(2.0) * (q * q + x))
+    xp.forbid(rad < -_CLAMP * (5.0 + 2.0 * x), "diagonalizing similarity needs 5 - 2x >= 4q^2, got {:.3e}", rad)
+    rad = xp.maximum(rad, 0.0)
+    s = r * (xp.sqrt(5.0 + 2.0 * x) - xp.sqrt(rad)) / (math.sqrt(2.0) * (q * q + x))
     return _xz_family(s=s, v=q * r, r=r)
 
 
@@ -296,27 +297,26 @@ def build_X_critical(params: NormalizedParams) -> SimilarityX:
     norm of X A X^{-1} equals psi(x, y)."""
     q, r = params.q, params.r
     x = r * r + 1.0 / (r * r)
-    if x > 2.5 + 1e-12:
-        raise DomainError(f"critical similarity needs r >= 1/sqrt2 (x <= 5/2), got x={x}")
-    five_minus = max(0.0, 5.0 - 2.0 * x)
+    xp = namespace(x, q)
+    xp.forbid(x > 2.5 + 1e-12, "critical similarity needs r >= 1/sqrt2 (x <= 5/2), got x={}", x)
+    five_minus = xp.maximum(0.0, 5.0 - 2.0 * x)
     q2 = q * q
-    s = r * math.sqrt(5.0 + 2.0 * x) / (math.sqrt(2.0) * x) - r * q * math.sqrt(five_minus) / (
-        x * math.sqrt(2.0 * x + 2.0 * q2)
+    s = r * xp.sqrt(5.0 + 2.0 * x) / (math.sqrt(2.0) * x) - r * q * xp.sqrt(five_minus) / (
+        x * xp.sqrt(2.0 * x + 2.0 * q2)
     )
     # v >= 0 from v^2 s^2 = (5 - 2x) r^4 / (2 q^2 + 2x)
-    v = r * r * math.sqrt(five_minus / (2.0 * q2 + 2.0 * x)) / s
+    v = r * r * xp.sqrt(five_minus / (2.0 * q2 + 2.0 * x)) / s
     return _xz_family(s=s, v=v, r=r)
 
 
 def psi(x: float, y: float) -> float:
     """Squared norm of the critically transformed matrix, as a function of
     x = r^2 + 1/r^2 and y = rho + 1/rho."""
-    if not (2.0 - 1e-12 <= x <= 2.5 + 1e-12):
-        raise DomainError(f"psi needs 2 <= x <= 5/2, got x={x}")
-    if y < x - 1e-12:
-        raise DomainError(f"psi needs y >= x, got x={x}, y={y}")
-    ysq = max(0.0, y * y - x * x)
-    xsq = max(0.0, 25.0 - 4.0 * x * x)
-    return (10.0 * y * y - 5.0 * x * x - 2.0 * y * math.sqrt(ysq) * math.sqrt(xsq)) / (
-        2.0 * x**3
+    xp = namespace(x, y)
+    xp.require((2.0 - 1e-12 <= x) & (x <= 2.5 + 1e-12), "psi needs 2 <= x <= 5/2, got x={}", x)
+    xp.forbid(y < x - 1e-12, "psi needs y >= x, got x={}, y={}", x, y)
+    ysq = xp.maximum(0.0, y * y - x * x)
+    xsq = xp.maximum(0.0, 25.0 - 4.0 * x * x)
+    return (10.0 * y * y - 5.0 * x * x - 2.0 * y * xp.sqrt(ysq) * xp.sqrt(xsq)) / (
+        2.0 * xp.power(x, 3)
     )

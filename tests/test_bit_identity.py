@@ -44,3 +44,17 @@ def test_float_cells_drift_per_column(bit_identity, tmp_path, capsys):
 def test_header_rows_and_text_cells_must_match(bit_identity, tmp_path, capsys, new, what):
     assert _diff(bit_identity, tmp_path, OLD, new) == 1
     assert what in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("label, group", [
+    ("max_abs_poly chebyshev 11", "max_abs_poly chebyshev"),
+    ("max_abs_poly search 3", "max_abs_poly search"),
+    ("max_abs_poly scaled 1e-320 4", "max_abs_poly scaled"),
+    ("max_abs_poly m=8 5", "max_abs_poly m=8"),
+    ("criterion6 12", "criterion6"),
+    ("domain edge 3", "domain edge"),
+    ("cli sweep --rho 1 50 40 --r auto", "cli sweep"),
+    ("cli replay", "cli replay"),
+])
+def test_drift_groups_are_label_kinds(bit_identity, label, group):
+    assert bit_identity._group(label) == group

@@ -156,6 +156,15 @@ class TestSweep:
         assert code == 1
         assert all("overflows" in rec["failure_reason"] for rec in json.loads(out))
 
+    @pytest.mark.parametrize("rho", [("-1", "0", "2"), ("-3", "2", "2"), ("0", "1", "2")])
+    def test_rows_with_rho_at_most_zero_are_empty(self, capsys, rho):
+        # no row with rho <= 1 has an admissible r, nor a finite edge 1/sqrt(rho) if rho <= 0
+        code, out, err = run_cli(capsys, "sweep", "--rho", *rho, "--r", "auto", "--workers", "1")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == (["2", "2"] if rho[1] == "2" else [])
+        assert not any("nan" in cell for row in rows for cell in row)
+
     def test_single_point_range(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--rho", "2", "2", "1", "--r", "1", "1", "1")
         lines = out.strip().split("\n")

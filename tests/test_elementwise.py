@@ -1,0 +1,60 @@
+"""One formula on floats and on arrays: the arithmetic namespaces and their checks."""
+import math
+
+import numpy as np
+import pytest
+
+from crouzeix_lab.elementwise import Arrays, Floats, array_pass, namespace
+from crouzeix_lab.errors import DomainError
+
+
+def test_namespace_follows_the_input_type():
+    assert namespace(2.0) is Floats and namespace(2, 3.0) is Floats
+    assert namespace(np.float64(2.0)) is Floats
+    assert namespace(np.ones(3)) is Arrays and namespace(2.0, np.ones(3)) is Arrays
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_power_is_pythons_float_power_bit_for_bit(k):
+    x = np.random.default_rng(k).uniform(0.5, 30.0, 20000)
+    got = Arrays.power(x, k)
+    assert [repr(v) for v in got.tolist()] == [repr(v**k) for v in x.tolist()]
+    # the reason for the helper: numpy's own power rounds differently at some points
+    if k > 2:
+        assert np.any(x**k != got)
+
+
+def test_power_overflows_to_inf():
+    x = np.array([1e200, -1e200, 2.0])
+    assert Arrays.power(x, 2).tolist() == [math.inf, math.inf, 4.0]
+    assert Arrays.power(x, 3).tolist() == [math.inf, -math.inf, 8.0]
+    assert Floats.power(-1e200, 3) == -math.inf
+
+
+def test_maximum_and_minimum_keep_pythons_rule():
+    a = np.array([0.0, math.nan, -0.0, 1.0, 0.0])
+    b = np.array([math.nan, 0.0, 0.0, 2.0, -0.0])
+    for fa, fb in ((Arrays.maximum, max), (Arrays.minimum, min)):
+        assert [repr(v) for v in fa(a, b).tolist()] == [repr(fb(p, q)) for p, q in zip(a.tolist(), b.tolist())]
+
+
+def test_require_and_forbid_differ_at_nan_as_if_not_ok_and_if_bad_do():
+    Floats.forbid(math.nan > 1.0, "x")
+    with pytest.raises(DomainError, match="nan"):
+        Floats.require(math.nan <= 1.0, "got {}", math.nan)
+
+
+def test_array_checks_record_the_first_failure_per_point():
+    texts = [None] * 5
+    x = np.array([0.5, 2.0, -1.0, 3.0, 0.25])
+    with array_pass(texts, np.array([4, 3, 2, 1, 0])):
+        Arrays.require(x > 0.0, "{} is not positive", x)
+        Arrays.forbid(x > 1.0, "{} exceeds 1", x)
+        Arrays.require(x < 10.0, "never fails {}", x)
+    assert texts == [None, "2.0 exceeds 1", "-1.0 is not positive", "3.0 exceeds 1", None][::-1]
+
+
+def test_array_checks_outside_a_pass_raise_at_the_first_failing_point():
+    x = np.array([1.0, 2.0, -1.0, -2.0])
+    with pytest.raises(DomainError, match="^-1.0 at 2$"):
+        Arrays.require(x > 0.0, "{} at {}", x, np.arange(4))

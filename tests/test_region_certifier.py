@@ -14,6 +14,7 @@ from crouzeix_lab.region_certifier import (
     F_of,
     RegionId,
     certify,
+    certify_points,
     classify,
     figure2_data,
     open_grid,
@@ -22,6 +23,7 @@ from crouzeix_lab.region_certifier import (
     r3,
     replay_proofs,
     sweep_grid,
+    sweep_points,
 )
 from crouzeix_lab.region_certifier import _P3, _P4, _P5, _poly_eval
 from crouzeix_lab.similarity import psi
@@ -237,19 +239,104 @@ class TestSweep:
         records = json.loads(capsys.readouterr().out)
         assert s["failures"] == [(rec["rho"], rec["r"], rec["region"], rec["failure_reason"]) for rec in records]
 
-    def test_rho_grid_stays_inside_rho_max(self, monkeypatch):
+    def test_rho_grid_stays_inside_rho_max(self):
         # 1 + 6.3 * 41 / 41 rounds to 7.300000000000001 without the cap
-        seen = []
-
-        def recording_certify(rho, r):
-            seen.append(rho)
-            return certify(rho, r)
-
-        monkeypatch.setattr(region_certifier, "certify", recording_certify)
+        seen = [rho for rho, _, _ in sweep_points((1.0, 7.3, 41), (None, 1.0, 3))]
         s = sweep_grid(41, 3, rho_min=1.0, rho_max=7.3)
         assert s["total"] == len(seen) == 41 * 3
         assert max(seen) == 7.3
         assert all(1.0 < rho <= 7.3 for rho in seen)
+
+    def test_rows_with_rho_at_most_zero_are_empty(self):
+        # nodes -0.5 and 2.0: the first row has no edge 1/sqrt(rho), and no admissible r
+        s = sweep_grid(2, 2, rho_min=-3.0, rho_max=2.0)
+        assert s["total"] == 2 and s["verdict_true"] == 2
+        assert [rho for rho, _, _ in sweep_points((-1.0, 0.0, 2), (None, 1.0, 2))] == []
+        assert [rho for rho, _, _ in sweep_points((-1.0, 2.0, 3), (None, 1.0, 2))] == [2.0, 2.0]
+
+
+def _scalar_outcome(rho, r):
+    """What the one-point code gives at (rho, r): a Certificate, the
+    DomainError text of an admissible point, or None outside the domain."""
+    try:
+        return certify(rho, r)
+    except DomainError as exc:
+        return None if classify(rho, r) is RegionId.OUT_OF_DOMAIN else str(exc)
+
+
+def _assert_matches_certify(rho, r):
+    """certify_points agrees with certify at every point, floats by repr."""
+    table = certify_points(rho, r)
+    assert list(map(repr, table.rho.tolist())) == list(map(repr, rho))
+    assert list(map(repr, table.r.tolist())) == list(map(repr, r))
+    for i, (p, q) in enumerate(zip(rho, r)):
+        want = _scalar_outcome(p, q)
+        got = table.outcome(i)
+        if want is None or isinstance(want, str):
+            assert got is None if want is None else str(got) == want, (p, q)
+            assert table.failure[i] == ("outside admissible domain" if want is None else want)
+            continue
+        assert isinstance(got, Certificate), (p, q, got)
+        for name in ("region", "rho", "r", "kappa", "norm_sq_upper", "c_upper", "product",
+                     "crouzeix_constant", "verdict", "failure_reason"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), (p, q, name)
+        for name in "stuvw":
+            assert repr(getattr(got.X, name)) == repr(getattr(want.X, name)), (p, q, name)
+
+
+def _ulps(x, n=3):
+    """x and its n nearest floats on either side."""
+    out = [x]
+    for _ in range(n):
+        out = [math.nextafter(out[0], -math.inf)] + out + [math.nextafter(out[-1], math.inf)]
+    return out
+
+
+class TestArraySweep:
+    def test_seeded_draw_matches_certify(self):
+        rng = np.random.default_rng(1818)
+        rho = np.concatenate([1.0 + 10.0 ** rng.uniform(-3, np.log10(59.0), 1600),   # all of (1, 60]
+                              rng.uniform(10.0, 50.0, 300),                          # the strip's band
+                              rng.uniform(1.0, 2.0, 300)])                           # diagonalizable
+        lo = 1.0 / np.sqrt(rho)
+        r = np.concatenate([lo[:1600] + (1.0 - lo[:1600]) * rng.uniform(0, 1, 1600),
+                            rng.uniform(0.755, 0.775, 300),
+                            lo[1900:] + (1.0 - lo[1900:]) * rng.uniform(0, 1, 300)])
+        counts = {region.value: 0 for region in RegionId}
+        for p, q in zip(rho.tolist(), r.tolist()):
+            counts[classify(p, q).value] += 1
+        assert min(counts[k] for k in ("SmallR", "Strip", "Diagonalizable", "LargeRhoR")) >= 100
+        _assert_matches_certify(rho.tolist(), r.tolist())
+
+    def test_domain_edges_match_certify(self):
+        rng = np.random.default_rng(1819)
+        pts = []
+        for p in rng.uniform(1.05, 50.0, 12).tolist():
+            pts += [(p, q) for q in _ulps(1.0 / math.sqrt(p)) + _ulps(1.0)]
+        for p in _ulps(1.0) + [1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6]:
+            pts += [(p, q) for q in _ulps(1.0) + [0.9999995, 0.99]]
+        for p in _ulps(math.sqrt(2.0)):
+            pts += [(p, q) for q in (1.0, 0.95, 0.9, 0.85)]
+        for p in _ulps(10.0):
+            pts += [(p, q) for q in _ulps(0.77) + [0.765, 0.5, 0.9]]
+        for p in rng.uniform(10.0, 50.0, 6).tolist():
+            pts += [(p, q) for q in _ulps(0.77) + _ulps(r1(p))]
+        pts += [(p, q) for p in (-1.0, 0.0, 0.5, 1.0, math.inf, math.nan, 2.0)
+                for q in (-0.5, 0.0, 0.5, 1.0, 1.5, math.inf, math.nan)]
+        _assert_matches_certify(*zip(*pts))
+
+    def test_huge_rho_matches_certify(self):
+        # from 1e77 rho**4 overflows; near 1.34e154 q^2 starts to overflow
+        rng = np.random.default_rng(1820)
+        rho = (10.0 ** rng.uniform(77, 308.2, 400)).tolist() + [1e77, 1.34e154, 1.35e154, 1.7e308]
+        r = rng.uniform(0.0, 1.0, len(rho)).tolist()
+        _assert_matches_certify(rho + rho, r + [0.77] * len(rho))
+
+    def test_open_grid_rows_match_the_scalar_grid(self):
+        ends = [0.5, 0.9, 1e-300, math.nan, -math.inf, 1.0]
+        rows = open_grid(np.array(ends), 1.0, 7)
+        for lo, row in zip(ends, rows.tolist()):
+            assert [repr(x) for x in row] == [repr(x) for x in open_grid(lo, 1.0, 7)]
 
 
 class TestOpenGrid:

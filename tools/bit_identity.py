@@ -15,9 +15,11 @@ For a change that may move floats, compare the two outputs label by label:
 It prints every non-float mismatch (labels, keys, lengths, booleans, ints,
 strings, exit codes) and, for each label group and field, the largest
 absolute and relative float drift and the label of the largest relative
-one.  A CLI stdout that parses as JSON is compared field by field; a CSV
-stdout cell by cell, where the header, the row count and every non-numeric
-cell must match and each numeric cell drifts as a field of its column.  It
+one.  A group is a kind of label: its words up to the first numeric one,
+so "max_abs_poly chebyshev" and "max_abs_poly search" are two groups.  A CLI
+stdout that parses as JSON is compared field by field; a CSV stdout cell by
+cell, where the header, the row count and every non-numeric cell must match
+and each numeric cell drifts as a field of its column.  It
 exits 1 if any non-float mismatch was found, else 0.
 
 Inputs: criterion 6's 100 searches (seed 303, degree 8, budget 500), the
@@ -36,12 +38,19 @@ degree 0 to 12 scaled by 1e-320 and by 1e250 (rho in {1.05, 3}), and of the
 2048}), which have about five near-equal peaks, 48 seeded
 `normalize(B).to_json()` records (or the DomainError text) for disguised family members, mirrored members,
 degenerate and non-centered spectra, and the stdout and exit code of every
-subcommand for fixed arguments: `ratio`, `perm`, `verify`, `replay`, a
-`sweep` in csv and json with `--workers 1`, and `figures --which regions`
-and `--which figure2`, and the one-point json `sweep` at each of 16 seeded
-points (seed 1010) within 3 ulps of r = 1/sqrt(rho) where the tests
-r^2 rho > 1 and r > 1/sqrt(rho) disagree by rounding.  It takes about a
-minute on one core.
+subcommand for fixed arguments: `ratio`, `perm`, `verify`, `replay`,
+`figures --which regions` and `--which figure2`, and `sweep`s that reach
+every branch of the array certification: `--rho 1.1 12 6 --r auto`,
+`--rho 1.5 30 4 --r 0.5 1 5`, `--rho 1 50 40 --r auto` (csv and json), the
+strip `--rho 10 50 8 --r 0.755 0.775 8`, the overflow band `--rho 1e76
+1.7e308 4 --r 0.05 1 4` (all Uncertified; csv and json), `--rho 1e77 1e154
+12 --r 0.05 1 12`, where rho**4 and ||G||^2 overflow, rows with OutOfDomain
+points (`--rho 0.5 3 5 --r 0.3 1 5` and `--rho 2 inf 3 --r 0 1.5 6`), the
+`plane` workload's shape `--rho LO LO+2 24 --r auto` at 6 seeded LO in
+[1.05, 48] (seed 1111; csv and json), and the one-point json `sweep` at
+each of 16 seeded points (seed 1010) within 3 ulps of r = 1/sqrt(rho) where
+the tests r^2 rho > 1 and r > 1/sqrt(rho) disagree by rounding.  It takes
+about a minute on one core.
 """
 
 from __future__ import annotations
@@ -81,6 +90,14 @@ CLI_RUNS = (
     ("replay",),
     ("sweep", "--rho", "1.1", "12", "6", "--r", "auto", "--workers", "1", "--format", "csv"),
     ("sweep", "--rho", "1.5", "30", "4", "--r", "0.5", "1", "5", "--workers", "1", "--format", "json"),
+    ("sweep", "--rho", "1", "50", "40", "--r", "auto", "--workers", "1", "--format", "csv"),
+    ("sweep", "--rho", "1", "50", "40", "--r", "auto", "--workers", "1", "--format", "json"),
+    ("sweep", "--rho", "10", "50", "8", "--r", "0.755", "0.775", "8", "--format", "csv"),
+    ("sweep", "--rho", "1e76", "1.7e308", "4", "--r", "0.05", "1", "4", "--format", "csv"),
+    ("sweep", "--rho", "1e76", "1.7e308", "4", "--r", "0.05", "1", "4", "--format", "json"),
+    ("sweep", "--rho", "1e77", "1e154", "12", "--r", "0.05", "1", "12", "--format", "json"),
+    ("sweep", "--rho", "0.5", "3", "5", "--r", "0.3", "1", "5", "--format", "json"),
+    ("sweep", "--rho", "2", "inf", "3", "--r", "0", "1.5", "6", "--format", "csv"),
     ("figures", "--which", "regions", "--grid", "15"),
     ("figures", "--which", "regions", "--grid", "7", "--format", "json"),
     ("figures", "--which", "figure2", "--grid", "25"),
@@ -159,8 +176,13 @@ def _load(path: str) -> dict:
 
 
 def _group(label: str) -> str:
+    """A label's kind: its words up to the first that starts with a digit or '-'
+    ("max_abs_poly chebyshev 11", "cli sweep --rho ...", "domain edge 3")."""
     words = label.split(" ")
-    return " ".join(words[:2]) if words[0] == "cli" else words[0]
+    for k, word in enumerate(words):
+        if word[:1].isdigit() or word[:1] == "-":
+            return " ".join(words[:k])
+    return label
 
 
 def _as_json(text: str):
@@ -308,6 +330,12 @@ def main() -> None:
 
     for argv in CLI_RUNS:
         _emit("cli " + " ".join(argv), _cli(argv))
+    # the plane workload's sweeps: one rho band of width 2, 24 x 24 points
+    for lo in np.random.default_rng(1111).uniform(1.05, 48.0, 6).tolist():
+        for fmt in ("csv", "json"):
+            argv = ("sweep", "--rho", repr(lo), repr(lo + 2.0), "24", "--r", "auto", "--workers", "1",
+                    "--format", fmt)
+            _emit("cli " + " ".join(argv), _cli(argv))
     for k, (rho, r) in enumerate(_domain_edge_points(1010, 16)):
         argv = ("sweep", "--rho", repr(rho), repr(rho), "1", "--r", repr(r), repr(r), "1",
                 "--workers", "1", "--format", "json")
