@@ -19,6 +19,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .errors import DomainError
 from .permutation_ext import perm_from_cycles, verify_observation
 from .ratio_search import worst_ratio_search
@@ -80,20 +82,25 @@ def _write_output(text: str, path: str | None) -> int:
 
 
 _SWEEP_COLUMNS = ("rho", "r", "region", "kappa", "norm_sq", "c_upper", "product", "verdict")
+_SWEEP_ROW = "%s,%.17g,%s,%s,%.17g,%s,%.17g,%s\n"
 
 
 def _sweep_text(table, fmt: str) -> str:
-    """A SweepTable as JSON records or as CSV rows, row-major."""
+    """A SweepTable as JSON records or as CSV rows, row-major.
+
+    The CSV is one `%` call over an object array of cells.  rho, kappa and
+    c_upper repeat, so _fmt runs once per distinct bit pattern (-0.0 apart from
+    0.0); r, norm_sq and product go in as floats for %.17g, which prints as _fmt.
+    """
     if fmt == "json":
         return _dump(table.records()) + "\n"
-    lines = [",".join(_SWEEP_COLUMNS)]
-    cols = [c.tolist() for c in (table.rho, table.r, table.kappa, table.norm_sq_upper, table.c_upper,
-                                 table.product)]
-    for (rho, r, kappa, norm_sq, c_up, product), region, verdict in zip(
-            zip(*cols), table.region, table.verdict.tolist()):
-        lines.append(f"{rho:.17g},{r:.17g},{region},{kappa:.17g},{norm_sq:.17g},{c_up:.17g},"
-                     f"{product:.17g},{'true' if verdict else 'false'}")
-    return "\n".join(lines) + "\n"
+    cells = np.empty((table.rho.size, len(_SWEEP_COLUMNS)), dtype=object)
+    for j, col in ((0, table.rho), (3, table.kappa), (5, table.c_upper)):
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        cells[:, j] = np.array([_fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse]
+    cells[:, 1], cells[:, 4], cells[:, 6] = table.r, table.norm_sq_upper, table.product
+    cells[:, 2], cells[:, 7] = table.region, np.array(["false", "true"], dtype=object)[table.verdict.astype(int)]
+    return ",".join(_SWEEP_COLUMNS) + "\n" + _SWEEP_ROW * len(cells) % tuple(cells.ravel().tolist())
 
 
 def cmd_verify(args) -> int:
@@ -160,17 +167,14 @@ def cmd_figures(args) -> int:
             if args.format == "json":
                 text = _dump(rows) + "\n"
             else:
-                lines = ["curve,rho,r"]
-                lines += [f"{row['curve']},{_fmt(row['rho'])},{_fmt(row['r'])}" for row in rows]
-                text = "\n".join(lines) + "\n"
+                text = "curve,rho,r\n" + "".join(
+                    f"{row['curve']},{_fmt(row['rho'])},{_fmt(row['r'])}\n" for row in rows)
         else:
             data = figure2_data(args.grid)
             if args.format == "json":
                 text = _dump([{"rho": rho, "value": val} for rho, val in data]) + "\n"
             else:
-                lines = ["rho,value"]
-                lines += [f"{_fmt(rho)},{_fmt(val)}" for rho, val in data]
-                text = "\n".join(lines) + "\n"
+                text = "rho,value\n" + "".join(f"{_fmt(rho)},{_fmt(val)}\n" for rho, val in data)
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE

@@ -9,11 +9,13 @@ on a whole sweep grid:
     require, forbid, text_where
 
 Bit identity.  numpy's sqrt, +, -, * and / round exactly as Python's float
-operations do, but numpy's power does not (x**3 differs in the last bit at
-about 5% of points).  So `Arrays.power` runs Python's own `**` over the
-elements, and both `power`s take an overflow as inf, where Python's float
-`**` raises.  `maximum(a, b)` and `minimum(a, b)` keep Python's `max`/`min`
-rule (b only if it is strictly larger/smaller), NaN included.
+operations do, but numpy's power does not: its SIMD kernels differ from
+Python's `**` in the last bit (x**3 at about 5% of points).  Python's float
+`**` calls the C library's pow, and so does the float64 loop of
+np.float_power, one element at a time; so `Arrays.power` is np.float_power,
+and both `power`s take an overflow as inf, where Python's float `**` raises.
+`maximum(a, b)` and `minimum(a, b)` keep Python's `max`/`min` rule (b only
+if it is strictly larger/smaller), NaN included.
 
 Checks.  `require(ok, template, *values)` raises DomainError where ok is
 false, and `forbid(bad, ...)` where bad is true; the two differ at NaN, as
@@ -116,14 +118,8 @@ class Arrays:
         return np.where(b < a, b, a)
 
     def power(v, k: int):
-        if not isinstance(v, np.ndarray):
-            return _power(v, k)
-        items = v.ravel().tolist()
-        try:
-            out = [x**k for x in items]
-        except OverflowError:
-            out = [_power(x, k) for x in items]
-        return np.array(out, dtype=float).reshape(v.shape)
+        with np.errstate(over="ignore"):
+            return np.float_power(v, k)
 
     def require(ok, template: str, *values, error=DomainError) -> None:
         if np.all(ok):

@@ -2,14 +2,17 @@
 import importlib.metadata
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crouzeix_lab import cli
+from crouzeix_lab.region_certifier import SweepTable, sweep_table
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 HAVE_TOMLLIB = importlib.util.find_spec("tomllib") is not None
@@ -216,6 +219,63 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--rho", "1", "2", "2",
                              "--out", "/nonexistent-dir/x.csv")
         assert code == 3
+
+
+def reference_csv(table) -> str:
+    """The sweep CSV written row by row, every float through format(x, ".17g")."""
+    lines = ["rho,r,region,kappa,norm_sq,c_upper,product,verdict"]
+    for i in range(table.rho.size):
+        rho, r, kappa, norm_sq, c_up, product = (
+            format(col.item(i), ".17g") for col in (table.rho, table.r, table.kappa, table.norm_sq_upper,
+                                                    table.c_upper, table.product))
+        verdict = "true" if table.verdict[i] else "false"
+        lines.append(f"{rho},{r},{table.region[i]},{kappa},{norm_sq},{c_up},{product},{verdict}")
+    return "\n".join(lines) + "\n"
+
+
+def hand_table(rows) -> SweepTable:
+    """A SweepTable from (rho, r, region, kappa, norm_sq, c_upper, product, verdict) rows."""
+    cols = list(zip(*rows)) or [()] * 8
+    rho, r, kappa, norm_sq, c_up, product = (np.array(cols[j], dtype=float) for j in (0, 1, 3, 4, 5, 6))
+    n = rho.size
+    return SweepTable(rho, r, list(cols[2]), tuple(np.zeros(n) for _ in range(5)), kappa, norm_sq, c_up,
+                      product, np.array(cols[7], dtype=bool), [""] * n)
+
+
+_SPECIAL = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+            1.7976931348623157e308, 2.0, np.nextafter(2.0, 0.0).item())
+
+
+class TestSweepCsvWriter:
+    """_sweep_text's CSV against a row-by-row writer, byte for byte."""
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(2.0, 1.0, "LargeRhoR", 2.0, 1.5, 0.7, 1.0, True)],
+        [(x, x, "SmallR", x, x, x, x, True) for x in (0.0, -0.0, 0.0, -0.0)],
+        [(x, y, "Strip", x, y, x, y, False) for x in _SPECIAL for y in _SPECIAL[::-1]],
+        [(3.0, 0.2, "OutOfDomain", 0.0, 0.0, 0.0, 0.0, False),
+         (1e300, 0.5, "Uncertified", 0.0, 0.0, 0.0, 0.0, False),
+         (3.0, 0.9, "Diagonalizable", 1.25, 1.5, 0.5, 0.75, True)],
+    ], ids=["empty", "one row", "signed zeros", "special values", "uncertified and out of domain"])
+    def test_hand_built_tables(self, rows):
+        table = hand_table(rows)
+        assert cli._sweep_text(table, "csv") == reference_csv(table)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(19).integers(-2**63, 2**63 - 1, size=(6, 3000), dtype=np.int64)
+        # a few values per repeated column, as on a sweep grid, beside all-distinct ones
+        bits[3] = bits[3, np.arange(3000) % 7]
+        rows = [(rho, r, "SmallR", kappa, norm_sq, c_up, product, True)
+                for rho, r, kappa, norm_sq, c_up, product in zip(*bits.view(np.float64).tolist())]
+        table = hand_table(rows)
+        assert cli._sweep_text(table, "csv") == reference_csv(table)
+
+    @pytest.mark.parametrize("lo", np.random.default_rng(2019).uniform(1.05, 48.0, 5).tolist())
+    def test_plane_bands(self, lo):
+        table = sweep_table((lo, lo + 2.0, 24), (None, 1.0, 24))
+        assert table.rho.size == 24 * 24
+        assert cli._sweep_text(table, "csv") == reference_csv(table)
 
 
 class TestFigures:

@@ -44,8 +44,10 @@ every branch of the array certification: `--rho 1.1 12 6 --r auto`,
 `--rho 1.5 30 4 --r 0.5 1 5`, `--rho 1 50 40 --r auto` (csv and json), the
 strip `--rho 10 50 8 --r 0.755 0.775 8`, the overflow band `--rho 1e76
 1.7e308 4 --r 0.05 1 4` (all Uncertified; csv and json), `--rho 1e77 1e154
-12 --r 0.05 1 12`, where rho**4 and ||G||^2 overflow, rows with OutOfDomain
-points (`--rho 0.5 3 5 --r 0.3 1 5` and `--rho 2 inf 3 --r 0 1.5 6`), the
+12 --r 0.05 1 12` (csv and json), where rho**4 and ||G||^2 overflow, rows
+with OutOfDomain points (`--rho 0.5 3 5 --r 0.3 1 5`, csv and json, and
+`--rho 2 inf 3 --r 0 1.5 6`), the OutOfDomain row `--rho -1 -0.0 1 --r 0.5
+1 2`, whose rho cells are -0, the
 `plane` workload's shape `--rho LO LO+2 24 --r auto` at 6 seeded LO in
 [1.05, 48] (seed 1111; csv and json), and the one-point json `sweep` at
 each of 16 seeded points (seed 1010) within 3 ulps of r = 1/sqrt(rho) where
@@ -95,8 +97,11 @@ CLI_RUNS = (
     ("sweep", "--rho", "10", "50", "8", "--r", "0.755", "0.775", "8", "--format", "csv"),
     ("sweep", "--rho", "1e76", "1.7e308", "4", "--r", "0.05", "1", "4", "--format", "csv"),
     ("sweep", "--rho", "1e76", "1.7e308", "4", "--r", "0.05", "1", "4", "--format", "json"),
+    ("sweep", "--rho", "1e77", "1e154", "12", "--r", "0.05", "1", "12", "--format", "csv"),
     ("sweep", "--rho", "1e77", "1e154", "12", "--r", "0.05", "1", "12", "--format", "json"),
+    ("sweep", "--rho", "0.5", "3", "5", "--r", "0.3", "1", "5", "--format", "csv"),
     ("sweep", "--rho", "0.5", "3", "5", "--r", "0.3", "1", "5", "--format", "json"),
+    ("sweep", "--rho", "-1", "-0.0", "1", "--r", "0.5", "1", "2", "--format", "csv"),
     ("sweep", "--rho", "2", "inf", "3", "--r", "0", "1.5", "6", "--format", "csv"),
     ("figures", "--which", "regions", "--grid", "15"),
     ("figures", "--which", "regions", "--grid", "7", "--format", "json"),
