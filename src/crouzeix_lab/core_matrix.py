@@ -331,25 +331,13 @@ def normalize(B: np.ndarray | TridiagonalParams) -> NormalizationRecord:
     gamma = u02 * phi2.conjugate() / 2.0
 
     s = 1.0 + alpha + beta + abs(gamma)
-    if max(alpha, beta, abs(gamma)) <= _DEGENERATE_TOL * s:
-        return NormalizationRecord(
-            affine=(a, b),
-            unitary=W,
-            params=None,
-            mirrored=False,
-            degenerate_case="Diagonal",
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            elliptic_residual=0.0,
-        )
     if max(alpha, beta) <= _DEGENERATE_TOL * s:
         return NormalizationRecord(
             affine=(a, b),
             unitary=W,
             params=None,
             mirrored=False,
-            degenerate_case="TwoByTwoReducible",
+            degenerate_case="Diagonal" if abs(gamma) <= _DEGENERATE_TOL * s else "TwoByTwoReducible",
             alpha=alpha,
             beta=beta,
             gamma=gamma,

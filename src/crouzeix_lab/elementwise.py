@@ -6,7 +6,7 @@ operations, so the certificate code is written once and runs on one point or
 on a whole sweep grid:
 
     sqrt, isfinite, maximum, minimum, where, select, logical_not, power,
-    require, forbid, text_where
+    require, forbid
 
 Bit identity.  numpy's sqrt, +, -, * and / round exactly as Python's float
 operations do, but numpy's power does not: its SIMD kernels differ from
@@ -19,14 +19,10 @@ if it is strictly larger/smaller), NaN included.
 
 Checks.  `require(ok, template, *values)` raises DomainError where ok is
 false, and `forbid(bad, ...)` where bad is true; the two differ at NaN, as
-`if not ok` and `if bad` do.  On arrays inside `array_pass(texts, index)`
-a check instead records, for each failing point i, `template.format(...)`
-in `texts[index[i]]` unless that point already failed an earlier check,
-and the pass goes on.  Since the code runs the checks in the same order on
-floats and on arrays, each point records the text that the one-point call
-raises.  On arrays outside a pass, the first failing point raises.
-`text_where` builds the text of a failed verdict the same way, as a string
-or as a list of one string per point.
+`if not ok` and `if bad` do.  On arrays inside `array_pass(n)` a check
+instead marks its failing points in the pass's mask, and the pass goes on;
+the caller reruns a marked point on floats to get its text.  On arrays
+outside a pass, the first failing point raises.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from .errors import DomainError
 
 __all__ = ["Arrays", "Floats", "array_pass", "namespace"]
 
-#: (texts, index) of the array pass in progress in this context, like np.errstate's state
+#: failed-point mask of the array pass in progress in this context, like np.errstate's state
 _PASS = contextvars.ContextVar("array_pass", default=None)
 _ndarray = np.ndarray
 
@@ -97,10 +93,6 @@ class Floats:
         if bad:
             raise error(template.format(*values))
 
-    def text_where(cond, text, *values) -> str:
-        """text(*values) if cond, else the empty string."""
-        return text(*values) if cond else ""
-
 
 class Arrays:
     """Elementwise arithmetic on float64 arrays, rounding as Floats does."""
@@ -124,39 +116,29 @@ class Arrays:
     def require(ok, template: str, *values, error=DomainError) -> None:
         if np.all(ok):
             return
-        current = _PASS.get()
-        if current is None:
+        failed = _PASS.get()
+        if failed is None:
             i = int(np.flatnonzero(np.logical_not(ok))[0])
             raise error(template.format(*_at(values, i)))
-        texts, index = current
-        for i in np.flatnonzero(np.logical_not(np.broadcast_to(ok, (len(index),)))).tolist():
-            if texts[index[i]] is None:
-                texts[index[i]] = template.format(*_at(values, i))
+        failed |= np.logical_not(ok)
 
     def forbid(bad, template: str, *values, error=DomainError) -> None:
         Arrays.require(np.logical_not(bad), template, *values, error=error)
 
-    def text_where(cond, text, *values) -> list:
-        """A list holding text(*values of point i) where cond, else ''."""
-        cond = np.asarray(cond)
-        out = [""] * cond.size
-        for i in np.flatnonzero(cond).tolist():
-            out[i] = text(*_at(values, i))
-        return out
-
 
 @contextlib.contextmanager
-def array_pass(texts: list, index: np.ndarray):
-    """Run array code on the points `index` of a grid.
+def array_pass(n: int):
+    """Run array code on n points; yields the mask of points that failed a check.
 
-    A failing check records its text in texts[index[i]], first failure
-    wins.  Under np.errstate, overflow, division by zero and invalid
-    operations give inf or NaN without a warning: points that failed a
-    check carry such values through the rest of the pass.
+    A failing check marks its points and the pass goes on.  Under
+    np.errstate, overflow, division by zero and invalid operations give inf
+    or NaN without a warning: points that failed a check carry such values
+    through the rest of the pass.
     """
-    token = _PASS.set((texts, index.tolist()))
+    failed = np.zeros(n, dtype=bool)
+    token = _PASS.set(failed)
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            yield
+            yield failed
     finally:
         _PASS.reset(token)

@@ -11,8 +11,9 @@ regions, each carrying its own similarity construction and bound:
 with x = r^2 + 1/r^2 and y = rho + 1/rho.  `certify` emits a replayable
 Certificate per point.  `sweep_table` runs the same code once over arrays
 that hold a whole sweep grid (see `elementwise`), bit for bit as `certify`
-would point by point.  `replay_proofs` re-runs every displayed inequality
-chain behind the two hardest regions on documented grids.
+would point by point, and takes each failed point's row from `certify`.
+`replay_proofs` re-runs every displayed inequality chain behind the two
+hardest regions on documented grids.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .conformal_map import (_extreme, _poly_deriv, _poly_eval, _poly_mul, _poly_
                             q_sign_chain_check)
 from .core_matrix import NormalizedParams, _q_from_xy, check_rho
 from .elementwise import array_pass, namespace
-from .errors import DomainError
+from .errors import DomainError, SingularMatrixError
 from .similarity import (
     SimilarityX,
     build_X_critical,
@@ -58,7 +59,6 @@ __all__ = [
     "r3",
     "replay_proofs",
     "sweep_grid",
-    "sweep_points",
     "sweep_table",
 ]
 
@@ -203,22 +203,13 @@ class Certificate:
         )
 
 
-def _failure_reason(mu_ok, product_ok, mu, kappa, product) -> str:
-    if not mu_ok:
-        return f"||G|| bound mu = {mu!r} not certified by the norm polynomial"
-    if not product_ok:
-        return f"product = {product!r} exceeds 1"
-    return f"kappa = {kappa!r} exceeds 2"
-
-
 def _certify_region(region: RegionId, rho, r) -> tuple:
-    """(X, kappa, norm_sq_upper, c_upper, product, verdict, failure_reason)
+    """(X, kappa, norm_sq_upper, c_upper, product, verdict, mu_ok, product_ok, mu)
     of points that all lie in one admissible region, as floats or arrays.
 
-    Checks that fail raise DomainError, or on arrays record it per point
-    (see `elementwise`), in this order: q^2, NormalizedParams, the
-    builder, psi and c_upper_closed, the singular spectrum, G, a
-    non-finite ||G||^2, mu.
+    Checks that fail raise DomainError, or on arrays mark the point (see
+    `elementwise`), in this order: q^2, NormalizedParams, the builder, psi
+    and c_upper_closed, the singular spectrum, G, a non-finite ||G||^2, mu.
     """
     xp = namespace(rho, r)
     y = rho + 1.0 / rho
@@ -252,8 +243,7 @@ def _certify_region(region: RegionId, rho, r) -> tuple:
         product = c_up * xp.sqrt(norm_sq)
     product_ok = product <= 1.0 + _PRODUCT_TOL
     verdict = mu_ok & product_ok & xp.logical_not(kappa > 2.0 + _KAPPA_TOL)
-    failure = xp.text_where(xp.logical_not(verdict), _failure_reason, mu_ok, product_ok, mu, kappa, product)
-    return X, kappa, norm_sq, c_up, product, verdict, failure
+    return X, kappa, norm_sq, c_up, product, verdict, mu_ok, product_ok, mu
 
 
 def certify(rho: float, r: float) -> Certificate:
@@ -261,7 +251,15 @@ def certify(rho: float, r: float) -> Certificate:
     region = classify(rho, r)
     if region is RegionId.OUT_OF_DOMAIN:
         raise DomainError(f"(rho={rho}, r={r}) is not in the admissible domain")
-    X, kappa, norm_sq, c_up, product, verdict, failure = _certify_region(region, rho, r)
+    X, kappa, norm_sq, c_up, product, verdict, mu_ok, product_ok, mu = _certify_region(region, rho, r)
+    if verdict:
+        failure = ""
+    elif not mu_ok:
+        failure = f"||G|| bound mu = {mu!r} not certified by the norm polynomial"
+    elif not product_ok:
+        failure = f"product = {product!r} exceeds 1"
+    else:
+        failure = f"kappa = {kappa!r} exceeds 2"
     return Certificate(
         region=region, rho=rho, r=r, X=X, kappa=kappa,
         norm_sq_upper=norm_sq, c_upper=c_up, product=product,
@@ -332,25 +330,9 @@ class SweepTable:
                                2.0 if verdict else 0.0, verdict, self.failure[i]))
         return out
 
-    def outcome(self, i: int):
-        """Point i as `sweep_points` yields it: a Certificate, None outside
-        the domain, or the DomainError that certify raised."""
-        if self.region[i] == RegionId.OUT_OF_DOMAIN.value:
-            return None
-        if self.region[i] == _UNCERTIFIED:
-            return DomainError(self.failure[i])
-        verdict = bool(self.verdict[i])
-        return Certificate(
-            region=RegionId(self.region[i]), rho=self.rho.item(i), r=self.r.item(i),
-            X=SimilarityX(*(c.item(i) for c in self.X)), kappa=self.kappa.item(i),
-            norm_sq_upper=self.norm_sq_upper.item(i), c_upper=self.c_upper.item(i),
-            product=self.product.item(i), crouzeix_constant=2.0 if verdict else 0.0,
-            verdict=verdict, failure_reason=self.failure[i],
-        )
-
 
 def _sweep_nodes(rho_range: tuple, r_range: tuple) -> tuple:
-    """(rho, r) arrays of the sweep grid in row-major order; see sweep_points."""
+    """(rho, r) arrays of the sweep grid in row-major order; see sweep_table."""
     lo, hi, steps = r_range
     rho = np.asarray(open_grid(*rho_range), dtype=float)
     if lo is None:
@@ -367,57 +349,54 @@ def certify_points(rho, r) -> SweepTable:
     """Certify the points (rho[i], r[i]) in one array pass per region.
 
     Each region's points go through `_certify_region` together, the code
-    that certify runs on one point, so every field and every DomainError
-    text is the one certify gives or raises.
+    that certify runs on one point.  An admissible point that failed a
+    check or its verdict is certified again by certify, which gives its
+    whole row: the failure_reason, or the DomainError text and
+    "Uncertified".  So every field is the one certify gives or raises.
     """
     rho, r = np.asarray(rho, dtype=float).ravel(), np.asarray(r, dtype=float).ravel()
     n = rho.size
-    errors = [None] * n
-    with array_pass(errors, np.arange(n)):
+    with array_pass(n) as redo:
         regions = classify(rho, r)
     X = tuple(np.zeros(n) for _ in range(5))
     kappa, norm_sq, c_up, product = (np.zeros(n) for _ in range(4))
     verdict = np.zeros(n, dtype=bool)
-    failure = [_OUTSIDE] * n
+    columns = (*X, kappa, norm_sq, c_up, product, verdict)
+    labels = np.full(n, RegionId.OUT_OF_DOMAIN.value, dtype=object)
+    failure = np.full(n, _OUTSIDE, dtype=object)
     for region in (RegionId.DIAGONALIZABLE, RegionId.SMALL_R, RegionId.STRIP, RegionId.LARGE_RHO_R):
         idx = np.flatnonzero(regions == region)
         if idx.size == 0:
             continue
-        with array_pass(errors, idx):
-            Xk, *fields, texts = _certify_region(region, rho[idx], r[idx])
-        for col, val in zip((*X, kappa, norm_sq, c_up, product, verdict),
-                            (Xk.s, Xk.t, Xk.u, Xk.v, Xk.w, *fields)):
+        with array_pass(idx.size) as failed:
+            Xk, *values = _certify_region(region, rho[idx], r[idx])[:6]
+        for col, val in zip(columns, (Xk.s, Xk.t, Xk.u, Xk.v, Xk.w, *values)):
             col[idx] = val
-        for i, text in zip(idx.tolist(), texts):
-            failure[i] = text
-    labels = [region.value for region in regions.tolist()]
-    failed = [i for i, text in enumerate(errors) if text is not None and regions[i] is not RegionId.OUT_OF_DOMAIN]
-    for i in failed:
-        labels[i], failure[i] = _UNCERTIFIED, errors[i]
-    for col in (*X, kappa, norm_sq, c_up, product, verdict):
-        col[failed] = 0
-    return SweepTable(rho, r, labels, X, kappa, norm_sq, c_up, product, verdict, failure)
+        labels[idx], failure[idx] = region.value, ""
+        redo[idx] |= failed | np.logical_not(values[-1])
+    for i in np.flatnonzero(redo & (regions != RegionId.OUT_OF_DOMAIN)).tolist():
+        try:
+            cert = certify(rho.item(i), r.item(i))
+        except (DomainError, SingularMatrixError) as exc:
+            labels[i], failure[i], row = _UNCERTIFIED, str(exc), (0,) * len(columns)
+        else:
+            labels[i], failure[i] = cert.region.value, cert.failure_reason
+            row = (cert.X.s, cert.X.t, cert.X.u, cert.X.v, cert.X.w, cert.kappa, cert.norm_sq_upper,
+                   cert.c_upper, cert.product, cert.verdict)
+        for col, val in zip(columns, row):
+            col[i] = val
+    return SweepTable(rho, r, labels.tolist(), X, kappa, norm_sq, c_up, product, verdict, failure.tolist())
 
 
 def sweep_table(rho_range: tuple, r_range: tuple) -> SweepTable:
-    """Certify the sweep grid of sweep_points with certify_points."""
-    return certify_points(*_sweep_nodes(rho_range, r_range))
-
-
-def sweep_points(rho_range: tuple, r_range: tuple):
-    """Yield (rho, r, outcome) over a sweep grid in row-major order, in this process.
+    """Certify a sweep grid with certify_points, in row-major order.
 
     rho runs over open_grid(*rho_range).  r runs over open_grid(*r_range),
     where a lower end of None stands for 1/sqrt(rho) + 1e-6, the row's own
     edge of the domain (such a row is empty once that edge reaches 1, and
-    for rho <= 0).  The outcome is the Certificate, None outside the
-    domain, or, for an admissible point whose certificate fails, say by
-    overflow, the DomainError that certify raised.  The grid is certified
-    by `sweep_table`.
+    for rho <= 0).
     """
-    table = sweep_table(rho_range, r_range)
-    for i, (rho, r) in enumerate(zip(table.rho.tolist(), table.r.tolist())):
-        yield rho, r, table.outcome(i)
+    return certify_points(*_sweep_nodes(rho_range, r_range))
 
 
 def sweep_grid(

@@ -23,7 +23,7 @@ from crouzeix_lab.region_certifier import (
     r3,
     replay_proofs,
     sweep_grid,
-    sweep_points,
+    sweep_table,
 )
 from crouzeix_lab.region_certifier import _P3, _P4, _P5, _poly_eval
 from crouzeix_lab.similarity import psi
@@ -241,7 +241,7 @@ class TestSweep:
 
     def test_rho_grid_stays_inside_rho_max(self):
         # 1 + 6.3 * 41 / 41 rounds to 7.300000000000001 without the cap
-        seen = [rho for rho, _, _ in sweep_points((1.0, 7.3, 41), (None, 1.0, 3))]
+        seen = sweep_table((1.0, 7.3, 41), (None, 1.0, 3)).rho.tolist()
         s = sweep_grid(41, 3, rho_min=1.0, rho_max=7.3)
         assert s["total"] == len(seen) == 41 * 3
         assert max(seen) == 7.3
@@ -251,37 +251,46 @@ class TestSweep:
         # nodes -0.5 and 2.0: the first row has no edge 1/sqrt(rho), and no admissible r
         s = sweep_grid(2, 2, rho_min=-3.0, rho_max=2.0)
         assert s["total"] == 2 and s["verdict_true"] == 2
-        assert [rho for rho, _, _ in sweep_points((-1.0, 0.0, 2), (None, 1.0, 2))] == []
-        assert [rho for rho, _, _ in sweep_points((-1.0, 2.0, 3), (None, 1.0, 2))] == [2.0, 2.0]
-
-
-def _scalar_outcome(rho, r):
-    """What the one-point code gives at (rho, r): a Certificate, the
-    DomainError text of an admissible point, or None outside the domain."""
-    try:
-        return certify(rho, r)
-    except DomainError as exc:
-        return None if classify(rho, r) is RegionId.OUT_OF_DOMAIN else str(exc)
+        assert sweep_table((-1.0, 0.0, 2), (None, 1.0, 2)).rho.tolist() == []
+        assert sweep_table((-1.0, 2.0, 3), (None, 1.0, 2)).rho.tolist() == [2.0, 2.0]
 
 
 def _assert_matches_certify(rho, r):
-    """certify_points agrees with certify at every point, floats by repr."""
+    """certify_points agrees with certify at every point, floats by repr.
+
+    A point that certify cannot certify must carry its DomainError text as
+    "Uncertified", or "OutOfDomain" off the domain, with X null.
+    """
     table = certify_points(rho, r)
     assert list(map(repr, table.rho.tolist())) == list(map(repr, rho))
     assert list(map(repr, table.r.tolist())) == list(map(repr, r))
-    for i, (p, q) in enumerate(zip(rho, r)):
-        want = _scalar_outcome(p, q)
-        got = table.outcome(i)
-        if want is None or isinstance(want, str):
-            assert got is None if want is None else str(got) == want, (p, q)
-            assert table.failure[i] == ("outside admissible domain" if want is None else want)
+    for rec, p, q in zip(table.records(), rho, r):
+        try:
+            want = certify(p, q).to_json()
+        except DomainError as exc:
+            outside = classify(p, q) is RegionId.OUT_OF_DOMAIN
+            want = {"region": "OutOfDomain" if outside else "Uncertified",
+                    "failure_reason": "outside admissible domain" if outside else str(exc)}
+            assert ({k: rec[k] for k in want}, rec["X"]) == (want, None), (p, q)
             continue
-        assert isinstance(got, Certificate), (p, q, got)
-        for name in ("region", "rho", "r", "kappa", "norm_sq_upper", "c_upper", "product",
-                     "crouzeix_constant", "verdict", "failure_reason"):
-            assert repr(getattr(got, name)) == repr(getattr(want, name)), (p, q, name)
-        for name in "stuvw":
-            assert repr(getattr(got.X, name)) == repr(getattr(want.X, name)), (p, q, name)
+        assert repr(rec) == repr(want), (p, q)
+
+
+def _seeded_draw():
+    """2,200 seeded points over the whole domain, at least 100 in each region."""
+    rng = np.random.default_rng(1818)
+    rho = np.concatenate([1.0 + 10.0 ** rng.uniform(-3, np.log10(59.0), 1600),   # all of (1, 60]
+                          rng.uniform(10.0, 50.0, 300),                          # the strip's band
+                          rng.uniform(1.0, 2.0, 300)])                           # diagonalizable
+    lo = 1.0 / np.sqrt(rho)
+    r = np.concatenate([lo[:1600] + (1.0 - lo[:1600]) * rng.uniform(0, 1, 1600),
+                        rng.uniform(0.755, 0.775, 300),
+                        lo[1900:] + (1.0 - lo[1900:]) * rng.uniform(0, 1, 300)])
+    counts = {region.value: 0 for region in RegionId}
+    for p, q in zip(rho.tolist(), r.tolist()):
+        counts[classify(p, q).value] += 1
+    assert min(counts[k] for k in ("SmallR", "Strip", "Diagonalizable", "LargeRhoR")) >= 100
+    return rho.tolist(), r.tolist()
 
 
 def _ulps(x, n=3):
@@ -294,19 +303,21 @@ def _ulps(x, n=3):
 
 class TestArraySweep:
     def test_seeded_draw_matches_certify(self):
-        rng = np.random.default_rng(1818)
-        rho = np.concatenate([1.0 + 10.0 ** rng.uniform(-3, np.log10(59.0), 1600),   # all of (1, 60]
-                              rng.uniform(10.0, 50.0, 300),                          # the strip's band
-                              rng.uniform(1.0, 2.0, 300)])                           # diagonalizable
-        lo = 1.0 / np.sqrt(rho)
-        r = np.concatenate([lo[:1600] + (1.0 - lo[:1600]) * rng.uniform(0, 1, 1600),
-                            rng.uniform(0.755, 0.775, 300),
-                            lo[1900:] + (1.0 - lo[1900:]) * rng.uniform(0, 1, 300)])
-        counts = {region.value: 0 for region in RegionId}
-        for p, q in zip(rho.tolist(), r.tolist()):
-            counts[classify(p, q).value] += 1
-        assert min(counts[k] for k in ("SmallR", "Strip", "Diagonalizable", "LargeRhoR")) >= 100
-        _assert_matches_certify(rho.tolist(), r.tolist())
+        _assert_matches_certify(*_seeded_draw())
+
+    def test_failed_verdicts_carry_certifys_failure_reason(self, monkeypatch):
+        # with no tolerance and no mu bound every verdict fails: SmallR and
+        # Strip on mu, LargeRhoR on the product, Diagonalizable on kappa
+        monkeypatch.setattr(region_certifier, "_PRODUCT_TOL", -1.0)
+        monkeypatch.setattr(region_certifier, "_KAPPA_TOL", -1.0)
+        monkeypatch.setattr(region_certifier, "check_mu_bound",
+                            lambda g, mu: np.zeros(mu.shape, dtype=bool) if isinstance(mu, np.ndarray) else False)
+        rho, r = _seeded_draw()
+        table = certify_points(rho, r)
+        assert not table.verdict.any()
+        assert table.failure == [certify(p, q).failure_reason for p, q in zip(rho, r)]
+        kinds = {text.split(" = ")[0] for text in table.failure}
+        assert kinds == {"||G|| bound mu", "product", "kappa"}
 
     def test_domain_edges_match_certify(self):
         rng = np.random.default_rng(1819)
