@@ -23,7 +23,6 @@ spectral projectors of A.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -209,45 +208,6 @@ def verify_fA_equals_cA(rho: float, r: float) -> float:
     return max(dense_small.operator_norm(A @ A @ A - A), dense_small.operator_norm(F - c * A))
 
 
-def _poly_mul(a, b) -> list:
-    """Product of two ascending coefficient lists; exact for integers and Fractions."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_pow(a, k: int) -> list:
-    """a^k for an ascending coefficient list, exact as _poly_mul."""
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, a)
-    return out
-
-
-def _poly_sub(a, b) -> list:
-    """a - b for ascending coefficient lists, trailing zeros dropped."""
-    out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_deriv(coeffs) -> tuple:
-    """Derivative of an ascending coefficient list."""
-    return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
-
-
-def _poly_eval(coeffs, t):
-    """Horner evaluation of ascending coefficients at float, numpy array or Fraction t."""
-    acc = t * 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
 def _extreme(vals, *coords, largest=False) -> tuple:
     """First minimum of a grid, or first maximum if largest, as (value, point).
 
@@ -286,14 +246,19 @@ def q_sign_chain_check() -> QSignChainResult:
     sign of the chained tail bound -1276 t^16 - 5 t^17 - 2 t^19, which
     dominates q for t >= 4 once the low-order positive terms are absorbed.
     """
-    # (i) exact expansion over the integers
-    first = _poly_mul([4, 1], _poly_mul(_poly_pow([1, 0, 1], 4), _poly_pow([1, 0, 0, 0, 1], 4)))
-    second = _poly_mul([0] * 9 + [1], _poly_mul(_poly_pow([1, 1], 4), _poly_pow([1, 0, 0, 1], 4)))
-    coeff_ok = _poly_sub(first, second) == list(Q_CHAIN_COEFFS)
+    P = np.polynomial.polynomial
+
+    def power(k, *coeffs):  # (c0 + c1 t + ...)^k on object coefficients, exact integers
+        return P.polypow(np.array(coeffs, dtype=object), k)
+
+    # (i) exact expansion of (4 + t)(1 + t^2)^4 (1 + t^4)^4 - t^9 (1 + t)^4 (1 + t^3)^4
+    first = P.polymul(P.polymul(power(1, 4, 1), power(4, 1, 0, 1)), power(4, 1, 0, 0, 0, 1))
+    second = P.polymul(P.polymul(power(9, 0, 1), power(4, 1, 1)), power(4, 1, 0, 0, 1))
+    coeff_ok = P.polysub(first, second).tolist() == list(Q_CHAIN_COEFFS)
 
     # (ii) grid sign check; Horner in float on the verified coefficients
     ts = np.linspace(4.0, _Q_GRID_T_MAX, _Q_GRID_POINTS)
-    vals = _poly_eval(Q_CHAIN_COEFFS, ts)
+    vals = P.polyval(ts, Q_CHAIN_COEFFS)
     # scale out t^19 to keep the comparison finite for large t
     scaled = vals / ts**19
     grid_max, (worst_t,) = _extreme(scaled, ts, largest=True)

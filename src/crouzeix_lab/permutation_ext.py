@@ -24,13 +24,13 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dense_small
 from .errors import DomainError
-from .ratio_search import RatioResult, _check_search_settings, _grid_states, coordinate_search
+from .ratio_search import RatioResult, _check_search_settings, coordinate_search
 
 __all__ = [
     "PermSpec",
@@ -175,27 +175,9 @@ class ObservationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a": [self.a.real, self.a.imag],
-            "block_sizes": list(self.block_sizes),
-            "reassembly_residual": self.reassembly_residual,
-            "inclusion_ok": self.inclusion_ok,
-            "inclusion_worst": self.inclusion_worst,
-            "block_norm_ok": self.block_norm_ok,
-            "block_norm_worst": self.block_norm_worst,
-            "ratio": self.ratio.to_json(),
-            "ratio_ok": self.ratio_ok,
-            "dp_pd_ok": self.dp_pd_ok,
-            "dp_pd_worst": self.dp_pd_worst,
-            "shift_checked": self.shift_checked,
-            "shift_worst": self.shift_worst,
-            "passed": self.passed,
-        }
-
-
-def _fro(M: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(np.abs(M) ** 2)))
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(a=[self.a.real, self.a.imag], block_sizes=list(self.block_sizes), ratio=self.ratio.to_json())
+        return out
 
 
 def _poly_norms(M: np.ndarray, polys: list) -> np.ndarray:
@@ -273,7 +255,7 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     A = a * np.eye(n, dtype=complex) + DP
     shifted_blocks = [a * np.eye(k, dtype=complex) + B for k, B in dec.blocks]
 
-    reassembly = _fro(dec.U @ DP @ dec.U.conj().T - dec.block_diagonal())
+    reassembly = float(np.linalg.norm(dec.U @ DP @ dec.U.conj().T - dec.block_diagonal()))
 
     # one solve of A: the boundary grid holds the inclusion grid as every other direction
     h_A, vtop = dense_small.support_function_grid(A, _BOUNDARY_GRID, with_vectors=True)
@@ -307,11 +289,12 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     shift_checked = a != 0
     shift_worst = 0.0
     if shift_checked:
+        polyval = np.polynomial.polynomial.polyval
         pts0 = pts - a
-        den = np.array([np.abs(_grid_states(pts, c)[0]).max() for c in polys])
+        den = np.array([np.abs(polyval(pts, c)).max() for c in polys])
         shifted = [_taylor_shift(c, a) for c in polys]
         num_s = _poly_norms(DP, shifted)
-        den_s = np.array([np.abs(_grid_states(pts0, c)[0]).max() for c in shifted])
+        den_s = np.array([np.abs(polyval(pts0, c)).max() for c in shifted])
         ratio_a = lhs / den
         ratio_0 = num_s / den_s
         shift_worst = float(np.max(np.abs(ratio_a - ratio_0) / (1.0 + ratio_a)))

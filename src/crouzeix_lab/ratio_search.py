@@ -385,7 +385,8 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
 
     def evaluate(c: np.ndarray) -> tuple:
         """The Horner states of p(A) and of p on the grid, ||p(A)||, and the ratio they give."""
-        mats, grid = dense_small.horner_states(A, c), _grid_states(pts, c)
+        mats = dense_small.horner_states(A, c)
+        grid = _grid_states(pts, c)
         num = dense_small.operator_norm(mats[0])
         return mats, grid, num, num / _boundary_max(boundary, c, np.abs(grid[0]))
 

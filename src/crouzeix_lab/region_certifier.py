@@ -25,8 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conformal_map import (_extreme, _poly_deriv, _poly_eval, _poly_mul, _poly_sub, c_upper_closed,
-                            q_sign_chain_check)
+from .conformal_map import _extreme, c_upper_closed, q_sign_chain_check
 from .core_matrix import NormalizedParams, _q_from_xy, check_rho
 from .elementwise import array_pass, namespace
 from .errors import DomainError, SingularMatrixError
@@ -552,7 +551,7 @@ _GRID_2D = 200
 def _poly_grid(coeffs, lo: float, hi: float) -> tuple:
     """A polynomial's values on _GRID_1D evenly spaced nodes of [lo, hi], and the nodes."""
     ts = np.linspace(lo, hi, _GRID_1D)
-    return _poly_eval(coeffs, ts), ts
+    return np.polynomial.polynomial.polyval(ts, coeffs), ts
 
 
 def replay_proofs() -> ProofReplayReport:
@@ -575,8 +574,8 @@ def replay_proofs() -> ProofReplayReport:
     X, Y = np.meshgrid(np.linspace(2.2795, 2.35, _GRID_2D), np.linspace(10.0, 30.0, _GRID_2D),
                        indexing="ij")
     h = 1e-6
-    P = _strip_P_mu2(X, Y)
-    slope = np.minimum((_strip_P_mu2(X + h, Y) - P) / h, (_strip_P_mu2(X, Y + h) - P) / h)
+    P_xy = _strip_P_mu2(X, Y)
+    slope = np.minimum((_strip_P_mu2(X + h, Y) - P_xy) / h, (_strip_P_mu2(X, Y + h) - P_xy) / h)
     worst, worst_pt = _extreme(slope, X, Y)
     strip_P = ChainCheck(
         passed=anchor > 0.0 and worst > 0.0,
@@ -584,26 +583,31 @@ def replay_proofs() -> ProofReplayReport:
         worst_point=worst_pt,
     )
 
+    # the grids read the int tables as floats; the exact checks read object
+    # copies, where integers stay exact and polyval at a Fraction is a Fraction
+    P = np.polynomial.polynomial
+    p1, p2, p3, p4, p5, p9 = (np.array(c, dtype=object) for c in (_P1, _P2, _P3, _P4, _P5, _P9))
+
     # (c) p1, p2, p3 increasing on [1/2, 1/sqrt3); exact root identity at 1/2.
     # Where several polynomials compete, min keeps the first on ties.
     half = Fraction(1, 2)
     exact_ok = (
-        _poly_eval(_P3, half) == Fraction(25, 256)
-        and _poly_eval(_P1, half) + _poly_eval(_P2, half) * Fraction(5, 16) == 0
-        and _poly_eval(_poly_deriv(_P3), half) == Fraction(25, 16)
+        P.polyval(half, p3) == Fraction(25, 256)
+        and P.polyval(half, p1) + P.polyval(half, p2) * Fraction(5, 16) == 0
+        and P.polyval(half, P.polyder(p3)) == Fraction(25, 16)
     )
     t_end = 1.0 / math.sqrt(3.0) - 1e-12
     worst123, worst_t = min(
-        (_extreme(*_poly_grid(_poly_deriv(coeffs), 0.5, t_end)) for coeffs in (_P1, _P2, _P3)),
+        (_extreme(*_poly_grid(P.polyder(coeffs), 0.5, t_end)) for coeffs in (_P1, _P2, _P3)),
         key=lambda e: e[0],
     )
     p123 = ChainCheck(passed=exact_ok and worst123 > 0.0, worst_margin=worst123, worst_point=worst_t)
 
     # (d) p5 < 0 and increasing on [1/2, 4/7]
     p5_max, p5_at = _extreme(*_poly_grid(_P5, 0.5, 4.0 / 7.0), largest=True)
-    dmin, d_at = _extreme(*_poly_grid(_poly_deriv(_P5), 0.5, 4.0 / 7.0))
+    dmin, d_at = _extreme(*_poly_grid(P.polyder(_P5), 0.5, 4.0 / 7.0))
     p45 = ChainCheck(
-        passed=p5_max < 0.0 and dmin > 0.0 and _poly_eval(_P5, Fraction(4, 7)) < 0,
+        passed=p5_max < 0.0 and dmin > 0.0 and P.polyval(Fraction(4, 7), p5) < 0,
         worst_margin=max(p5_max, -dmin),
         worst_point=p5_at if p5_max >= -dmin else d_at,
     )
@@ -621,12 +625,11 @@ def replay_proofs() -> ProofReplayReport:
     m67, at67 = min(mins, key=lambda e: e[0])
     p67 = ChainCheck(passed=all(m > 0.0 for m, _ in mins), worst_margin=m67, worst_point=at67)
 
-    # (e)+(f) p8 = p4^2 - p5^2 p3 factors exactly; p9 <= p9(4/7) < 0
-    p8_direct = _poly_sub(_poly_mul(_P4, _P4), _poly_mul(_poly_mul(_P5, _P5), _P3))
-    prefactor = _poly_mul(_poly_mul([0, 0, 1], _poly_mul([-1, 2], [-1, 2])),
-                          _poly_mul([1, 0, -3], [1, 0, -3]))
-    identity_ok = p8_direct == _poly_mul(prefactor, list(_P9))
-    p9_end = _poly_eval(_P9, Fraction(4, 7))
+    # (e)+(f) p8 = p4^2 - p5^2 p3 = (t (2t - 1)(1 - 3t^2))^2 p9 exactly; p9 <= p9(4/7) < 0
+    p8_direct = P.polysub(P.polypow(p4, 2), P.polymul(P.polypow(p5, 2), p3))
+    factor = P.polymul(np.array([0, -1, 2], dtype=object), np.array([1, 0, -3], dtype=object))
+    identity_ok = p8_direct.tolist() == P.polymul(P.polypow(factor, 2), p9).tolist()
+    p9_end = P.polyval(Fraction(4, 7), p9)
     p9_max, p9_at = _extreme(*_poly_grid(_P9, 0.5, 4.0 / 7.0), largest=True)
     p89 = ChainCheck(
         passed=identity_ok and p9_end < 0 and p9_max <= float(p9_end) + 1e-9,

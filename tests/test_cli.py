@@ -307,12 +307,31 @@ class TestFigures:
         assert out == ""
 
 
+# `replay` takes no arguments, so its stdout is one fixed text, float for float
+REPLAY_STDOUT = (
+    '{"q_chain": {"pass": true, "worst_margin": -35.591354770556791, "worst_point": [4]}, '
+    '"strip_P": {"pass": true, "worst_margin": 0.029295751323274999, "worst_point": [2.2795000000000001, 10]}, '
+    '"p1_p2_p3_chain": {"pass": true, "worst_margin": 1.5625, "worst_point": [0.5]}, '
+    '"p4_p5_chain": {"pass": true, "worst_margin": -0.0031380094473349995, "worst_point": [0.5714285714285714]}, '
+    '"p6_p7": {"pass": true, "worst_margin": 0.0003483660103271724, "worst_point": [0.5714285714285714]}, '
+    '"p8_p9_chain": {"pass": true, "worst_margin": -0.53657057989991586, "worst_point": [0.5714285714285714]}, '
+    '"B_sign": {"pass": true, "worst_margin": -0.33827405694702506, "worst_point": [2.5]}, '
+    '"F_sign": {"pass": true, "worst_margin": -0.00014693061531204421, "worst_point": [2.96]}, '
+    '"Q_sign": {"pass": true, "worst_margin": -3857.1365930323664, "worst_point": [10]}, '
+    '"H_table": {"pass": true, "worst_margin": -274.12293545002467, "worst_point": [12, 14]}}\n'
+)
+
+
 class TestReplay:
     def test_all_chains_pass(self, capsys):
         code, out, _ = run_cli(capsys, "replay")
         rep = json.loads(out)
         assert code == 0
         assert all(v["pass"] for v in rep.values())
+
+    def test_stdout_is_byte_for_byte_golden(self, capsys):
+        code, out, err = run_cli(capsys, "replay")
+        assert (code, out, err) == (0, REPLAY_STDOUT, "")
 
 
 class TestRatio:
@@ -434,6 +453,17 @@ class TestEntryPoints:
     def test_unknown_subcommand_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 4
+
+    def test_import_loads_no_polynomial_module(self):
+        # numpy.polynomial costs milliseconds to import; the package reaches
+        # it only at call time, so startup pays nothing beyond `import numpy`
+        code = ("import sys, numpy\n"
+                "before = set(sys.modules)\n"
+                "import crouzeix_lab\n"
+                "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.polynomial')))\n")
+        p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout == "[]\n"
 
     def test_module_invocation(self):
         p = subprocess.run([sys.executable, "-m", "crouzeix_lab.cli",

@@ -82,19 +82,19 @@ class TestBrackets:
     def test_exact_enclosure(self):
         # c from the product formula at 50 digits; no slack on either end
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
-        for rho in (1.05, 1.1, 1.2, 1.5, math.sqrt(2.0), 2.0, 3.0, 10.0, 50.0):
-            R = mpmath.mpf(rho)
-            c = 2 / R
-            k = 1
-            while R ** (4 - 8 * k) > mpmath.mpf(10) ** -60:
-                c *= ((1 + R ** (-8 * k)) / (1 + R ** (4 - 8 * k))) ** 2
-                k += 1
-            for n in list(range(9)) + [None, 500]:
-                br = c_bracket(rho, n)
-                assert mpmath.mpf(br.lower) <= c <= mpmath.mpf(br.upper), (rho, n, br)
-                if n != 0:
-                    assert br.upper <= 1.0
+        with mpmath.workdps(50):
+            for rho in (1.05, 1.1, 1.2, 1.5, math.sqrt(2.0), 2.0, 3.0, 10.0, 50.0):
+                R = mpmath.mpf(rho)
+                c = 2 / R
+                k = 1
+                while R ** (4 - 8 * k) > mpmath.mpf(10) ** -60:
+                    c *= ((1 + R ** (-8 * k)) / (1 + R ** (4 - 8 * k))) ** 2
+                    k += 1
+                for n in list(range(9)) + [None, 500]:
+                    br = c_bracket(rho, n)
+                    assert mpmath.mpf(br.lower) <= c <= mpmath.mpf(br.upper), (rho, n, br)
+                    if n != 0:
+                        assert br.upper <= 1.0
 
     def test_zeroth_upper_is_leading_factor(self):
         for rho in RHOS:
@@ -181,30 +181,12 @@ class TestSignChain:
         assert res.tail_bound_negative
 
     def test_coefficients_vs_independent_expansion(self):
-        # expand (4+t)(1+t^2)^4(1+t^4)^4 - t^9(1+t)^4(1+t^3)^4 with exact ints
-        def mul(a, b):
-            return np.convolve(a, b)
-
-        def pw(a, k):
-            out = np.array([1], dtype=object)
-            for _ in range(k):
-                out = mul(out, a)
-            return out
-
-        lead = mul(np.array([4, 1], dtype=object),
-                   mul(pw(np.array([1, 0, 1], dtype=object), 4),
-                       pw(np.array([1, 0, 0, 0, 1], dtype=object), 4)))
-        t9 = np.zeros(10, dtype=object)
-        t9[9] = 1
-        trail = mul(t9, mul(pw(np.array([1, 1], dtype=object), 4),
-                            pw(np.array([1, 0, 0, 1], dtype=object), 4)))
-        n = max(len(lead), len(trail))
-        qq = np.zeros(n, dtype=object)
-        qq[: len(lead)] += lead
-        qq[: len(trail)] -= trail
-        while len(qq) and qq[-1] == 0:
-            qq = qq[:-1]
-        assert list(qq) == list(Q_CHAIN_COEFFS)
+        # (4+t)(1+t^2)^4(1+t^4)^4 - t^9(1+t)^4(1+t^3)^4 against the stored
+        # coefficients at 26 integers: both sides have degree <= 25, so that
+        # is equality, in Python ints that share no code with numpy's polymul
+        for t in range(-13, 13):
+            q = (4 + t) * (1 + t**2) ** 4 * (1 + t**4) ** 4 - t**9 * (1 + t) ** 4 * (1 + t**3) ** 4
+            assert q == sum(c * t**k for k, c in enumerate(Q_CHAIN_COEFFS)), t
 
     def test_value_below_tail_bound_at_four(self):
         t = 4.0

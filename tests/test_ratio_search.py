@@ -661,7 +661,8 @@ class TestResumedHorner:
         for m in (1, 2, 7, 2048):
             pts = ring[rng.permutation(2048)[:m]]
             c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-            mats, grid = dense_small.horner_states(A, c), _grid_states(pts, c)
+            mats = dense_small.horner_states(A, c)
+            grid = _grid_states(pts, c)
             for j in range(9):
                 for delta in (0.5, -0.5, 0.5j, -0.5j):
                     trial = c.copy()

@@ -25,7 +25,7 @@ from crouzeix_lab.region_certifier import (
     sweep_grid,
     sweep_table,
 )
-from crouzeix_lab.region_certifier import _P3, _P4, _P5, _poly_eval
+from crouzeix_lab.region_certifier import _P3, _P4, _P5
 from crouzeix_lab.similarity import psi
 
 CHAIN_NAMES = (
@@ -433,12 +433,13 @@ class TestReplay:
 class TestAlgebraicIdentities:
     def test_B_matches_radical_form_on_curve(self):
         # (1 - 3t^2)^2 B / 4 = p4(t) + p5(t) sqrt(p3(t)) with t = r1(rho)^2
+        polyval = np.polynomial.polynomial.polyval
         worst = 0.0
         for rho in np.linspace(2.5, 10.0, 100):
             rr = r1(float(rho))
             t = rr * rr
             lhs = (1 - 3 * t * t) ** 2 * B_of(rr, float(rho)) / 4
-            rhs = _poly_eval(_P4, t) + _poly_eval(_P5, t) * math.sqrt(_poly_eval(_P3, t))
+            rhs = polyval(t, _P4) + polyval(t, _P5) * math.sqrt(polyval(t, _P3))
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
         assert worst < 1e-9
 
