@@ -20,15 +20,15 @@ one Horner chain per target, `dense_small.horner_states` for p(A) and
 `_grid_states` for p on points.  A trial changes one coefficient c[j], so it
 resumes both at state j + 1, kept from when the current polynomial became
 current, and runs only j + 1 steps; the polish reads |p| on the grid from
-those states.  Before the full grid, it resumes them on the 32 grid points
-where the current |p| is largest: their maximum is at most `top`, so a trial
-that this smaller bound already rules out is skipped after 32 points instead
-of 2048 (most are).  That bound is shrunk by a few ulps, so rounding that
-depended on a point's place in the array could only make the search skip less.
-On a point array the denominator is the grid maximum itself, so both rules
-skip there, for the same reason.
+those states.  Before the full grid, `top` is bounded from below at the (at
+most 8) local maxima of the current |p| on the grid, largest first: each
+one's chain resumes at state j + 1 in Python complex arithmetic, less a
+bound on the rounding of it and of numpy's grid pass (_PeakBound).  A trial
+that this bound rules out skips the grid pass (most do).  On a point array
+the denominator is the grid maximum itself, so both rules skip there, for
+the same reason.
 
-Before a trial resumes p(A) and takes its SVD, the subset bound is tried with
+Before a trial resumes p(A) and takes its SVD, the peak bound is tried with
 an O(1) bound on the numerator in place of ||p(A)||.  The trial adds s to c_j,
 so p_trial(A) = p(A) + s A^j and ||p_trial(A)|| <= ||p(A)|| + |s| ||A^j||;
 ||A^j|| for j = 0..d comes once per search from one chain of powers, and the
@@ -37,15 +37,16 @@ gamma sum |c_k| ||A||_F^k are kept when it becomes current.  The bound covers
 the rounding of both chains, of the SVD and of the computed A^j, so it is
 never below the computed numerator, and a trial it rules out is one the exact
 path would skip.  On the family, A^3 = A, so ||A^j|| takes only three
-values; about three trials in four stop at this bound.
+values; about five trials in six stop at this bound.
 
 The polish takes a few bracketed Newton steps on log|p(z(t))|, which is
-smooth in t, from each selected grid peak in turn, in Python floats.
+smooth in t, from each selected grid peak in turn, in Python floats, and
+stops at a step that leaves t unchanged.
 
 Every value comes from the same operations in the same order.  numpy's
 elementwise complex multiply-add, abs, cos and sin give an element of the
-grid, subset and final passes the same value whatever the array's length and
-the element's place in it, which the tests check with ==, so results are
+grid and final passes the same value whatever the array's length and the
+element's place in it, which the tests check with ==, so results are
 bit-identical to evaluating every point on its own and to polishing every trial.
 """
 
@@ -78,11 +79,6 @@ _REFINE_CAP = 8
 _REFINE_SLACK = 0.98
 # Newton steps per peak: the fewest that reach rounding on an m = 8 grid
 _NEWTON_STEPS = 6
-# grid points, those of largest |p| for the current polynomial, on which a
-# search trial's grid maximum is bounded from below before the full grid is
-# run, and the factor that shrinks that bound by eight ulps of 1
-_SUBSET = 32
-_SUBSET_SHRINK = 1.0 - 2.0 ** -49
 # coordinate_search refuses max|z|^max(degree, 1) above this on the boundary,
 # worst_ratio_search rho^max(degree, 1): beyond it the boundary maximum of a
 # normalized p and the SVD of p(A) break down
@@ -196,10 +192,7 @@ class EllipseBoundary:
         top = float(vals.max())
         if len(cs) <= 1 or not 0.0 < top < math.inf:  # zero, or p overflowed
             return top
-        ring = np.concatenate((vals[-1:], vals, vals[:1]))
-        peaks = np.nonzero((vals >= ring[:-2]) & (vals >= ring[2:]) & (vals >= _REFINE_SLACK * top))[0]
-        if peaks.size > _REFINE_CAP:
-            peaks = peaks[np.argsort(vals[peaks])[::-1][:_REFINE_CAP]]
+        peaks = _peaks(vals, _REFINE_SLACK * top)
         # the steps do not depend on the scale of p, so they run on p / max|c_k|,
         # which neither overflows nor underflows
         scale = max(abs(c) for c in cs)
@@ -208,7 +201,7 @@ class EllipseBoundary:
         return max(top, float(np.abs(_grid_states(self._at(t), cs)[0]).max()))
 
     def _polish_peak(self, c: list, t: float) -> float:
-        """_NEWTON_STEPS bracketed Newton steps on log|p(z(t))| from t toward its maximum in [t - h, t + h].
+        """At most _NEWTON_STEPS bracketed Newton steps on log|p(z(t))| from t toward its maximum in [t - h, t + h].
 
         With w1 = p'/p, w2 = p''/p, z' = -a sin t + i b cos t and z'' = -z,
         the slope is Re(w1 z') and the curvature Re((w2 - w1^2) z'^2 - w1 z).
@@ -219,6 +212,7 @@ class EllipseBoundary:
         """
         lo, hi = t - self._h, t + self._h
         for _ in range(_NEWTON_STEPS):
+            was = t
             cos, sin = math.cos(t), math.sin(t)
             z = complex(self._a * cos, self._b * sin)
             p = d1 = d2 = 0j  # p, p' and p''/2 from one Horner chain
@@ -233,6 +227,10 @@ class EllipseBoundary:
             lo, hi = (t, hi) if slope > 0.0 else (lo, t)
             new = t - slope / curv if curv < 0.0 else math.nan
             t = new if lo <= new <= hi else 0.5 * (lo + hi)
+            # a step that keeps t, bit for bit (not -0.0 for 0.0), would repeat
+            # itself: slope, bracket and step depend only on t, lo and hi
+            if t == was and math.copysign(1.0, t) == math.copysign(1.0, was):
+                break
         return t
 
 
@@ -261,12 +259,14 @@ def _grid_states(pts: np.ndarray, c, j: int | None = None, above: list | None = 
     return grid
 
 
-def _subset(pts: np.ndarray, grid: list) -> tuple:
-    """The _SUBSET grid points where |p| is largest, and the grid states restricted to them."""
-    vals = np.abs(grid[0])
-    kth = max(vals.size - _SUBSET, 0)
-    S = np.argpartition(vals, kth)[kth:]
-    return pts[S], [g[S] for g in grid]
+def _peaks(vals: np.ndarray, floor: float) -> np.ndarray:
+    """Indices of the at most _REFINE_CAP largest local maxima of vals at or above floor, largest first.
+
+    Neighbours are taken cyclically, so without NaNs the largest value is one of them.
+    """
+    ring = np.concatenate((vals[-1:], vals, vals[:1]))
+    peaks = np.nonzero((vals >= ring[:-2]) & (vals >= ring[2:]) & (vals >= floor))[0]
+    return peaks[np.argsort(vals[peaks])[::-1][:_REFINE_CAP]]
 
 
 def _boundary_max(boundary, coeffs, vals: np.ndarray) -> float:
@@ -340,6 +340,60 @@ class _NumeratorBound:
         return upper if upper < math.inf else math.inf
 
 
+class _PeakBound:
+    """Lower bound on the computed grid maximum of a coordinate trial, in Python floats.
+
+    It is kept at the peaks of the current polynomial's |p| on the grid (see
+    _peaks): each peak's point z, its Horner states, env = sum |c_k| |z|^k
+    and |z|^k.  A trial sets c_j to c_j + s; at each peak it resumes the
+    chain at state j + 1 in Python complex arithmetic, giving w.  numpy's
+    grid value there is a Horner evaluation of the same polynomial at the
+    same point, and both lie within gamma env_trial of the exact value, with
+    env_trial <= env + |s| |z|^j (Higham 2002, section 5.1).  So
+    (|w| - 2 gamma (env + |s| |z|^j)) (1 - 2^-50) is at most the computed
+    |p_trial(z)|, hence at most the computed grid maximum.  gamma = k u / (1 - k u)
+    with k = 8 (degree + 2) is a generous cover for complex Horner, for the
+    rounding of env and for that of the bound itself.
+    """
+
+    def __init__(self, degree: int):
+        k = 8 * (degree + 2) * 2.0 ** -53
+        self._slack = 2.0 * k / (1.0 - k)
+
+    def track(self, pts: np.ndarray, grid: list, c: np.ndarray) -> None:
+        """Make c, whose Horner states on pts are grid, the current polynomial."""
+        index = _peaks(np.abs(grid[0]), 0.0)
+        z = pts[index]
+        powers = np.abs(z)[:, None] ** np.arange(len(c))  # |z|^k, one row per peak
+        states = np.array([g[index] for g in grid]).T
+        self._c = c.tolist()
+        self._peaks = list(zip(z.tolist(), states.tolist(), (powers @ np.abs(c)).tolist(), powers.tolist()))
+
+    def lows(self, j: int, cj: complex):
+        """Lower bounds, one per peak, largest |p| first, on the computed |p| there of c with c_j set to cj."""
+        c = self._c
+        spread = abs(cj - c[j])
+        for z, states, env, powers in self._peaks:
+            w = states[j + 1] * z + cj
+            for k in range(j - 1, -1, -1):
+                w = w * z + c[k]
+            yield (math.hypot(w.real, w.imag) - self._slack * (env + spread * powers[j])) * (1.0 - 2.0 ** -50)
+
+    def low(self, j: int, cj: complex, upper: float, cur: float, best: float) -> float:
+        """The largest usable value of lows(j, cj): finite and at least _DENOM_FLOOR; 0.0 if none is.
+
+        It stops at, and returns, the first value by which a trial whose
+        numerator is at most upper is ruled out.
+        """
+        top = 0.0
+        for value in self.lows(j, cj):
+            if _DENOM_FLOOR <= value < math.inf:
+                if _ruled_out(upper / value, cur, best):
+                    return value
+                top = max(top, value)
+        return top
+
+
 def _ruled_out(upper: float, cur: float, best: float) -> bool:
     """Whether a trial whose ratio is at most upper can be neither accepted nor recorded.
 
@@ -397,6 +451,7 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     if degree == 0:
         return RatioResult(best, PolySpec.of(best_c), evals, seed)
     bound = _NumeratorBound(A, degree)
+    peaks = _PeakBound(degree)
 
     def record(val: float, c: np.ndarray):
         nonlocal best, best_c
@@ -412,9 +467,9 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
             continue
         mats, grid, num, cur = evaluate(c)
         bound.track(c, num)
+        peaks.track(pts, grid, c)
         evals += 1
         record(cur, c)
-        sub_pts, sub_grid = _subset(pts, grid)
         step = 0.5
         while step >= 1e-3 and evals < budget:
             improved = False
@@ -426,15 +481,15 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                     trial[j] += delta
                     evals += 1
                     # num / top bounds the ratio, as the polish never lowers
-                    # top, and so does any bound on num over the top of any
-                    # part of the grid: first the bound, then num itself
-                    sub_grid_top = float(np.abs(_grid_states(sub_pts, trial, j, sub_grid)[0]).max())
-                    sub_top = sub_grid_top * _SUBSET_SHRINK
-                    if sub_top >= _DENOM_FLOOR and _ruled_out(bound(j, trial[j] - c[j]) / sub_top, cur, best):
+                    # top, and so does any bound on num over any lower bound
+                    # on top: first the bound on num, then num itself
+                    upper = bound(j, trial[j] - c[j])
+                    low = peaks.low(j, complex(trial[j]), upper, cur, best)
+                    if low > 0.0 and _ruled_out(upper / low, cur, best):
                         continue
                     trial_mats = dense_small.horner_states(A, trial, j, mats)
                     num = dense_small.operator_norm(trial_mats[0])
-                    if sub_top >= _DENOM_FLOOR and _ruled_out(num / sub_top, cur, best):
+                    if low > 0.0 and _ruled_out(num / low, cur, best):
                         continue
                     trial_grid = _grid_states(pts, trial, j, grid)
                     vals = np.abs(trial_grid[0])
@@ -445,8 +500,8 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                     record(val, trial)
                     if val > cur * (1.0 + 1e-12):
                         c, cur, mats, grid, improved = trial, val, trial_mats, trial_grid, True
-                        sub_pts, sub_grid = _subset(pts, grid)
                         bound.track(c, num)
+                        peaks.track(pts, grid, c)
                 if evals >= budget:
                     break
             if not improved:

@@ -260,6 +260,56 @@ class TestBoundaryMaximum:
             monkeypatch.setattr(ratio_search, "_NEWTON_STEPS", 1)
             assert eb._polish_peak(c, t0) == 0.5 * ((t0 - h) + t0)
 
+    @staticmethod
+    def _polish_every_step(eb, c, t):
+        """Reference: _polish_peak without its fixed-point exit, and the last step that moved t."""
+        lo, hi = t - eb._h, t + eb._h
+        moved = 0
+        for step in range(ratio_search._NEWTON_STEPS):
+            was = t
+            cos, sin = math.cos(t), math.sin(t)
+            z = complex(eb._a * cos, eb._b * sin)
+            p = d1 = d2 = 0j
+            for ck in reversed(c):
+                d2, d1, p = d2 * z + d1, d1 * z + p, p * z + ck
+            slope = curv = math.nan
+            if p != 0:
+                w1, w2 = d1 / p, 2.0 * d2 / p
+                dz = complex(-eb._a * sin, eb._b * cos)
+                slope = (w1 * dz).real
+                curv = ((w2 - w1 * w1) * dz * dz - w1 * z).real
+            lo, hi = (t, hi) if slope > 0.0 else (lo, t)
+            new = t - slope / curv if curv < 0.0 else math.nan
+            t = new if lo <= new <= hi else 0.5 * (lo + hi)
+            if t.hex() != was.hex():
+                moved = step + 1
+        return t, moved
+
+    def test_fixed_point_exit_matches_every_step(self, monkeypatch):
+        # the corpus of test_polish_matches_brute_scan and of the degenerate steps;
+        # float.hex tells -0.0 from 0.0
+        calls = []
+        polish = EllipseBoundary._polish_peak
+        monkeypatch.setattr(EllipseBoundary, "_polish_peak",
+                            lambda self, c, t: calls.append((self, c, t)) or polish(self, c, t))
+        rng = np.random.default_rng(14)
+        for rho in (1.01, 1.05, 1.5, 3.0, 20.0, 1e3):
+            for m in (8, 64, 2048):
+                eb = EllipseBoundary(rho, m)
+                for _ in range(3):
+                    deg = int(rng.integers(2, 13))
+                    eb.max_abs_poly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+        eb = EllipseBoundary(2.0)
+        root = complex(eb._a * math.cos(0.7), eb._b * math.sin(0.7))
+        calls += [(eb, [-root, 1 + 0j], 0.7), (eb, [1 + 0j, 0j, 0j], 0.7), (eb, [0j, 0j, 1.7e308 + 0j], math.pi / 2)]
+        early = 0
+        for eb, c, t in calls:
+            expect, moved = self._polish_every_step(eb, c, t)
+            assert polish(eb, c, t).hex() == expect.hex()
+            early += moved < ratio_search._NEWTON_STEPS - 1
+        # most peaks reach their fixed point before the last step
+        assert len(calls) == 58 and early > len(calls) / 2
+
     @pytest.mark.parametrize("scale", (1e-320, 1e250))
     def test_tiny_and_huge_coefficients_polish_without_warning(self, scale):
         rng = np.random.default_rng(19)
@@ -463,7 +513,7 @@ class TestPolishSkip:
         def grid_max(c):
             return np.abs(np.polyval(np.asarray(c)[::-1], pts)).max()
 
-        # degree 8 and budget 500 run the 32-point subset bound on points too
+        # degree 8 and budget 500 run the peak bound on points too
         for degree, budget in ((5, 200), (8, 500)):
             expect = _search_polishing_every_trial(A, grid_max, degree, budget, 9)
             assert coordinate_search(A, pts, degree, budget, 9) == expect
@@ -524,14 +574,15 @@ class TestPolishSkip:
             assert top == np.abs(np.polyval(cs[::-1], eb.points)).max()
             assert top <= eb.max_abs_poly(cs) == eb.max_abs_poly(cs, vals)
 
-    def test_most_trials_stop_at_the_subset_bound(self, monkeypatch):
-        full = []
+    def test_most_trials_stop_at_the_peak_bound(self, monkeypatch):
+        # grid passes run on the 2048 points or on a polish's at most 8
+        sizes = []
         grid_states = ratio_search._grid_states
-        monkeypatch.setattr(ratio_search, "_grid_states",
-                            lambda pts, *args: (pts.size == 2048 and full.append(1)) or grid_states(pts, *args))
+        monkeypatch.setattr(ratio_search, "_grid_states", lambda pts, *args: sizes.append(pts.size) or grid_states(pts, *args))
         res = worst_ratio_search(*_criterion_6_point(0), 8, 500, 0)
         assert res.evaluations == 500
-        assert len(full) < 0.25 * 500
+        assert all(size == 2048 or size <= 8 for size in sizes)
+        assert sizes.count(2048) < 0.1 * 500
 
     def test_most_trials_skip_the_matrix_work(self, monkeypatch):
         # one chain for the powers of A, one per start and one per trial the numerator bound lets through
@@ -539,16 +590,16 @@ class TestPolishSkip:
         horner_states = dense_small.horner_states
         monkeypatch.setattr(dense_small, "horner_states", lambda *args: calls.append(1) or horner_states(*args))
         assert worst_ratio_search(*_criterion_6_point(0), 8, 500, 0).evaluations == 500
-        assert len(calls) < 200
+        assert len(calls) <= 100
 
-    def test_point_array_trials_stop_at_the_subset_bound(self, monkeypatch):
-        full = []
+    def test_point_array_trials_stop_at_the_peak_bound(self, monkeypatch):
+        sizes = []
         grid_states = ratio_search._grid_states
-        monkeypatch.setattr(ratio_search, "_grid_states",
-                            lambda pts, *args: (pts.size == 512 and full.append(1)) or grid_states(pts, *args))
+        monkeypatch.setattr(ratio_search, "_grid_states", lambda pts, *args: sizes.append(pts.size) or grid_states(pts, *args))
         res = coordinate_search(build_A_rho(3.0, 0.8), boundary_samples(3.0, 512), 8, 500, 9)
         assert res.evaluations == 500
-        assert len(full) < 0.25 * 500
+        assert set(sizes) == {512}
+        assert len(sizes) < 0.1 * 500
 
     def test_pinned_search_result(self):
         # exact floats from the search that polished every trial
@@ -674,24 +725,81 @@ class TestResumedHorner:
                     # accept the trial, as the search does, so later trials resume from it
                     c, mats, grid = trial, trial_mats, trial_grid
 
-    @pytest.mark.parametrize("m", (8, 64, 2048))
-    def test_subset_resume_matches_full_grid(self, m):
-        # the search bounds a trial on the 32 points where the current |p| is
-        # largest, resuming Horner there from the current states
-        rng = np.random.default_rng(70 + m)
-        pts = EllipseBoundary(1.5 + m / 100, m).points
-        c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+
+# the sample sets of TestPeakBound: EllipseBoundary grids and point arrays
+_PEAK_BOUND_SETS = {
+    "m=8": EllipseBoundary(1.05, 8).points,
+    "m=64": EllipseBoundary(3.0, 64).points,
+    "m=2048": EllipseBoundary(20.0, 2048).points,
+    "1 point": boundary_samples(3.0, 512)[:1],
+    "2 points": boundary_samples(2.0, 512)[[0, 200]],
+    "7 points": boundary_samples(3.0, 14)[::2],
+}
+
+
+class TestPeakBound:
+    """Each peak's lower bound is at most the computed |p_trial| there, so at most the grid maximum."""
+
+    @staticmethod
+    def _check(pts, c):
+        degree = len(c) - 1
         grid = _grid_states(pts, c)
-        for j in range(9):
-            for delta in (0.5, -0.5, 0.5j, -0.5j):
-                sub_pts, sub_grid = ratio_search._subset(pts, grid)
-                S = np.nonzero(sub_pts[:, None] == pts[None, :])[1]
-                assert S.size == min(m, 32)
-                assert np.abs(grid[0][S]).min() == np.sort(np.abs(grid[0]))[-S.size]
-                trial = c.copy()
-                trial[j] += delta
-                sub = _grid_states(sub_pts, trial, j, sub_grid)
-                full = _grid_states(pts, trial, j, grid)
-                for k in range(10):
-                    assert np.array_equal(sub[k], full[k][S])
-                c, grid = trial, full
+        peaks = ratio_search._PeakBound(degree)
+        peaks.track(pts, grid, c)
+        index = ratio_search._peaks(np.abs(grid[0]), 0.0)
+        assert 0 < index.size <= 8
+        for j in range(degree + 1):
+            # the search's steps, and steps so small that rounding outweighs them
+            for step in (0.5, 2.0 ** -10, 2.0 ** -30, 2.0 ** -50):
+                for delta in (step, -step, 1j * step, -1j * step):
+                    trial = c.copy()
+                    trial[j] += delta
+                    vals = np.abs(_grid_states(pts, trial, j, grid)[0])
+                    lows = list(peaks.lows(j, complex(trial[j])))
+                    assert len(lows) == index.size
+                    for low, at in zip(lows, vals[index].tolist()):
+                        assert low <= at
+                        # and the bound is tight: it moves |p| by rounding only
+                        assert low >= at * (1.0 - 1e-9)
+                    top = peaks.low(j, complex(trial[j]), math.inf, 0.0, 0.0)
+                    assert top == max(lows) <= vals.max()
+
+    @pytest.mark.parametrize("name", list(_PEAK_BOUND_SETS))
+    def test_bound(self, name):
+        pts = _PEAK_BOUND_SETS[name]
+        rng = np.random.default_rng(110 + len(pts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for degree in range(1, 13):
+                for scale in (1e-3, 1.0, 1e3):
+                    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+                    c *= scale / np.abs(_grid_states(pts, c)[0]).max()
+                    self._check(pts, c)
+
+    def test_first_ruling_peak_stops_the_scan(self):
+        # this trial raises the current polynomial's second peak above its first
+        pts = _PEAK_BOUND_SETS["m=2048"]
+        c = np.random.default_rng(121).standard_normal(9) + 0j
+        peaks = ratio_search._PeakBound(8)
+        peaks.track(pts, _grid_states(pts, c), c)
+        cj = complex(c[7] + 0.5)
+        lows = list(peaks.lows(7, cj))
+        assert lows[0] < max(lows)
+        assert peaks.low(7, cj, math.inf, 0.0, 0.0) == max(lows)
+        # a numerator bound of 0 is ruled out by the first usable bound
+        assert peaks.low(7, cj, 0.0, 1.0, 1.0) == lows[0]
+
+    def test_overflowing_p_rules_nothing_out(self):
+        # |p| overflows on the grid: no bound is usable, even for a trial any bound would rule out
+        pts = _PEAK_BOUND_SETS["m=2048"]
+        c = np.full(5, 1e306, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = _grid_states(pts, c)
+            peaks = ratio_search._PeakBound(4)
+            peaks.track(pts, grid, c)
+        assert not np.isfinite(grid[0]).all()
+        for j in range(5):
+            for delta in (0.5, -0.5j, 2.0 ** -50):
+                cj = complex(c[j] + delta)
+                assert not any(ratio_search._DENOM_FLOOR <= low < math.inf for low in peaks.lows(j, cj))
+                assert peaks.low(j, cj, 0.0, math.inf, math.inf) == 0.0

@@ -27,8 +27,11 @@ normal matrix diag(1, 0, -1) at (8, 500, 0) and (6, 300, 17), 16 more
 searches of degree 3 to 12, three family searches at the edges of the
 numerator bound (rho, r, degree, budget, seed) = (1.05, 0.99, 12, 300, 1),
 (50, 0.99, 12, 300, 1) and (1e25, 0.9, 12, 60, 0), a search on 512 points
-(rho 3, r 0.8, degree 8, budget 500, seed 9), 120 `verify_observation` reports (seed 505,
-n = 1..8, degree 4, budget 60), `ratio_for_poly` on an EllipseBoundary and
+(rho 3, r 0.8, degree 8, budget 500, seed 9), three at the same (rho, r)
+where many sample points are local maxima of |p|: on an EllipseBoundary(3,
+8) and on 7 evenly spaced boundary points (degree 8, budget 500, seed 9),
+and on one point (degree 5, budget 200, seed 9), 120 `verify_observation`
+reports (seed 505, n = 1..8, degree 4, budget 60), `ratio_for_poly` on an EllipseBoundary and
 on 1, 2, 7 and 2048 points, `EllipseBoundary.max_abs_poly` of the Chebyshev
 polynomials T_1..T_12 (rho in {1.01, 1.05, 1.2}, m in {8, 64, 2048}), of
 40 random polynomials on an m = 8 boundary, of z^1..z^12 at rho = 1e3 (m in
@@ -52,7 +55,7 @@ with OutOfDomain points (`--rho 0.5 3 5 --r 0.3 1 5`, csv and json, and
 [1.05, 48] (seed 1111; csv and json), and the one-point json `sweep` at
 each of 16 seeded points (seed 1010) within 3 ulps of r = 1/sqrt(rho) where
 the tests r^2 rho > 1 and r > 1/sqrt(rho) disagree by rounding.  It takes
-about a minute on one core.
+about 6 s on one core of a 2-vCPU x86 host.
 """
 
 from __future__ import annotations
@@ -292,6 +295,12 @@ def main() -> None:
         _emit(f"edge {rho} {r} {degree} {budget} {seed}", result.to_json())
     result = coordinate_search(build_A_rho(3.0, 0.8), boundary_samples(3.0, 512), 8, 500, 9)
     _emit("points 3.0 0.8 8 500 9", result.to_json())
+    # every sample point can be a peak of |p| on these
+    for label, boundary, degree, budget in (("ellipse m=8", EllipseBoundary(3.0, 8), 8, 500),
+                                            ("points m=7", boundary_samples(3.0, 14)[::2], 8, 500),
+                                            ("points m=1", boundary_samples(3.0, 512)[:1], 5, 200)):
+        result = coordinate_search(build_A_rho(3.0, 0.8), boundary, degree, budget, 9)
+        _emit(f"{label} 3.0 0.8 {degree} {budget} 9", result.to_json())
 
     for k, (a, d, perm, seed) in enumerate(_perm_instances(505, 120)):
         report = permutation_ext.verify_observation(a, d, perm, 4, 60, seed)
