@@ -21,12 +21,14 @@ one Horner chain per target, `dense_small.horner_states` for p(A) and
 resumes both at state j + 1, kept from when the current polynomial became
 current, and runs only j + 1 steps; the polish reads |p| on the grid from
 those states.  Before the full grid, `top` is bounded from below at the (at
-most 8) local maxima of the current |p| on the grid, largest first: each
-one's chain resumes at state j + 1 in Python complex arithmetic, less a
-bound on the rounding of it and of numpy's grid pass (_PeakBound).  A trial
-that this bound rules out skips the grid pass (most do).  On a point array
-the denominator is the grid maximum itself, so both rules skip there, for
-the same reason.
+most 8) local maxima of the current |p| on the grid, largest first: a trial
+moves c_j by s, so p_trial(z) = p(z) + s z^j there, one product and one sum
+per peak in Python complex arithmetic, less a bound on their rounding and on
+numpy's (_PeakBound).  A trial that this bound rules out skips the grid pass
+(most do), and is not even copied if that is before the matrix work.  One
+scan of each grid for its local maxima serves both the polish and this
+bound.  On a point array the denominator is the grid maximum itself, so
+both rules skip there, for the same reason.
 
 Before a trial resumes p(A) and takes its SVD, the peak bound is tried with
 an O(1) bound on the numerator in place of ||p(A)||.  The trial adds s to c_j,
@@ -184,20 +186,32 @@ class EllipseBoundary:
         """Polished maximum of |p| over the ellipse.
 
         vals is |p| on self.points; a caller holding the grid states of p
-        passes it, and it is computed here otherwise.
+        passes it, and it is computed here otherwise.  Coefficients below 2^-500
+        run scaled by an exact power of two, so that Horner's rule does not
+        underflow, and the result is scaled back; vals is not used then.
         """
-        cs = tuple(complex(c) for c in coeffs)
+        cs = [complex(c) for c in coeffs]
+        scale = max(map(abs, cs), default=0.0)
+        if 0.0 < scale < 2.0 ** -500:
+            shift = -math.frexp(scale)[1]
+            unit = [complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift)) for c in cs]
+            return math.ldexp(self.max_abs_poly(unit), -shift)
         if vals is None:
             vals = np.abs(_grid_states(self.points, cs)[0])
+        return self._polished(cs, vals, _peaks(vals))
+
+    def _polished(self, coeffs, vals: np.ndarray, index: np.ndarray) -> float:
+        """max_abs_poly from vals and index = _peaks(vals); the peaks within 2% of the top are polished."""
+        cs = [complex(c) for c in coeffs]
         top = float(vals.max())
         if len(cs) <= 1 or not 0.0 < top < math.inf:  # zero, or p overflowed
             return top
-        peaks = _peaks(vals, _REFINE_SLACK * top)
         # the steps do not depend on the scale of p, so they run on p / max|c_k|,
         # which neither overflows nor underflows
-        scale = max(abs(c) for c in cs)
+        scale = max(map(abs, cs))
         unit = [c / scale for c in cs]
-        t = np.array([self._polish_peak(unit, self._h * k) for k in peaks.tolist()])
+        near = index[vals[index] >= _REFINE_SLACK * top]
+        t = np.array([self._polish_peak(unit, self._h * k) for k in near.tolist()])
         return max(top, float(np.abs(_grid_states(self._at(t), cs)[0]).max()))
 
     def _polish_peak(self, c: list, t: float) -> float:
@@ -259,23 +273,26 @@ def _grid_states(pts: np.ndarray, c, j: int | None = None, above: list | None = 
     return grid
 
 
-def _peaks(vals: np.ndarray, floor: float) -> np.ndarray:
-    """Indices of the at most _REFINE_CAP largest local maxima of vals at or above floor, largest first.
+def _peaks(vals: np.ndarray) -> np.ndarray:
+    """Indices of the at most _REFINE_CAP largest local maxima of vals, largest first.
 
     Neighbours are taken cyclically, so without NaNs the largest value is one of them.
     """
     ring = np.concatenate((vals[-1:], vals, vals[:1]))
-    peaks = np.nonzero((vals >= ring[:-2]) & (vals >= ring[2:]) & (vals >= floor))[0]
+    peaks = np.nonzero((vals >= ring[:-2]) & (vals >= ring[2:]))[0]
     return peaks[np.argsort(vals[peaks])[::-1][:_REFINE_CAP]]
 
 
-def _boundary_max(boundary, coeffs, vals: np.ndarray) -> float:
+def _boundary_max(boundary, coeffs, vals: np.ndarray, index: np.ndarray | None = None) -> float:
     """Maximum of |p| over the boundary, from vals = |p| on its sample points.
 
-    Polished on an EllipseBoundary, the grid maximum on a point array.
-    Raises DegenerateDenominatorError below _DENOM_FLOOR.
+    Polished on an EllipseBoundary (from index = _peaks(vals) if given), the
+    grid maximum on a point array.  Raises DegenerateDenominatorError below _DENOM_FLOOR.
     """
-    denom = boundary.max_abs_poly(coeffs, vals) if isinstance(boundary, EllipseBoundary) else float(vals.max())
+    if not isinstance(boundary, EllipseBoundary):
+        denom = float(vals.max())
+    else:
+        denom = boundary.max_abs_poly(coeffs, vals) if index is None else boundary._polished(coeffs, vals, index)
     if denom < _DENOM_FLOOR:
         raise DegenerateDenominatorError(f"boundary maximum {denom} too small to divide by")
     return denom
@@ -336,61 +353,57 @@ class _NumeratorBound:
 
     def __call__(self, j: int, step: complex) -> float:
         """Bound on the computed ||p(A)|| of the current c with c_j moved by step."""
-        upper = (self._base + abs(complex(step)) * self._reach[j]) * (1.0 + self._gamma) * (1.0 + 1e-12)
+        upper = (self._base + abs(step) * self._reach[j]) * (1.0 + self._gamma) * (1.0 + 1e-12)
         return upper if upper < math.inf else math.inf
 
 
 class _PeakBound:
-    """Lower bound on the computed grid maximum of a coordinate trial, in Python floats.
+    """Lower bound on the computed grid maximum of a coordinate trial, in O(1) Python floats per peak.
 
     It is kept at the peaks of the current polynomial's |p| on the grid (see
-    _peaks): each peak's point z, its Horner states, env = sum |c_k| |z|^k
-    and |z|^k.  A trial sets c_j to c_j + s; at each peak it resumes the
-    chain at state j + 1 in Python complex arithmetic, giving w.  numpy's
-    grid value there is a Horner evaluation of the same polynomial at the
-    same point, and both lie within gamma env_trial of the exact value, with
-    env_trial <= env + |s| |z|^j (Higham 2002, section 5.1).  So
-    (|w| - 2 gamma (env + |s| |z|^j)) (1 - 2^-50) is at most the computed
-    |p_trial(z)|, hence at most the computed grid maximum.  gamma = k u / (1 - k u)
-    with k = 8 (degree + 2) is a generous cover for complex Horner, for the
-    rounding of env and for that of the bound itself.
+    _peaks): at each peak z, numpy's computed P = p_c(z), Z_k = z^k from
+    k - 1 complex products, |Z_k| and env = sum |c_k| |Z_k|.  A trial moves
+    c_j by s, and p_trial = p_c + s z^j exactly, so at each peak it takes
+    w = P + s Z_j in Python complex arithmetic and
+    low = (|w| - 2 gamma (env + |s| |Z_j|)) (1 - 2^-50), where
+    gamma = k u / (1 - k u), k = 8 (d + 2), u = 2^-53 and d is the degree.
+    With e = env + |s| |z|^j, the envelope of p_trial at z (Higham 2002,
+    section 5.1): P is within 4 d u env of p_c(z) and numpy's value of
+    p_trial(z) within 4 d u e (complex Horner, to first order in u); the
+    computed s is within u |s| of the exact one, Z_j within 3 j u |z|^j of
+    z^j, the product within 3 u |s Z_j| and the sum within u e.  So w is
+    within (8 d + 3 j + 5) u e < 2 gamma e of the computed |p_trial(z)|,
+    the rounding of env and |Z_j| (relative (d + 2) u) moves the slack by a
+    second-order term, and (1 - 2^-50) covers that of low itself: low is at
+    most the computed |p_trial(z)|, hence at most the computed grid maximum.
     """
 
     def __init__(self, degree: int):
         k = 8 * (degree + 2) * 2.0 ** -53
         self._slack = 2.0 * k / (1.0 - k)
 
-    def track(self, pts: np.ndarray, grid: list, c: np.ndarray) -> None:
-        """Make c, whose Horner states on pts are grid, the current polynomial."""
-        index = _peaks(np.abs(grid[0]), 0.0)
-        z = pts[index]
-        powers = np.abs(z)[:, None] ** np.arange(len(c))  # |z|^k, one row per peak
-        states = np.array([g[index] for g in grid]).T
-        self._c = c.tolist()
-        self._peaks = list(zip(z.tolist(), states.tolist(), (powers @ np.abs(c)).tolist(), powers.tolist()))
+    def track(self, pts: np.ndarray, index: np.ndarray, p: np.ndarray, c: np.ndarray) -> None:
+        """Make c the current polynomial: p is its computed value on pts and index = _peaks(|p|)."""
+        powers = np.ones((index.size, len(c)), dtype=complex)
+        powers[:, 1:] = pts[index, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        moduli = np.abs(powers)
+        self._peaks = list(zip(p[index].tolist(), powers.tolist(), (moduli @ np.abs(c)).tolist(), moduli.tolist()))
 
-    def lows(self, j: int, cj: complex):
-        """Lower bounds, one per peak, largest |p| first, on the computed |p| there of c with c_j set to cj."""
-        c = self._c
-        spread = abs(cj - c[j])
-        for z, states, env, powers in self._peaks:
-            w = states[j + 1] * z + cj
-            for k in range(j - 1, -1, -1):
-                w = w * z + c[k]
-            yield (math.hypot(w.real, w.imag) - self._slack * (env + spread * powers[j])) * (1.0 - 2.0 ** -50)
+    def low(self, j: int, s: complex, upper: float, cur: float, best: float) -> float:
+        """The largest usable bound, finite and at least _DENOM_FLOOR, on the computed grid
+        maximum of c with c_j moved by s; 0.0 if none is.
 
-    def low(self, j: int, cj: complex, upper: float, cur: float, best: float) -> float:
-        """The largest usable value of lows(j, cj): finite and at least _DENOM_FLOOR; 0.0 if none is.
-
-        It stops at, and returns, the first value by which a trial whose
-        numerator is at most upper is ruled out.
+        Peaks are taken largest |p| first.  It stops at, and returns, the
+        first bound by which a trial whose numerator is at most upper is ruled out.
         """
-        top = 0.0
-        for value in self.lows(j, cj):
+        top, slack, spread = 0.0, self._slack, abs(s)
+        for p, powers, env, moduli in self._peaks:
+            value = (abs(p + s * powers[j]) - slack * (env + spread * moduli[j])) * (1.0 - 2.0 ** -50)
             if _DENOM_FLOOR <= value < math.inf:
                 if _ruled_out(upper / value, cur, best):
                     return value
-                top = max(top, value)
+                top = value if value > top else top
         return top
 
 
@@ -438,15 +451,17 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                           f"|z|^{max(degree, 1)} must not exceed 1e300 at degree {degree}")
 
     def evaluate(c: np.ndarray) -> tuple:
-        """The Horner states of p(A) and of p on the grid, ||p(A)||, and the ratio they give."""
+        """The Horner states of p(A) and of p on the grid, ||p(A)||, the peaks of |p| there, and the ratio they give."""
         mats = dense_small.horner_states(A, c)
         grid = _grid_states(pts, c)
+        vals = np.abs(grid[0])
+        index = _peaks(vals)
         num = dense_small.operator_norm(mats[0])
-        return mats, grid, num, num / _boundary_max(boundary, c, np.abs(grid[0]))
+        return mats, grid, num, index, num / _boundary_max(boundary, c, vals, index)
 
     best_c = np.zeros(degree + 1, dtype=complex)
     best_c[0] = 1.0
-    best = evaluate(best_c)[3]
+    best = evaluate(best_c)[4]
     evals = 1
     if degree == 0:
         return RatioResult(best, PolySpec.of(best_c), evals, seed)
@@ -465,9 +480,10 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
             c /= _boundary_max(boundary, c, np.abs(_grid_states(pts, c)[0]))
         except DegenerateDenominatorError:
             continue
-        mats, grid, num, cur = evaluate(c)
+        mats, grid, num, index, cur = evaluate(c)
+        cs = c.tolist()
         bound.track(c, num)
-        peaks.track(pts, grid, c)
+        peaks.track(pts, index, grid[0], c)
         evals += 1
         record(cur, c)
         step = 0.5
@@ -477,16 +493,18 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                 for delta in (step, -step, 1j * step, -1j * step):
                     if evals >= budget:
                         break
-                    trial = c.copy()
-                    trial[j] += delta
                     evals += 1
                     # num / top bounds the ratio, as the polish never lowers
                     # top, and so does any bound on num over any lower bound
-                    # on top: first the bound on num, then num itself
-                    upper = bound(j, trial[j] - c[j])
-                    low = peaks.low(j, complex(trial[j]), upper, cur, best)
+                    # on top: first the bound on num, then num itself.  The
+                    # trial's c_j is cs[j] + delta, the add of trial[j] += delta
+                    s = (cs[j] + delta) - cs[j]
+                    upper = bound(j, s)
+                    low = peaks.low(j, s, upper, cur, best)
                     if low > 0.0 and _ruled_out(upper / low, cur, best):
                         continue
+                    trial = c.copy()
+                    trial[j] += delta
                     trial_mats = dense_small.horner_states(A, trial, j, mats)
                     num = dense_small.operator_norm(trial_mats[0])
                     if low > 0.0 and _ruled_out(num / low, cur, best):
@@ -496,12 +514,13 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                     top = float(vals.max())
                     if top >= _DENOM_FLOOR and _ruled_out(num / top, cur, best):
                         continue
-                    val = num / _boundary_max(boundary, trial, vals)
+                    index = _peaks(vals)
+                    val = num / _boundary_max(boundary, trial, vals, index)
                     record(val, trial)
                     if val > cur * (1.0 + 1e-12):
-                        c, cur, mats, grid, improved = trial, val, trial_mats, trial_grid, True
+                        c, cs, cur, mats, grid, improved = trial, trial.tolist(), val, trial_mats, trial_grid, True
                         bound.track(c, num)
-                        peaks.track(pts, grid, c)
+                        peaks.track(pts, index, grid[0], c)
                 if evals >= budget:
                     break
             if not improved:

@@ -321,9 +321,15 @@ class TestBoundaryMaximum:
                     unit = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
                     cs = unit * scale
                     polished = eb.max_abs_poly(cs)
-                    assert polished >= np.abs(_grid_states(eb.points, cs)[0]).max() > 0.0
                     if scale > 1.0:
+                        assert polished >= np.abs(_grid_states(eb.points, cs)[0]).max() > 0.0
                         assert polished == pytest.approx(scale * eb.max_abs_poly(unit), rel=1e-13)
+                    else:
+                        # a grid pass in subnormal arithmetic overstates |p| by up to 1.4e-4
+                        # relative; the same polynomial times 2^1000 is evaluated in full precision
+                        lifted = cs * 2.0 ** 1000
+                        assert polished >= 2.0 ** -1000 * np.abs(_grid_states(eb.points, lifted)[0]).max() > 0.0
+                        assert polished == pytest.approx(2.0 ** -1000 * eb.max_abs_poly(lifted), rel=1e-15)
 
 
 class TestSearch:
@@ -529,9 +535,10 @@ class TestPolishSkip:
         assert coordinate_search(A, pts, 5, 200, 9) == expect
 
     def test_most_trials_skip_the_polish(self, monkeypatch):
+        # every polish, the search's and max_abs_poly's, runs _polished
         calls = []
-        polish = EllipseBoundary.max_abs_poly
-        monkeypatch.setattr(EllipseBoundary, "max_abs_poly",
+        polish = EllipseBoundary._polished
+        monkeypatch.setattr(EllipseBoundary, "_polished",
                             lambda self, *args: calls.append(1) or polish(self, *args))
         res = worst_ratio_search(*_criterion_6_point(0), 8, 500, 0)
         assert res.evaluations == 500
@@ -541,7 +548,7 @@ class TestPolishSkip:
         # every evaluation of p on the 2048-point grid is one of the search's
         # own Horner passes: a polish takes |p| there from them
         polishes, in_polish, full = [], [False], {True: 0, False: 0}
-        grid_states, polyval, polish = ratio_search._grid_states, np.polyval, EllipseBoundary.max_abs_poly
+        grid_states, polyval, polish = ratio_search._grid_states, np.polyval, EllipseBoundary._polished
 
         def count(pts):
             if np.size(pts) == 2048:
@@ -557,7 +564,7 @@ class TestPolishSkip:
 
         monkeypatch.setattr(ratio_search, "_grid_states", lambda pts, *args: count(pts) or grid_states(pts, *args))
         monkeypatch.setattr(np, "polyval", lambda p, x: count(x) or polyval(p, x))
-        monkeypatch.setattr(EllipseBoundary, "max_abs_poly", counted_polish)
+        monkeypatch.setattr(EllipseBoundary, "_polished", counted_polish)
         assert worst_ratio_search(7.3, 0.8, 8, 500, 2).evaluations == 500
         assert len(polishes) > 10 and full[False] > 0
         assert full[True] == 0
@@ -583,6 +590,17 @@ class TestPolishSkip:
         assert res.evaluations == 500
         assert all(size == 2048 or size <= 8 for size in sizes)
         assert sizes.count(2048) < 0.1 * 500
+
+    def test_one_peak_scan_per_grid_pass(self, monkeypatch):
+        # the polish and the peak bound share one scan of each grid for its peaks
+        scans, passes = [], []
+        peaks, grid_states = ratio_search._peaks, ratio_search._grid_states
+        monkeypatch.setattr(ratio_search, "_peaks", lambda vals: scans.append(vals.size) or peaks(vals))
+        monkeypatch.setattr(ratio_search, "_grid_states",
+                            lambda pts, *args: passes.append(pts.size == 2048) or grid_states(pts, *args))
+        assert worst_ratio_search(*_criterion_6_point(0), 8, 500, 0).evaluations == 500
+        assert set(scans) == {2048}
+        assert len(scans) <= sum(passes)
 
     def test_most_trials_skip_the_matrix_work(self, monkeypatch):
         # one chain for the powers of A, one per start and one per trial the numerator bound lets through
@@ -741,53 +759,66 @@ class TestPeakBound:
     """Each peak's lower bound is at most the computed |p_trial| there, so at most the grid maximum."""
 
     @staticmethod
-    def _check(pts, c):
+    def _tracked(pts, c, p):
+        """A _PeakBound at every peak of |p| and one at each peak alone, largest first."""
+        index = ratio_search._peaks(np.abs(p))
+        bounds = []
+        for part in [index] + [index[i:i + 1] for i in range(index.size)]:
+            bounds.append(ratio_search._PeakBound(len(c) - 1))
+            bounds[-1].track(pts, part, p, c)
+        return index, bounds[0], bounds[1:]
+
+    @staticmethod
+    def _check(pts, c, moves):
         degree = len(c) - 1
         grid = _grid_states(pts, c)
-        peaks = ratio_search._PeakBound(degree)
-        peaks.track(pts, grid, c)
-        index = ratio_search._peaks(np.abs(grid[0]), 0.0)
+        index, peaks, singles = TestPeakBound._tracked(pts, c, grid[0])
         assert 0 < index.size <= 8
+        cs = c.tolist()
         for j in range(degree + 1):
             # the search's steps, and steps so small that rounding outweighs them
             for step in (0.5, 2.0 ** -10, 2.0 ** -30, 2.0 ** -50):
                 for delta in (step, -step, 1j * step, -1j * step):
                     trial = c.copy()
                     trial[j] += delta
+                    # the search forms the trial's c_j in Python: the same IEEE add
+                    assert cs[j] + delta == trial[j]
+                    s = (cs[j] + delta) - cs[j]
+                    moves.add("absorbed" if s == 0 else "exact" if s == delta else "rounded")
                     vals = np.abs(_grid_states(pts, trial, j, grid)[0])
-                    lows = list(peaks.lows(j, complex(trial[j])))
-                    assert len(lows) == index.size
+                    lows = [single.low(j, s, math.inf, 0.0, 0.0) for single in singles]
                     for low, at in zip(lows, vals[index].tolist()):
                         assert low <= at
                         # and the bound is tight: it moves |p| by rounding only
                         assert low >= at * (1.0 - 1e-9)
-                    top = peaks.low(j, complex(trial[j]), math.inf, 0.0, 0.0)
+                    top = peaks.low(j, s, math.inf, 0.0, 0.0)
                     assert top == max(lows) <= vals.max()
 
     @pytest.mark.parametrize("name", list(_PEAK_BOUND_SETS))
     def test_bound(self, name):
         pts = _PEAK_BOUND_SETS[name]
         rng = np.random.default_rng(110 + len(pts))
+        moves = set()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for degree in range(1, 13):
-                for scale in (1e-3, 1.0, 1e3):
+                # up to 2^40 the steps below 2^-10 round into c_j or vanish in it
+                for scale in (1e-3, 1.0, 1e3, 2.0 ** 40):
                     c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
                     c *= scale / np.abs(_grid_states(pts, c)[0]).max()
-                    self._check(pts, c)
+                    self._check(pts, c, moves)
+        assert moves == {"absorbed", "exact", "rounded"}
 
     def test_first_ruling_peak_stops_the_scan(self):
         # this trial raises the current polynomial's second peak above its first
         pts = _PEAK_BOUND_SETS["m=2048"]
         c = np.random.default_rng(121).standard_normal(9) + 0j
-        peaks = ratio_search._PeakBound(8)
-        peaks.track(pts, _grid_states(pts, c), c)
-        cj = complex(c[7] + 0.5)
-        lows = list(peaks.lows(7, cj))
+        _, peaks, singles = self._tracked(pts, c, _grid_states(pts, c)[0])
+        lows = [single.low(7, 0.5, math.inf, 0.0, 0.0) for single in singles]
         assert lows[0] < max(lows)
-        assert peaks.low(7, cj, math.inf, 0.0, 0.0) == max(lows)
+        assert peaks.low(7, 0.5, math.inf, 0.0, 0.0) == max(lows)
         # a numerator bound of 0 is ruled out by the first usable bound
-        assert peaks.low(7, cj, 0.0, 1.0, 1.0) == lows[0]
+        assert peaks.low(7, 0.5, 0.0, 1.0, 1.0) == lows[0]
 
     def test_overflowing_p_rules_nothing_out(self):
         # |p| overflows on the grid: no bound is usable, even for a trial any bound would rule out
@@ -795,11 +826,9 @@ class TestPeakBound:
         c = np.full(5, 1e306, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             grid = _grid_states(pts, c)
-            peaks = ratio_search._PeakBound(4)
-            peaks.track(pts, grid, c)
-        assert not np.isfinite(grid[0]).all()
+            index, peaks, singles = self._tracked(pts, c, grid[0])
+        assert not np.isfinite(grid[0]).all() and index.size > 0
         for j in range(5):
-            for delta in (0.5, -0.5j, 2.0 ** -50):
-                cj = complex(c[j] + delta)
-                assert not any(ratio_search._DENOM_FLOOR <= low < math.inf for low in peaks.lows(j, cj))
-                assert peaks.low(j, cj, 0.0, math.inf, math.inf) == 0.0
+            for s in (0.5, -0.5j, 0.0):
+                assert all(single.low(j, s, math.inf, 0.0, 0.0) == 0.0 for single in singles)
+                assert peaks.low(j, s, 0.0, math.inf, math.inf) == 0.0

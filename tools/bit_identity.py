@@ -30,7 +30,9 @@ numerator bound (rho, r, degree, budget, seed) = (1.05, 0.99, 12, 300, 1),
 (rho 3, r 0.8, degree 8, budget 500, seed 9), three at the same (rho, r)
 where many sample points are local maxima of |p|: on an EllipseBoundary(3,
 8) and on 7 evenly spaced boundary points (degree 8, budget 500, seed 9),
-and on one point (degree 5, budget 200, seed 9), 120 `verify_observation`
+and on one point (degree 5, budget 200, seed 9), a search on those 512 points
+scaled by 1e-3 (degree 8, budget 300, seed 9), where the |c_j|, j >= 1, grow
+to about 8, far above the steps, 120 `verify_observation`
 reports (seed 505, n = 1..8, degree 4, budget 60), `ratio_for_poly` on an EllipseBoundary and
 on 1, 2, 7 and 2048 points, `EllipseBoundary.max_abs_poly` of the Chebyshev
 polynomials T_1..T_12 (rho in {1.01, 1.05, 1.2}, m in {8, 64, 2048}), of
@@ -301,6 +303,9 @@ def main() -> None:
                                             ("points m=1", boundary_samples(3.0, 512)[:1], 5, 200)):
         result = coordinate_search(build_A_rho(3.0, 0.8), boundary, degree, budget, 9)
         _emit(f"{label} 3.0 0.8 {degree} {budget} 9", result.to_json())
+    # on points of modulus about 1e-3 the normalized c_j, j >= 1, grow far above the steps
+    result = coordinate_search(build_A_rho(3.0, 0.8), boundary_samples(3.0, 512) * 1e-3, 8, 300, 9)
+    _emit("points x1e-3 3.0 0.8 8 300 9", result.to_json())
 
     for k, (a, d, perm, seed) in enumerate(_perm_instances(505, 120)):
         report = permutation_ext.verify_observation(a, d, perm, 4, 60, seed)
