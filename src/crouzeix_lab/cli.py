@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .permutation_ext import perm_from_cycles, verify_observation
-from .ratio_search import worst_ratio_search
+from .ratio_search import _RATIO_PASS, worst_ratio_search
 from .region_certifier import certify, figure2_data, open_grid, r1, r3, replay_proofs, sweep_table
 
 EXIT_OK = 0
@@ -31,8 +31,6 @@ EXIT_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_IO = 3
 EXIT_PARSE = 4
-
-_RATIO_PASS = 2.0 + 1e-6
 
 
 def _fmt(x: float) -> str:

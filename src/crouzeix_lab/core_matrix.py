@@ -26,6 +26,7 @@ import numpy as np
 
 from .elementwise import Floats, namespace
 from .errors import DomainError
+from .jsondata import plain
 
 __all__ = [
     "EllipseGeometry",
@@ -230,41 +231,18 @@ class NormalizationRecord:
         return self.unitary @ B1 @ self.unitary.conj().T
 
     def to_json(self) -> str:
-        def c(z: complex) -> list[float]:
-            z = complex(z)
-            return [z.real, z.imag]
-
-        payload = {
-            "affine": [c(self.affine[0]), c(self.affine[1])],
-            "unitary": [[c(self.unitary[i, j]) for j in range(3)] for i in range(3)],
-            "params": None if self.params is None else {"q": self.params.q, "r": self.params.r},
-            "mirrored": self.mirrored,
-            "degenerate_case": self.degenerate_case,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": c(self.gamma),
-            "elliptic_residual": self.elliptic_residual,
-        }
-        return json.dumps(payload)
+        return json.dumps(plain(self))
 
     @classmethod
     def from_json(cls, text: str) -> "NormalizationRecord":
         d = json.loads(text)
-
-        def c(pair) -> complex:
-            return complex(pair[0], pair[1])
-
-        return cls(
-            affine=(c(d["affine"][0]), c(d["affine"][1])),
-            unitary=np.array([[c(d["unitary"][i][j]) for j in range(3)] for i in range(3)]),
-            params=None if d["params"] is None else NormalizedParams(d["params"]["q"], d["params"]["r"]),
-            mirrored=d["mirrored"],
-            degenerate_case=d["degenerate_case"],
-            alpha=d["alpha"],
-            beta=d["beta"],
-            gamma=c(d["gamma"]),
-            elliptic_residual=d["elliptic_residual"],
-        )
+        return cls(**{
+            **d,
+            "affine": tuple(complex(*z) for z in d["affine"]),
+            "unitary": np.array([[complex(*z) for z in row] for row in d["unitary"]]),
+            "params": None if d["params"] is None else NormalizedParams(**d["params"]),
+            "gamma": complex(*d["gamma"]),
+        })
 
 
 def spectral_projectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -24,13 +24,14 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dense_small
 from .errors import DomainError
-from .ratio_search import RatioResult, _check_search_settings, coordinate_search
+from .jsondata import plain
+from .ratio_search import _RATIO_PASS, RatioResult, _check_search_settings, coordinate_search
 
 __all__ = [
     "PermSpec",
@@ -49,7 +50,6 @@ _BOUNDARY_GRID = 1440
 _INCLUSION_TOL = 1e-9
 _INCLUSION_ROUNDING = 64 * 2.0**-52
 _NORM_LAW_TOL = 1e-10
-_RATIO_TOL = 2.0 + 1e-6
 _EQUIV_TOL = 1e-9
 _N_SAMPLE_POLYS = 12
 # ||A|| <= |a| + max|d_i| = B, so p(A) grows like B^degree times the
@@ -175,9 +175,7 @@ class ObservationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(a=[self.a.real, self.a.imag], block_sizes=list(self.block_sizes), ratio=self.ratio.to_json())
-        return out
+        return plain(self)
 
 
 def _poly_norms(M: np.ndarray, polys: list) -> np.ndarray:
@@ -279,7 +277,7 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
 
     pts = _boundary_points(A, vtop)
     ratio = coordinate_search(A, pts, degree, budget, seed)
-    ratio_ok = ratio.best_ratio <= _RATIO_TOL
+    ratio_ok = ratio.best_ratio <= _RATIO_PASS
 
     A_pd = a * np.eye(n, dtype=complex) + Pm @ np.diag(d)
     lhs_pd = _poly_norms(A_pd, polys)

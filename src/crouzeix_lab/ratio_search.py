@@ -62,6 +62,7 @@ import numpy as np
 from . import dense_small
 from .core_matrix import build_A_rho, check_rho
 from .errors import DegenerateDenominatorError, DomainError
+from .jsondata import plain
 
 __all__ = [
     "PolySpec",
@@ -112,10 +113,7 @@ class PolySpec:
         return cls(len(cs) - 1, cs)
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-        }
+        return plain(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "PolySpec":
@@ -134,21 +132,15 @@ class RatioResult:
             raise DomainError(f"best_ratio {self.best_ratio} below 1; constants achieve 1")
 
     def to_json(self) -> dict:
-        return {
-            "best_ratio": self.best_ratio,
-            "best_poly": self.best_poly.to_json(),
-            "evaluations": self.evaluations,
-            "seed": self.seed,
-        }
+        return plain(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "RatioResult":
-        return cls(
-            float(data["best_ratio"]),
-            PolySpec.from_json(data["best_poly"]),
-            int(data["evaluations"]),
-            int(data["seed"]),
-        )
+        return cls(**{**data, "best_poly": PolySpec.from_json(data["best_poly"])})
+
+
+# the largest best_ratio with which the `ratio` command and verify_observation pass a search
+_RATIO_PASS = 2.0 + 1e-6
 
 
 def boundary_samples(rho: float, m: int) -> np.ndarray:
@@ -204,7 +196,7 @@ class EllipseBoundary:
         """max_abs_poly from vals and index = _peaks(vals); the peaks within 2% of the top are polished."""
         cs = [complex(c) for c in coeffs]
         top = float(vals.max())
-        if len(cs) <= 1 or not 0.0 < top < math.inf:  # zero, or p overflowed
+        if not any(cs[1:]) or not 0.0 < top < math.inf:  # constant, zero, or p overflowed
             return top
         # the steps do not depend on the scale of p, so they run on p / max|c_k|,
         # which neither overflows nor underflows

@@ -29,6 +29,7 @@ from .conformal_map import _extreme, c_upper_closed, q_sign_chain_check
 from .core_matrix import NormalizedParams, _q_from_xy, check_rho
 from .elementwise import array_pass, namespace
 from .errors import DomainError, SingularMatrixError
+from .jsondata import plain
 from .similarity import (
     SimilarityX,
     build_X_critical,
@@ -140,23 +141,6 @@ def classify(rho: float, r: float) -> RegionId:
     )
 
 
-def _record(region: str, rho, r, X, kappa, norm_sq, c_up, product, constant, verdict, failure: str) -> dict:
-    """A certificate's JSON record; X is a dict of s, t, u, v, w, or None."""
-    return {
-        "region": region,
-        "rho": rho,
-        "r": r,
-        "X": X,
-        "kappa": kappa,
-        "norm_sq_upper": norm_sq,
-        "c_upper": c_up,
-        "product": product,
-        "crouzeix_constant": constant,
-        "verdict": verdict,
-        "failure_reason": failure,
-    }
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Replayable record of one certified point.
@@ -180,26 +164,11 @@ class Certificate:
     failure_reason: str = ""
 
     def to_json(self) -> dict:
-        X = {"s": self.X.s, "t": self.X.t, "u": self.X.u, "v": self.X.v, "w": self.X.w}
-        return _record(self.region.value, self.rho, self.r, X, self.kappa, self.norm_sq_upper,
-                       self.c_upper, self.product, self.crouzeix_constant, self.verdict,
-                       self.failure_reason)
+        return plain(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "Certificate":
-        return cls(
-            region=RegionId(d["region"]),
-            rho=d["rho"],
-            r=d["r"],
-            X=SimilarityX(**d["X"]),
-            kappa=d["kappa"],
-            norm_sq_upper=d["norm_sq_upper"],
-            c_upper=d["c_upper"],
-            product=d["product"],
-            crouzeix_constant=d["crouzeix_constant"],
-            verdict=d["verdict"],
-            failure_reason=d["failure_reason"],
-        )
+        return cls(**{**d, "region": RegionId(d["region"]), "X": SimilarityX(**d["X"])})
 
 
 def _certify_region(region: RegionId, rho, r) -> tuple:
@@ -233,8 +202,8 @@ def _certify_region(region: RegionId, rho, r) -> tuple:
 
     kappa = singular_spectrum(X).kappa
     if region is not RegionId.DIAGONALIZABLE:
-        g = canonical_G(X, params)
         if region is not RegionId.LARGE_RHO_R:
+            g = canonical_G(X, params)
             norm_sq = norm_from_P(g)
         xp.require(xp.isfinite(norm_sq), "rho={} overflows ||G||^2 = {}", rho, norm_sq)
         if region is not RegionId.LARGE_RHO_R:
@@ -319,14 +288,16 @@ class SweepTable:
     def records(self) -> list:
         """Each point's JSON record: Certificate.to_json() where certified, else
         the same keys with X null."""
+        keys = [f.name for f in fields(Certificate)]
+        x_keys = [f.name for f in fields(SimilarityX)]
         cols = [c.tolist() for c in (self.rho, self.r, *self.X, self.kappa, self.norm_sq_upper,
                                      self.c_upper, self.product, self.verdict)]
         out = []
         for i, (rho, r, s, t, u, v, w, kappa, norm_sq, c_up, product, verdict) in enumerate(zip(*cols)):
             certified = self.region[i] not in (_UNCERTIFIED, RegionId.OUT_OF_DOMAIN.value)
-            X = {"s": s, "t": t, "u": u, "v": v, "w": w} if certified else None
-            out.append(_record(self.region[i], rho, r, X, kappa, norm_sq, c_up, product,
-                               2.0 if verdict else 0.0, verdict, self.failure[i]))
+            X = dict(zip(x_keys, (s, t, u, v, w))) if certified else None
+            out.append(dict(zip(keys, (self.region[i], rho, r, X, kappa, norm_sq, c_up, product,
+                                       2.0 if verdict else 0.0, verdict, self.failure[i]))))
         return out
 
 

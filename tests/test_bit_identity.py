@@ -58,3 +58,10 @@ def test_header_rows_and_text_cells_must_match(bit_identity, tmp_path, capsys, n
 ])
 def test_drift_groups_are_label_kinds(bit_identity, label, group):
     assert bit_identity._group(label) == group
+
+
+@pytest.mark.skipif(not (TOOL.parents[1] / ".git").exists(), reason="needs the repository's git history")
+def test_against_extracts_the_revisions_src(bit_identity, tmp_path):
+    src = bit_identity.extract_src("HEAD", tmp_path)
+    assert src == tmp_path / "src"
+    assert (src / "crouzeix_lab" / "__init__.py").is_file()

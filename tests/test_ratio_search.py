@@ -544,6 +544,17 @@ class TestPolishSkip:
         assert res.evaluations == 500
         assert len(calls) < 250
 
+    def test_constant_start_is_not_polished(self, monkeypatch):
+        # |p| is the same everywhere, so the grid maximum is the maximum
+        calls = []
+        polish = EllipseBoundary._polish_peak
+        monkeypatch.setattr(EllipseBoundary, "_polish_peak",
+                            lambda self, *args: calls.append(1) or polish(self, *args))
+        res = coordinate_search(build_A_rho(7.3, 0.8), EllipseBoundary(7.3), 8, 1, 0)
+        assert (res.best_ratio, res.evaluations, res.best_poly.coeffs[1:]) == (1.0, 1, (0j,) * 8)
+        assert EllipseBoundary(3.0).max_abs_poly([2.5, 0.0, 0.0]) == 2.5
+        assert calls == []
+
     def test_polish_reads_the_search_grid_states(self, monkeypatch):
         # every evaluation of p on the 2048-point grid is one of the search's
         # own Horner passes: a polish takes |p| there from them

@@ -7,7 +7,7 @@ import pytest
 from crouzeix_lab import dense_small
 from crouzeix_lab.core_matrix import NormalizedParams, build_A, q_from_rho
 from crouzeix_lab.errors import DomainError
-from crouzeix_lab.region_certifier import r1, r3
+from crouzeix_lab.region_certifier import RegionId, certify, r1, r3
 from crouzeix_lab.similarity import (
     CanonicalG,
     NormPolyP,
@@ -283,3 +283,67 @@ class TestPsi:
             psi(2.6, 3.0)
         with pytest.raises(DomainError):
             psi(2.2, 2.0)
+
+
+class TestSlackEdges:
+    """Points where one of the similarity checks' slacks decides the outcome.
+
+    Each test pins the result at a point within rounding of a window edge
+    or of the mu bound, where the comparison without its slack would turn
+    the other way.
+    """
+
+    def test_diagonalizing_forgives_a_radicand_within_the_clamp(self):
+        q, r = 0.4771960282553876, 0.9
+        x = r * r + 1.0 / (r * r)
+        assert -1e-14 * (5.0 + 2.0 * x) < 5.0 - 2.0 * x - 4.0 * q * q < 0.0
+        X = build_X_diagonalizing(NormalizedParams(q, r))
+        # one ulp of q lower the radicand is 1.1e-16, whose square root moves X by about 1e-8
+        inside = build_X_diagonalizing(NormalizedParams(0.47719602825538704, r))
+        assert (X.s, X.t, X.u, X.v, X.w) == pytest.approx((inside.s, inside.t, inside.u, inside.v, inside.w),
+                                                          rel=1e-7)
+        with pytest.raises(DomainError, match="needs 5 - 2x >= 4q"):
+            build_X_diagonalizing(NormalizedParams(q * (1.0 + 1e-12), r))
+
+    def test_smallr_accepts_sw_just_below_one_half(self):
+        # 3 r^4 vanishes against 1 at r = 5e-5, and s rounds below 1/2; so
+        # does the radicand of u, within the clamp
+        X = build_X_smallr(NormalizedParams(0.005, 5e-05))
+        assert (X.sw, X.u, X.v, X.w) == (0.4999999999999999, 0.0, 0.0, 1.0)
+
+    def test_sw_one_ulp_above_two_is_accepted(self):
+        # diag(1, 1, 2) satisfies both constraints with sw = 2 exactly
+        X = SimilarityX(s=1.0, t=0.0, u=0.0, v=0.0, w=math.nextafter(2.0, 3.0))
+        assert X.sw == 2.0000000000000004
+        assert singular_spectrum(X).kappa == pytest.approx(2.0, rel=1e-15)
+
+    def test_critical_accepts_x_one_ulp_above_five_halves(self):
+        r = 0.7071067811865475  # the float below 1/sqrt2, where r^2 + 1/r^2 rounds above 5/2
+        assert r * r + 1.0 / (r * r) == 2.5000000000000004
+        X = build_X_critical(NormalizedParams(1.0, r))
+        assert (X.t, X.v) == (0.0, 0.0)
+        assert X.sw == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("x, y, inside", [
+        (math.nextafter(2.0, 0.0), 3.0, (2.0, 3.0)),
+        (math.nextafter(2.5, 3.0), 3.0, (2.5, 3.0)),
+        (2.3, math.nextafter(2.3, 0.0), (2.3, 2.3)),
+    ])
+    def test_psi_accepts_one_ulp_outside_its_window(self, x, y, inside):
+        assert psi(x, y) == pytest.approx(psi(*inside), rel=1e-14)
+
+    @pytest.mark.parametrize("rho, r", [
+        (3.0, 0.577350269189626),   # one ulp above r = 1/sqrt(rho)
+        (5.0, 0.447213595499958),   # one ulp above r = 1/sqrt(rho)
+        (3.0, 0.7260599988965409),  # at r = r1(rho)
+        (2.0, 0.7071067811865476),  # at r = 1/sqrt2
+    ])
+    def test_smallr_mu_bound_holds_within_rounding(self, rho, r):
+        # mu = rho/2 is tight here: P(mu^2) or the vertex condition misses by
+        # a rounding error, which check_mu_bound's slack absorbs
+        pa = NormalizedParams(q_from_rho(rho, r), r)
+        g = canonical_G(build_X_smallr(pa), pa)
+        mu2 = rho * rho / 4.0
+        assert NormPolyP.from_G(g).eval(mu2) < 0.0 or 2.0 + g.alpha**2 + g.beta**2 + g.gamma**2 > 2.0 * mu2
+        cert = certify(rho, r)
+        assert (cert.region, cert.verdict, cert.failure_reason) == (RegionId.SMALL_R, True, "")

@@ -12,6 +12,14 @@ For a change that may move floats, compare the two outputs label by label:
 
     PYTHONPATH=src python3 tools/bit_identity.py --diff old.txt new.txt
 
+Or let it do both runs against a git revision REF of this repository:
+
+    PYTHONPATH=src python3 tools/bit_identity.py --against REF
+
+It extracts REF's `src` with `git archive` into a temporary directory, runs
+itself on that tree and on this one in two subprocesses, and exits 0 only
+if every line matches; otherwise it prints the `--diff` report and exits 1.
+
 It prints every non-float mismatch (labels, keys, lengths, booleans, ints,
 strings, exit codes) and, for each label group and field, the largest
 absolute and relative float drift and the label of the largest relative
@@ -68,7 +76,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import tarfile
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -83,6 +96,8 @@ from crouzeix_lab.ratio_search import (
     ratio_for_poly,
     worst_ratio_search,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CLI_RUNS = (
     ("ratio", "--rho", "2", "--r", "1"),
@@ -270,6 +285,34 @@ def diff(old_path: str, new_path: str) -> int:
     return 1 if mismatches else 0
 
 
+def extract_src(ref: str, dest: Path) -> Path:
+    """Extract the src directory of git revision ref into dest; returns dest / "src"."""
+    tar = subprocess.run(["git", "archive", "--format=tar", ref, "src"], cwd=ROOT,
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def against(ref: str) -> int:
+    """Run this tool on ref's src and on this tree's; 0 if every line matches,
+    else print the --diff report and return 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = []
+        for name, src in (("old", extract_src(ref, Path(tmp))), ("new", ROOT / "src")):
+            path = Path(tmp) / f"{name}.txt"
+            with open(path, "w") as fh:
+                subprocess.run([sys.executable, __file__], env={**os.environ, "PYTHONPATH": str(src)},
+                               stdout=fh, check=True)
+            outputs.append(path)
+        old, new = (path.read_bytes() for path in outputs)
+        if old == new:
+            print(f"{len(old.splitlines())} lines identical")
+            return 0
+        diff(*map(str, outputs))
+        return 1
+
+
 def main() -> None:
     rng = np.random.default_rng(303)
     searched = []
@@ -364,7 +407,10 @@ def main() -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), help="compare two outputs")
+    parser.add_argument("--against", metavar="REF", help="compare this tree with git revision REF")
     args = parser.parse_args()
     if args.diff:
         sys.exit(diff(*args.diff))
+    if args.against:
+        sys.exit(against(args.against))
     main()
