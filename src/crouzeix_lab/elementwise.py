@@ -20,9 +20,9 @@ if it is strictly larger/smaller), NaN included.
 Checks.  `require(ok, template, *values)` raises DomainError where ok is
 false, and `forbid(bad, ...)` where bad is true; the two differ at NaN, as
 `if not ok` and `if bad` do.  On arrays inside `array_pass(n)` a check
-instead marks its failing points in the pass's mask, and the pass goes on;
-the caller reruns a marked point on floats to get its text.  On arrays
-outside a pass, the first failing point raises.
+instead keeps, for each point that fails it first, the text it would raise
+on that point's floats, and the pass goes on.  On arrays outside a pass,
+the first failing point raises.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import DomainError
 
 __all__ = ["Arrays", "Floats", "array_pass", "namespace"]
 
-#: failed-point mask of the array pass in progress in this context, like np.errstate's state
+#: failure texts of the array pass in progress in this context, like np.errstate's state
 _PASS = contextvars.ContextVar("array_pass", default=None)
 _ndarray = np.ndarray
 
@@ -116,11 +116,12 @@ class Arrays:
     def require(ok, template: str, *values, error=DomainError) -> None:
         if np.all(ok):
             return
-        failed = _PASS.get()
-        if failed is None:
+        failure = _PASS.get()
+        if failure is None:
             i = int(np.flatnonzero(np.logical_not(ok))[0])
             raise error(template.format(*_at(values, i)))
-        failed |= np.logical_not(ok)
+        for i in np.flatnonzero(np.logical_not(ok) & np.equal(failure, None)).tolist():
+            failure[i] = template.format(*_at(values, i))
 
     def forbid(bad, template: str, *values, error=DomainError) -> None:
         Arrays.require(np.logical_not(bad), template, *values, error=error)
@@ -128,17 +129,18 @@ class Arrays:
 
 @contextlib.contextmanager
 def array_pass(n: int):
-    """Run array code on n points; yields the mask of points that failed a check.
+    """Run array code on n points; yields an object array of failure texts.
 
-    A failing check marks its points and the pass goes on.  Under
-    np.errstate, overflow, division by zero and invalid operations give inf
-    or NaN without a warning: points that failed a check carry such values
-    through the rest of the pass.
+    A point's entry is None until a check fails there, then the text that
+    check raises on the point's floats; later checks keep the first text.
+    Under np.errstate, overflow, division by zero and invalid operations
+    give inf or NaN without a warning: points that failed a check carry such
+    values through the rest of the pass.
     """
-    failed = np.zeros(n, dtype=bool)
-    token = _PASS.set(failed)
+    failure = np.full(n, None, dtype=object)
+    token = _PASS.set(failure)
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            yield failed
+            yield failure
     finally:
         _PASS.reset(token)

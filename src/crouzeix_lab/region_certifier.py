@@ -11,7 +11,7 @@ regions, each carrying its own similarity construction and bound:
 with x = r^2 + 1/r^2 and y = rho + 1/rho.  `certify` emits a replayable
 Certificate per point.  `sweep_table` runs the same code once over arrays
 that hold a whole sweep grid (see `elementwise`), bit for bit as `certify`
-would point by point, and takes each failed point's row from `certify`.
+would point by point, failed points included.
 `replay_proofs` re-runs every displayed inequality chain behind the two
 hardest regions on documented grids.
 """
@@ -27,8 +27,8 @@ import numpy as np
 
 from .conformal_map import _extreme, c_upper_closed, q_sign_chain_check
 from .core_matrix import NormalizedParams, _q_from_xy, check_rho
-from .elementwise import array_pass, namespace
-from .errors import DomainError, SingularMatrixError
+from .elementwise import _at, array_pass, namespace
+from .errors import DomainError
 from .jsondata import plain
 from .similarity import (
     SimilarityX,
@@ -214,25 +214,26 @@ def _certify_region(region: RegionId, rho, r) -> tuple:
     return X, kappa, norm_sq, c_up, product, verdict, mu_ok, product_ok, mu
 
 
+def _failure_reason(mu_ok, product_ok, mu, product, kappa) -> str:
+    """The failure_reason of one point whose verdict is false: its first false clause."""
+    if not mu_ok:
+        return f"||G|| bound mu = {mu!r} not certified by the norm polynomial"
+    if not product_ok:
+        return f"product = {product!r} exceeds 1"
+    return f"kappa = {kappa!r} exceeds 2"
+
+
 def certify(rho: float, r: float) -> Certificate:
     """Certificate for one admissible point; raises on OutOfDomain input."""
     region = classify(rho, r)
     if region is RegionId.OUT_OF_DOMAIN:
         raise DomainError(f"(rho={rho}, r={r}) is not in the admissible domain")
     X, kappa, norm_sq, c_up, product, verdict, mu_ok, product_ok, mu = _certify_region(region, rho, r)
-    if verdict:
-        failure = ""
-    elif not mu_ok:
-        failure = f"||G|| bound mu = {mu!r} not certified by the norm polynomial"
-    elif not product_ok:
-        failure = f"product = {product!r} exceeds 1"
-    else:
-        failure = f"kappa = {kappa!r} exceeds 2"
     return Certificate(
         region=region, rho=rho, r=r, X=X, kappa=kappa,
         norm_sq_upper=norm_sq, c_upper=c_up, product=product,
         crouzeix_constant=2.0 if verdict else 0.0,
-        verdict=verdict, failure_reason=failure,
+        verdict=verdict, failure_reason="" if verdict else _failure_reason(mu_ok, product_ok, mu, product, kappa),
     )
 
 
@@ -288,17 +289,15 @@ class SweepTable:
     def records(self) -> list:
         """Each point's JSON record: Certificate.to_json() where certified, else
         the same keys with X null."""
-        keys = [f.name for f in fields(Certificate)]
         x_keys = [f.name for f in fields(SimilarityX)]
-        cols = [c.tolist() for c in (self.rho, self.r, *self.X, self.kappa, self.norm_sq_upper,
-                                     self.c_upper, self.product, self.verdict)]
-        out = []
-        for i, (rho, r, s, t, u, v, w, kappa, norm_sq, c_up, product, verdict) in enumerate(zip(*cols)):
-            certified = self.region[i] not in (_UNCERTIFIED, RegionId.OUT_OF_DOMAIN.value)
-            X = dict(zip(x_keys, (s, t, u, v, w))) if certified else None
-            out.append(dict(zip(keys, (self.region[i], rho, r, X, kappa, norm_sq, c_up, product,
-                                       2.0 if verdict else 0.0, verdict, self.failure[i]))))
-        return out
+        column = {f.name: getattr(self, f.name) for f in fields(self)}
+        column["X"] = [dict(zip(x_keys, x)) if label not in (_UNCERTIFIED, RegionId.OUT_OF_DOMAIN.value) else None
+                       for label, x in zip(self.region, zip(*(c.tolist() for c in self.X)))]
+        column["crouzeix_constant"] = np.where(self.verdict, 2.0, 0.0)
+        column["failure_reason"] = self.failure
+        keys = [f.name for f in fields(Certificate)]
+        rows = zip(*(column[k].tolist() if isinstance(column[k], np.ndarray) else column[k] for k in keys))
+        return [dict(zip(keys, row)) for row in rows]
 
 
 def _sweep_nodes(rho_range: tuple, r_range: tuple) -> tuple:
@@ -319,16 +318,18 @@ def certify_points(rho, r) -> SweepTable:
     """Certify the points (rho[i], r[i]) in one array pass per region.
 
     Each region's points go through `_certify_region` together, the code
-    that certify runs on one point.  An admissible point that failed a
-    check or its verdict is certified again by certify, which gives its
-    whole row: the failure_reason, or the DomainError text and
-    "Uncertified".  So every field is the one certify gives or raises.
+    that certify runs on one point, and the pass writes every row.  A point
+    that failed a check is "Uncertified", with zeros and the first failed
+    check's text, the DomainError certify raises; a false verdict carries
+    certify's failure_reason.  So every field is the one certify gives or
+    raises.
     """
     rho, r = np.asarray(rho, dtype=float).ravel(), np.asarray(r, dtype=float).ravel()
     n = rho.size
-    with array_pass(n) as redo:
+    with np.errstate(all="ignore"):
         regions = classify(rho, r)
-    X = tuple(np.zeros(n) for _ in range(5))
+    x_keys = [f.name for f in fields(SimilarityX)]
+    X = tuple(np.zeros(n) for _ in x_keys)
     kappa, norm_sq, c_up, product = (np.zeros(n) for _ in range(4))
     verdict = np.zeros(n, dtype=bool)
     columns = (*X, kappa, norm_sq, c_up, product, verdict)
@@ -338,23 +339,19 @@ def certify_points(rho, r) -> SweepTable:
         idx = np.flatnonzero(regions == region)
         if idx.size == 0:
             continue
-        with array_pass(idx.size) as failed:
-            Xk, *values = _certify_region(region, rho[idx], r[idx])[:6]
-        for col, val in zip(columns, (Xk.s, Xk.t, Xk.u, Xk.v, Xk.w, *values)):
+        with array_pass(idx.size) as raised:
+            Xk, *values, mu_ok, product_ok, mu = _certify_region(region, rho[idx], r[idx])
+        for col, val in zip(columns, (*(getattr(Xk, k) for k in x_keys), *values)):
             col[idx] = val
         labels[idx], failure[idx] = region.value, ""
-        redo[idx] |= failed | np.logical_not(values[-1])
-    for i in np.flatnonzero(redo & (regions != RegionId.OUT_OF_DOMAIN)).tolist():
-        try:
-            cert = certify(rho.item(i), r.item(i))
-        except (DomainError, SingularMatrixError) as exc:
-            labels[i], failure[i], row = _UNCERTIFIED, str(exc), (0,) * len(columns)
-        else:
-            labels[i], failure[i] = cert.region.value, cert.failure_reason
-            row = (cert.X.s, cert.X.t, cert.X.u, cert.X.v, cert.X.w, cert.kappa, cert.norm_sq_upper,
-                   cert.c_upper, cert.product, cert.verdict)
-        for col, val in zip(columns, row):
-            col[i] = val
+        uncertified = np.not_equal(raised, None)
+        bad = idx[uncertified]
+        for col in columns:
+            col[bad] = 0
+        labels[bad], failure[bad] = _UNCERTIFIED, raised[uncertified]
+        kappa_k, _, _, product_k, verdict_k = values
+        for i in np.flatnonzero(np.logical_not(verdict_k | uncertified)).tolist():
+            failure[idx[i]] = _failure_reason(*_at((mu_ok, product_ok, mu, product_k, kappa_k), i))
     return SweepTable(rho, r, labels.tolist(), X, kappa, norm_sq, c_up, product, verdict, failure.tolist())
 
 

@@ -57,12 +57,13 @@ def test_require_and_forbid_differ_at_nan_as_if_not_ok_and_if_bad_do():
 
 
 def test_array_checks_mark_exactly_the_failing_points_of_a_pass():
-    x = np.array([0.5, 2.0, -1.0, 3.0, 0.25])
-    with array_pass(5) as failed:
+    x = np.array([0.5, 2.0, -1.0, 3.0, 0.25, 20.0])
+    with array_pass(6) as failure:
         Arrays.require(x > 0.0, "{} is not positive", x)
-        Arrays.forbid(x > 1.0, "{} exceeds 1", x)  # -1.0 passes here and stays marked
-        Arrays.require(x < 10.0, "never fails {}", x)
-    assert failed.tolist() == [False, True, True, True, False]
+        Arrays.forbid(x > 1.0, "{} exceeds 1", x)  # -1.0 passes here and keeps its first text
+        Arrays.require(x < 10.0, "{} is not below 10", x)  # 20.0 fails a second check
+    assert failure.tolist() == [None, "2.0 exceeds 1", "-1.0 is not positive", "3.0 exceeds 1", None,
+                                "20.0 exceeds 1"]
     with pytest.raises(DomainError, match="^2.0 exceeds 1$"):
         Arrays.forbid(x > 1.0, "{} exceeds 1", x)
 

@@ -343,6 +343,33 @@ class TestArraySweep:
         r = rng.uniform(0.0, 1.0, len(rho)).tolist()
         _assert_matches_certify(rho + rho, r + [0.77] * len(rho))
 
+    def test_failed_rows_come_from_the_array_pass(self, monkeypatch):
+        def no_certify(rho, r):
+            raise AssertionError("certify_points called certify")
+
+        def rows_without_certify(rho, r):
+            want = certify_points(rho, r)
+            with monkeypatch.context() as m:
+                m.setattr(region_certifier, "certify", no_certify)
+                assert repr(certify_points(rho, r).records()) == repr(want.records())
+            return want
+
+        band = sweep_table((1e160, 1e300, 20), (None, 1.0, 20))
+        assert set(rows_without_certify(band.rho, band.r).region) == {"Uncertified"}
+        # near rho = 1 twelve points fail q^2 > 0 yet read verdict True in the pass
+        near_one = [(p, q) for p in _ulps(1.0) + [1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6]
+                    for q in _ulps(1.0) + [0.9999995, 0.99]]
+        table = rows_without_certify(*zip(*near_one))
+        texts = [text for label, text in zip(table.region, table.failure) if label == "Uncertified"]
+        assert len(texts) == 12 and all("gives q^2" in text for text in texts)
+        # every verdict fails, as in test_failed_verdicts_carry_certifys_failure_reason
+        monkeypatch.setattr(region_certifier, "_PRODUCT_TOL", -1.0)
+        monkeypatch.setattr(region_certifier, "_KAPPA_TOL", -1.0)
+        monkeypatch.setattr(region_certifier, "check_mu_bound",
+                            lambda g, mu: np.zeros(mu.shape, dtype=bool) if isinstance(mu, np.ndarray) else False)
+        table = rows_without_certify(*_seeded_draw())
+        assert {text.split(" = ")[0] for text in table.failure} == {"||G|| bound mu", "product", "kappa"}
+
     def test_open_grid_rows_match_the_scalar_grid(self):
         ends = [0.5, 0.9, 1e-300, math.nan, -math.inf, 1.0]
         rows = open_grid(np.array(ends), 1.0, 7)
