@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 MAX_N = 8
+_IDENTITY = [np.broadcast_to(np.eye(n, dtype=complex), (n, n)) for n in range(MAX_N + 1)]  # read-only: every chain shares it
 
 
 def _as_square(M: np.ndarray) -> np.ndarray:
@@ -74,10 +75,10 @@ def horner_states(M: np.ndarray, coeffs: Sequence[complex], j: int | None = None
     Entry k is the state after c_d, ..., c_k, so entry 0 is p(M).  Entries
     above j come from `above`, the states of a polynomial agreeing with
     coeffs there: a change in c_j alone costs j + 1 steps and matches a full
-    pass bit for bit.  Without `above`, j is the degree.
+    pass bit for bit.  Without `above`, j is the degree; with it, M is taken as checked.
     """
-    A = _as_square(M)
-    I = np.eye(A.shape[0], dtype=complex)
+    A = M if above else _as_square(M)
+    I = _IDENTITY[A.shape[0]]
     states = list(above) if above else [None] * (len(coeffs) + 1)
     for k in range(len(coeffs) - 1 if j is None else j, -1, -1):
         ck = complex(coeffs[k])

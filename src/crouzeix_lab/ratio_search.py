@@ -7,11 +7,11 @@ axes rho +- 1/rho, the quantity of interest is
 
 maximised over polynomials p of bounded degree.  The maximum principle lets
 the denominator run over the boundary ellipse only, which we sample densely
-and then polish around every near-maximal sample with a few Newton steps,
-so the denominator is stable under grid refinement.  The search itself is a
-seeded multi-start coordinate ascent; it is reproducible and monotone in its
-evaluation budget, and it reports the best ratio found together with the
-polynomial achieving it.
+and then polish with a few Newton steps around every grid peak that can end
+above the grid maximum, so the denominator is stable under grid refinement.
+The search itself is a seeded multi-start coordinate ascent; it is
+reproducible and monotone in its evaluation budget, and it reports the best
+ratio found together with the polynomial achieving it.
 
 Most coordinate trials skip the polish: it never lowers the grid maximum `top`
 and IEEE division is monotone, so ||p(A)|| / top bounds a trial's ratio, and a
@@ -76,8 +76,8 @@ __all__ = [
 
 _MAX_DEGREE = 12
 _DENOM_FLOOR = 1e-300
-# near-maximal grid samples polished by Newton steps, and the relative
-# slack deciding which local maxima count as near-maximal
+# the most grid peaks polished by Newton steps, and the relative slack below
+# which a peak is never polished (EllipseBoundary._floor can only raise it)
 _REFINE_CAP = 8
 _REFINE_SLACK = 0.98
 # Newton steps per peak: the fewest that reach rounding on an m = 8 grid
@@ -151,13 +151,13 @@ def boundary_samples(rho: float, m: int) -> np.ndarray:
 class EllipseBoundary:
     """Sampled boundary ellipse with a polished maximum-modulus evaluator.
 
-    The grid maximum of |p| moves by O(h^2) under refinement; following it
-    with Newton steps inside each near-maximal bracket [t0 - h, t0 + h]
-    brings the value to grid-independent accuracy, which ratio_for_poly
-    relies on.  The steps run peak by peak in Python floats, which on at most
-    8 peaks cost less than numpy's per-call overhead.  The polish returns
-    the larger of the grid maximum and |p| where the steps end, so it never
-    lowers the grid maximum, the bound by which coordinate_search skips it.
+    The grid maximum of |p| moves by O(h^2) under refinement; Newton steps
+    in the bracket [t0 - h, t0 + h] of each grid peak that can end above it
+    (_floor) bring the value to grid-independent accuracy, which
+    ratio_for_poly relies on.  The steps run peak by peak in Python floats,
+    which on at most 8 peaks cost less than numpy's per-call overhead.  The
+    polish returns the larger of the grid maximum and |p| where the steps
+    end, so it never lowers the grid maximum, by which coordinate_search skips it.
     """
 
     def __init__(self, rho: float, m: int = 2048):
@@ -193,8 +193,8 @@ class EllipseBoundary:
         return self._polished(cs, vals, _peaks(vals))
 
     def _polished(self, coeffs, vals: np.ndarray, index: np.ndarray) -> float:
-        """max_abs_poly from vals and index = _peaks(vals); the peaks within 2% of the top are polished."""
-        cs = [complex(c) for c in coeffs]
+        """max_abs_poly from vals and index = _peaks(vals); the peaks at or above _floor are polished."""
+        cs = np.asarray(coeffs, dtype=complex).tolist()
         top = float(vals.max())
         if not any(cs[1:]) or not 0.0 < top < math.inf:  # constant, zero, or p overflowed
             return top
@@ -202,9 +202,24 @@ class EllipseBoundary:
         # which neither overflows nor underflows
         scale = max(map(abs, cs))
         unit = [c / scale for c in cs]
-        near = index[vals[index] >= _REFINE_SLACK * top]
+        near = index[vals[index] >= self._floor(cs, top)]
         t = np.array([self._polish_peak(unit, self._h * k) for k in near.tolist()])
         return max(top, float(np.abs(_grid_states(self._at(t), cs)[0]).max()))
+
+    def _floor(self, cs: list, top: float) -> float:
+        """The least peak value whose polish can end above top, or _REFINE_SLACK top if larger.
+
+        Bernstein's inequality for the degree-2d trigonometric polynomial |p(z(t))|^2 keeps it below
+        v^2 + eps / (1 - eps) top^2, eps = d^2 h^2 / 2 < 1, in the bracket of a peak of value v; v, top
+        and the polished value are widened by E = 2 gamma sum |c_k| a^k (README, `ratio_search`).
+        """
+        d, env = len(cs) - 1, 0.0
+        eps = 0.5 * (d * self._h) ** 2
+        for c in reversed(cs):
+            env = env * self._a + abs(c)
+        e = 2.0 * _gamma(8 * (d + 2)) * env / top
+        q = (1.0 - e) ** 2 - eps / (1.0 - eps) * (1.0 + e) ** 2 if eps < 1.0 else 0.0
+        return top * max(_REFINE_SLACK, (math.sqrt(q) - e) * (1.0 - 2.0 ** -50) if q > 0.0 else 0.0)
 
     def _polish_peak(self, c: list, t: float) -> float:
         """At most _NEWTON_STEPS bracketed Newton steps on log|p(z(t))| from t toward its maximum in [t - h, t + h].
@@ -320,8 +335,7 @@ class _NumeratorBound:
     """
 
     def __init__(self, A: np.ndarray, degree: int):
-        k = 8 * (degree + 2) * (A.shape[0] + 4) * 2.0 ** -53
-        self._gamma = gamma = k / (1.0 - k)
+        self._gamma = gamma = _gamma(8 * (degree + 2) * (A.shape[0] + 4))
         with np.errstate(all="ignore"):
             fro = float(np.linalg.norm(A)) * (1.0 + gamma)
             powers = np.array(dense_small.horner_states(A, [0.0] * degree + [1.0])[degree::-1])
@@ -371,8 +385,7 @@ class _PeakBound:
     """
 
     def __init__(self, degree: int):
-        k = 8 * (degree + 2) * 2.0 ** -53
-        self._slack = 2.0 * k / (1.0 - k)
+        self._slack = 2.0 * _gamma(8 * (degree + 2))
 
     def track(self, pts: np.ndarray, index: np.ndarray, p: np.ndarray, c: np.ndarray) -> None:
         """Make c the current polynomial: p is its computed value on pts and index = _peaks(|p|)."""
@@ -397,6 +410,11 @@ class _PeakBound:
                     return value
                 top = value if value > top else top
         return top
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u) with u = 2^-53 (Higham 2002, section 3.1)."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
 
 
 def _ruled_out(upper: float, cur: float, best: float) -> bool:

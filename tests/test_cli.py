@@ -3,6 +3,7 @@ import importlib.metadata
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from crouzeix_lab import cli
-from crouzeix_lab.region_certifier import SweepTable, sweep_table
+from crouzeix_lab.region_certifier import SweepTable, certify_points, sweep_table
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 HAVE_TOMLLIB = importlib.util.find_spec("tomllib") is not None
@@ -206,6 +207,16 @@ class TestSweep:
         assert {rec["region"] for rec in records} == regions
         keys = list(cli.certify(2.0, 1.0).to_json())
         assert all(list(rec) == keys for rec in records)
+
+    def test_json_rows_parse_back_to_the_records(self):
+        table = certify_points(np.array([2.0, 7.3, 1.2, 20.0, 1e300, 1.1]), np.array([1.0, 0.8, 0.95, 0.5, 0.5, 0.3]))
+        assert table.region[-2:] == ["Uncertified", "OutOfDomain"]
+        text = cli._sweep_text(table, "json")
+        assert json.loads(text) == table.records()
+        # every float prints as _fmt prints it, so the text is _dump's
+        numbers = re.findall(r"(?<=: )-?[0-9][^,}]*", text)
+        assert len(numbers) == 6 * 7 + 4 * 5 and all(n == cli._fmt(float(n)) for n in numbers)
+        assert text == cli._dump(table.records()) + "\n"
 
     def test_bad_nargs_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--rho", "1", "20")

@@ -332,6 +332,67 @@ class TestBoundaryMaximum:
                         assert polished == pytest.approx(2.0 ** -1000 * eb.max_abs_poly(lifted), rel=1e-15)
 
 
+class TestPeakFloor:
+    """Polishing only the peaks at or above the floor gives, bit for bit, what
+    polishing every peak within _REFINE_SLACK of the top gives."""
+
+    @staticmethod
+    def _check(eb, cs) -> tuple:
+        """(near-maximal peaks, peaks dropped) of one polish, checked against the reference."""
+        cs = np.asarray(cs, dtype=complex)
+        vals = np.abs(_grid_states(eb.points, cs)[0])
+        index = ratio_search._peaks(vals)
+        top = float(vals.max())
+        if not cs[1:].any():
+            return 0, 0
+        polished = []
+        eb._polish_peak = lambda c, t: polished.append(t) or EllipseBoundary._polish_peak(eb, c, t)
+        got = eb._polished(cs, vals, index)
+        del eb._polish_peak
+        # the reference: every peak within _REFINE_SLACK of the top, each one's |p| where its steps end
+        scale = max(map(abs, cs.tolist()))
+        unit = [c / scale for c in cs.tolist()]
+        near = index[vals[index] >= ratio_search._REFINE_SLACK * top].tolist()
+        ends = {k: float(np.abs(_grid_states(eb._at(np.array([EllipseBoundary._polish_peak(eb, unit, eb._h * k)])),
+                                             cs)[0])[0]) for k in near}
+        assert got == max(top, *ends.values())
+        dropped = [k for k in near if eb._h * k not in polished]
+        assert len(polished) + len(dropped) == len(near)
+        for k in dropped:
+            assert ends[k] <= top, (k, ends[k], top)
+        return len(near), len(dropped)
+
+    def test_chebyshev(self):
+        # the 2d peaks of |T_d| on the ellipse are equal, so on a grid every
+        # one is within a factor 1 - eps of the top and none may be dropped
+        for d in range(1, 13):
+            cheb = np.polynomial.chebyshev.cheb2poly([0] * d + [1])
+            for rho in (1.01, 1.05, 1.2):
+                for m in (8, 64, 2048):
+                    assert self._check(EllipseBoundary(rho, m), cheb)[1] == 0
+
+    def test_criterion_6_best_polynomials(self):
+        # these have about five near-equal peaks; on the 2048-point grid most cannot end above the top
+        near = dropped = 0
+        for k in range(20):
+            rho, r = _criterion_6_point(k)
+            cs = worst_ratio_search(rho, r, 8, 500, k).best_poly.coeffs
+            for m in (8, 64, 2048):
+                n, d = self._check(EllipseBoundary(rho, m), cs)
+                if m == 2048:
+                    near, dropped = near + n, dropped + d
+        assert dropped > near / 2
+
+    def test_random_polynomials(self):
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            deg = int(rng.integers(0, 13))
+            cs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            rho = float(10 ** rng.uniform(0.003, 2))
+            for m in (8, 64, 2048):
+                self._check(EllipseBoundary(rho, m), cs)
+
+
 class TestSearch:
     def test_degree_zero(self):
         res = worst_ratio_search(2.0, 1.0, 0, 50, 123)
