@@ -113,24 +113,16 @@ def _sweep_text(table, fmt: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cert = certify(args.rho, args.r)
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
+    cert = certify(args.rho, args.r)
     print(_dump(cert.to_json()))
     return EXIT_OK if cert.verdict else EXIT_FAIL
 
 
 def cmd_sweep(args) -> int:
-    try:
-        rho_range = _parse_range(args.rho, "--rho")
-        r_range = "auto" if args.r == ["auto"] else _parse_range(args.r, "--r")
-        if args.workers < 0:
-            raise DomainError("need at least one worker")
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
+    rho_range = _parse_range(args.rho, "--rho")
+    r_range = "auto" if args.r == ["auto"] else _parse_range(args.r, "--r")
+    if args.workers < 0:
+        raise DomainError("need at least one worker")
     if r_range == "auto":
         r_range = (None, 1.0, rho_range[2])
     table = sweep_table(rho_range, r_range)
@@ -152,41 +144,35 @@ def _parse_range(tokens: list, flag: str) -> tuple:
     return lo, hi, steps
 
 
+# the curves of `figures --which regions`: name, the interval of open_grid, and (rho, r) at a node
+_REGION_CURVES = (
+    ("r_min", (1.0, 50.0), lambda rho: (rho, 1.0 / math.sqrt(rho))),
+    ("r1", (1.0, 50.0), lambda rho: (rho, r1(rho))),
+    ("r3", (1.0, 2.0), lambda rho: (rho, r3(rho))),
+    ("strip_rho10", (0.75, 0.77), lambda r: (10.0, r)),
+    ("strip_r075", (10.0, 50.0), lambda rho: (rho, 0.75)),
+    ("strip_r077", (10.0, 50.0), lambda rho: (rho, 0.77)),
+)
+
+
 def _figures_regions(grid: int) -> list:
-    rows = []
-    for rho in open_grid(1.0, 50.0, grid):
-        rows.append({"curve": "r_min", "rho": rho, "r": 1.0 / math.sqrt(rho)})
-    for rho in open_grid(1.0, 50.0, grid):
-        rows.append({"curve": "r1", "rho": rho, "r": r1(rho)})
-    for rho in open_grid(1.0, 2.0, grid):
-        rows.append({"curve": "r3", "rho": rho, "r": r3(rho)})
-    for r in open_grid(0.75, 0.77, grid):
-        rows.append({"curve": "strip_rho10", "rho": 10.0, "r": r})
-    for rho in open_grid(10.0, 50.0, grid):
-        rows.append({"curve": "strip_r075", "rho": rho, "r": 0.75})
-    for rho in open_grid(10.0, 50.0, grid):
-        rows.append({"curve": "strip_r077", "rho": rho, "r": 0.77})
-    return rows
+    return [{"curve": name, "rho": rho, "r": r}
+            for name, (lo, hi), at in _REGION_CURVES for rho, r in map(at, open_grid(lo, hi, grid))]
 
 
 def cmd_figures(args) -> int:
-    try:
-        if args.which == "regions":
-            rows = _figures_regions(args.grid)
-            if args.format == "json":
-                text = _dump(rows) + "\n"
-            else:
-                text = "curve,rho,r\n" + "".join(
-                    f"{row['curve']},{_fmt(row['rho'])},{_fmt(row['r'])}\n" for row in rows)
+    if args.which == "regions":
+        rows = _figures_regions(args.grid)
+        if args.format == "json":
+            text = _dump(rows) + "\n"
         else:
-            data = figure2_data(args.grid)
-            if args.format == "json":
-                text = _dump([{"rho": rho, "value": val} for rho, val in data]) + "\n"
-            else:
-                text = "rho,value\n" + "".join(f"{_fmt(rho)},{_fmt(val)}\n" for rho, val in data)
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
+            text = "curve,rho,r\n" + "".join(f"{row['curve']},{_fmt(row['rho'])},{_fmt(row['r'])}\n" for row in rows)
+    else:
+        data = figure2_data(args.grid)
+        if args.format == "json":
+            text = _dump([{"rho": rho, "value": val} for rho, val in data]) + "\n"
+        else:
+            text = "rho,value\n" + "".join(f"{_fmt(rho)},{_fmt(val)}\n" for rho, val in data)
     return _write_output(text, args.out)
 
 
@@ -197,11 +183,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    try:
-        result = worst_ratio_search(args.rho, args.r, args.degree, args.budget, args.seed)
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
+    result = worst_ratio_search(args.rho, args.r, args.degree, args.budget, args.seed)
     print(_dump(result.to_json()))
     return EXIT_OK if result.best_ratio <= _RATIO_PASS else EXIT_FAIL
 
@@ -216,11 +198,7 @@ def cmd_perm(args) -> int:
     except (ValueError, DomainError) as exc:
         print(f"bad perm arguments: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        report = verify_observation(a, diag, perm, args.degree, args.budget, args.seed)
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
+    report = verify_observation(a, diag, perm, args.degree, args.budget, args.seed)
     print(_dump(report.to_json()))
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -233,7 +211,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="certificate for one (rho, r) point")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, domain_exit=EXIT_DOMAIN)
 
     p = sub.add_parser("sweep", help="grid of certificates")
     p.add_argument("--rho", nargs=3, metavar=("LO", "HI", "STEPS"), required=True,
@@ -244,17 +222,17 @@ def _build_parser() -> _Parser:
                    help="ignored, accepted for compatibility: the sweep runs in one process")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, domain_exit=EXIT_PARSE)
 
     p = sub.add_parser("figures", help="boundary curves / quotient table")
     p.add_argument("--which", choices=("regions", "figure2"), required=True)
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=cmd_figures)
+    p.set_defaults(fn=cmd_figures, domain_exit=EXIT_PARSE)
 
     p = sub.add_parser("replay", help="replay the inequality chains")
-    p.set_defaults(fn=cmd_replay)
+    p.set_defaults(fn=cmd_replay, domain_exit=EXIT_DOMAIN)
 
     p = sub.add_parser("ratio", help="adversarial ratio search")
     p.add_argument("--rho", type=float, required=True)
@@ -262,7 +240,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", type=int, default=6)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_ratio)
+    p.set_defaults(fn=cmd_ratio, domain_exit=EXIT_DOMAIN)
 
     p = sub.add_parser("perm", help="diagonal-times-permutation harness")
     p.add_argument("--a", default="0")
@@ -271,7 +249,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_perm)
+    p.set_defaults(fn=cmd_perm, domain_exit=EXIT_DOMAIN)
     return parser
 
 
@@ -281,7 +259,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.fn(args)
+    # a DomainError is a point outside the domain, or for sweep and figures an argument it cannot take
+    try:
+        return args.fn(args)
+    except DomainError as exc:
+        print(str(exc), file=sys.stderr)
+        return args.domain_exit
 
 
 if __name__ == "__main__":

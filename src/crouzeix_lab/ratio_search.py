@@ -20,26 +20,12 @@ one Horner chain per target, `dense_small.horner_states` for p(A) and
 `_grid_states` for p on points.  A trial changes one coefficient c[j], so it
 resumes both at state j + 1, kept from when the current polynomial became
 current, and runs only j + 1 steps; the polish reads |p| on the grid from
-those states.  Before the full grid, `top` is bounded from below at the (at
-most 8) local maxima of the current |p| on the grid, largest first: a trial
-moves c_j by s, so p_trial(z) = p(z) + s z^j there, one product and one sum
-per peak in Python complex arithmetic, less a bound on their rounding and on
-numpy's (_PeakBound).  A trial that this bound rules out skips the grid pass
-(most do), and is not even copied if that is before the matrix work.  One
-scan of each grid for its local maxima serves both the polish and this
-bound.  On a point array the denominator is the grid maximum itself, so
-both rules skip there, for the same reason.
-
-Before a trial resumes p(A) and takes its SVD, the peak bound is tried with
-an O(1) bound on the numerator in place of ||p(A)||.  The trial adds s to c_j,
-so p_trial(A) = p(A) + s A^j and ||p_trial(A)|| <= ||p(A)|| + |s| ||A^j||;
-||A^j|| for j = 0..d comes once per search from one chain of powers, and the
-current polynomial's computed ||p(A)|| and Horner envelope
-gamma sum |c_k| ||A||_F^k are kept when it becomes current.  The bound covers
-the rounding of both chains, of the SVD and of the computed A^j, so it is
-never below the computed numerator, and a trial it rules out is one the exact
-path would skip.  On the family, A^3 = A, so ||A^j|| takes only three
-values; about five trials in six stop at this bound.
+those states.  Before either chain runs, _TrialBound rules out most trials in
+O(1): a bound on ||p(A)|| over a bound on `top` at the (at most 8) local maxima
+of the current |p| on the grid, each covering every rounding (see its
+docstring).  A ruled-out trial is not even copied.  One scan of each grid for
+its local maxima serves both the polish and this bound.  On a point array the
+denominator is the grid maximum itself, so every rule skips there too.
 
 The polish takes a few bracketed Newton steps on log|p(z(t))|, which is
 smooth in t, from each selected grid peak in turn, in Python floats, and
@@ -192,10 +178,11 @@ class EllipseBoundary:
             vals = np.abs(_grid_states(self.points, cs)[0])
         return self._polished(cs, vals, _peaks(vals))
 
-    def _polished(self, coeffs, vals: np.ndarray, index: np.ndarray) -> float:
-        """max_abs_poly from vals and index = _peaks(vals); the peaks at or above _floor are polished."""
+    def _polished(self, coeffs, vals: np.ndarray, index: np.ndarray, top: float | None = None) -> float:
+        """max_abs_poly from vals, index = _peaks(vals) and, if given, top = float(vals.max());
+        the peaks at or above _floor are polished."""
         cs = np.asarray(coeffs, dtype=complex).tolist()
-        top = float(vals.max())
+        top = float(vals.max()) if top is None else top
         if not any(cs[1:]) or not 0.0 < top < math.inf:  # constant, zero, or p overflowed
             return top
         # the steps do not depend on the scale of p, so they run on p / max|c_k|,
@@ -290,16 +277,17 @@ def _peaks(vals: np.ndarray) -> np.ndarray:
     return peaks[np.argsort(vals[peaks])[::-1][:_REFINE_CAP]]
 
 
-def _boundary_max(boundary, coeffs, vals: np.ndarray, index: np.ndarray | None = None) -> float:
+def _boundary_max(boundary, coeffs, vals: np.ndarray, index: np.ndarray | None = None, top: float | None = None) -> float:
     """Maximum of |p| over the boundary, from vals = |p| on its sample points.
 
     Polished on an EllipseBoundary (from index = _peaks(vals) if given), the
-    grid maximum on a point array.  Raises DegenerateDenominatorError below _DENOM_FLOOR.
+    grid maximum on a point array; top, if given, is float(vals.max()).
+    Raises DegenerateDenominatorError below _DENOM_FLOOR.
     """
     if not isinstance(boundary, EllipseBoundary):
-        denom = float(vals.max())
+        denom = float(vals.max()) if top is None else top
     else:
-        denom = boundary.max_abs_poly(coeffs, vals) if index is None else boundary._polished(coeffs, vals, index)
+        denom = boundary.max_abs_poly(coeffs, vals) if index is None else boundary._polished(coeffs, vals, index, top)
     if denom < _DENOM_FLOOR:
         raise DegenerateDenominatorError(f"boundary maximum {denom} too small to divide by")
     return denom
@@ -321,21 +309,43 @@ def ratio_for_poly(A: np.ndarray, p: PolySpec, boundary) -> float:
     return num / denom
 
 
-class _NumeratorBound:
-    """Upper bound on the computed ||p(A)|| of a coordinate trial, in O(1) per trial.
+class _TrialBound:
+    """Bounds on the computed ratio of a coordinate trial, in O(1) Python floats per trial and peak.
 
-    A trial adds s to c_j, so p_trial(A) = p_c(A) + s A^j and
+    A trial moves c_j of the current polynomial c by s, so p_trial = p_c + s z^j
+    exactly.  u = 2^-53, d is the degree, n the order of A, and
+    gamma(k) = k u / (1 - k u).
+
+    Numerator (upper): p_trial(A) = p_c(A) + s A^j, so
     ||p_trial(A)|| <= ||p_c(A)|| + |s| ||A^j||.  The bound covers every
     rounding between that inequality and the computed numerator: the Horner
-    error gamma sum |c_k| ||A||_F^k of the current chain and of the trial's
-    (Higham 2002, section 5), the relative error gamma of the SVD, the error of
+    error g sum |c_k| ||A||_F^k of the current chain and of the trial's
+    (Higham 2002, section 5), the relative error g of the SVD, the error of
     the computed A^j behind ||A^j||, and, by a final 1 + 1e-12, its own.
-    gamma = k u / (1 - k u) with k = 8 (degree + 2)(n + 4) is a generous
-    cover for all of them.  A term that is not finite makes the bound inf.
+    g = gamma(8 (d + 2)(n + 4)) is a generous cover for all of them.  A term
+    that is not finite makes the bound inf.
+
+    Grid maximum (low): at each peak z of the current |p| on the grid (see
+    _peaks), track keeps numpy's computed P = p_c(z), Z_k = z^k from k - 1
+    complex products, |Z_k| and env = sum |c_k| |Z_k|.  A trial takes
+    w = P + s Z_j in Python complex arithmetic and
+    low = (|w| - 2 gamma(8 (d + 2)) (env + |s| |Z_j|)) (1 - 2^-50).  With
+    e = env + |s| |z|^j, the envelope of p_trial at z (Higham 2002,
+    section 5.1): P is within 4 d u env of p_c(z) and numpy's value of
+    p_trial(z) within 4 d u e (complex Horner, to first order in u); the
+    computed s is within u |s| of the exact one, Z_j within 3 j u |z|^j of
+    z^j, the product within 3 u |s Z_j| and the sum within u e.  So w is
+    within (8 d + 3 j + 5) u e < 2 gamma(8 (d + 2)) e of the computed
+    |p_trial(z)|, the rounding of env and |Z_j| (relative (d + 2) u) moves
+    the slack by a second-order term, and (1 - 2^-50) covers that of low
+    itself: low is at most the computed |p_trial(z)|, hence at most the
+    computed grid maximum.  On the family, where A^3 = A, about five trials
+    in six stop at these bounds.
     """
 
     def __init__(self, A: np.ndarray, degree: int):
         self._gamma = gamma = _gamma(8 * (degree + 2) * (A.shape[0] + 4))
+        self._slack = 2.0 * _gamma(8 * (degree + 2))
         with np.errstate(all="ignore"):
             fro = float(np.linalg.norm(A)) * (1.0 + gamma)
             powers = np.array(dense_small.horner_states(A, [0.0] * degree + [1.0])[degree::-1])
@@ -350,64 +360,36 @@ class _NumeratorBound:
         for _ in range(degree):
             self._weight.append(self._weight[-1] * fro)
         self._reach = [(1.0 + 2.0 * gamma) * norm + 2.0 * w for norm, w in zip(norms.tolist(), self._weight)]
-        self._base = math.inf
 
-    def track(self, c: np.ndarray, num: float) -> None:
-        """Make c, whose computed ||p_c(A)|| is num, the current polynomial."""
+    def track(self, c: np.ndarray, num: float, pts: np.ndarray, index: np.ndarray, p: np.ndarray) -> None:
+        """Make c the current polynomial: num is its computed ||p_c(A)||, p its computed
+        value on pts and index = _peaks(|p|)."""
         env = sum(math.hypot(z.real, z.imag) * w for z, w in zip(c.tolist(), self._weight))
         self._base = (1.0 + 2.0 * self._gamma) * num + 2.0 * env
-
-    def __call__(self, j: int, step: complex) -> float:
-        """Bound on the computed ||p(A)|| of the current c with c_j moved by step."""
-        upper = (self._base + abs(step) * self._reach[j]) * (1.0 + self._gamma) * (1.0 + 1e-12)
-        return upper if upper < math.inf else math.inf
-
-
-class _PeakBound:
-    """Lower bound on the computed grid maximum of a coordinate trial, in O(1) Python floats per peak.
-
-    It is kept at the peaks of the current polynomial's |p| on the grid (see
-    _peaks): at each peak z, numpy's computed P = p_c(z), Z_k = z^k from
-    k - 1 complex products, |Z_k| and env = sum |c_k| |Z_k|.  A trial moves
-    c_j by s, and p_trial = p_c + s z^j exactly, so at each peak it takes
-    w = P + s Z_j in Python complex arithmetic and
-    low = (|w| - 2 gamma (env + |s| |Z_j|)) (1 - 2^-50), where
-    gamma = k u / (1 - k u), k = 8 (d + 2), u = 2^-53 and d is the degree.
-    With e = env + |s| |z|^j, the envelope of p_trial at z (Higham 2002,
-    section 5.1): P is within 4 d u env of p_c(z) and numpy's value of
-    p_trial(z) within 4 d u e (complex Horner, to first order in u); the
-    computed s is within u |s| of the exact one, Z_j within 3 j u |z|^j of
-    z^j, the product within 3 u |s Z_j| and the sum within u e.  So w is
-    within (8 d + 3 j + 5) u e < 2 gamma e of the computed |p_trial(z)|,
-    the rounding of env and |Z_j| (relative (d + 2) u) moves the slack by a
-    second-order term, and (1 - 2^-50) covers that of low itself: low is at
-    most the computed |p_trial(z)|, hence at most the computed grid maximum.
-    """
-
-    def __init__(self, degree: int):
-        self._slack = 2.0 * _gamma(8 * (degree + 2))
-
-    def track(self, pts: np.ndarray, index: np.ndarray, p: np.ndarray, c: np.ndarray) -> None:
-        """Make c the current polynomial: p is its computed value on pts and index = _peaks(|p|)."""
         powers = np.ones((index.size, len(c)), dtype=complex)
         powers[:, 1:] = pts[index, None]
         np.multiply.accumulate(powers, axis=1, out=powers)
         moduli = np.abs(powers)
         self._peaks = list(zip(p[index].tolist(), powers.tolist(), (moduli @ np.abs(c)).tolist(), moduli.tolist()))
 
-    def low(self, j: int, s: complex, upper: float, cur: float, best: float) -> float:
-        """The largest usable bound, finite and at least _DENOM_FLOOR, on the computed grid
-        maximum of c with c_j moved by s; 0.0 if none is.
+    def upper(self, j: int, s: complex) -> float:
+        """Bound on the computed ||p(A)|| of the current c with c_j moved by s."""
+        upper = (self._base + abs(s) * self._reach[j]) * (1.0 + self._gamma) * (1.0 + 1e-12)
+        return upper if upper < math.inf else math.inf
 
-        Peaks are taken largest |p| first.  It stops at, and returns, the
-        first bound by which a trial whose numerator is at most upper is ruled out.
+    def low(self, j: int, s: complex, cur: float, best: float) -> float | None:
+        """None if upper(j, s) over a bound on the grid maximum rules the trial out (_ruled_out),
+        else the largest usable such bound, finite and at least _DENOM_FLOOR, or 0.0 if none is.
+
+        Peaks are taken largest |p| first, and the scan stops at the first bound that rules the trial out.
         """
+        upper = self.upper(j, s)
         top, slack, spread = 0.0, self._slack, abs(s)
         for p, powers, env, moduli in self._peaks:
             value = (abs(p + s * powers[j]) - slack * (env + spread * moduli[j])) * (1.0 - 2.0 ** -50)
             if _DENOM_FLOOR <= value < math.inf:
                 if _ruled_out(upper / value, cur, best):
-                    return value
+                    return None
                 top = value if value > top else top
         return top
 
@@ -424,14 +406,6 @@ def _ruled_out(upper: float, cur: float, best: float) -> bool:
     above best, or equal to it with lexicographically smaller coefficients.
     """
     return upper <= cur * (1.0 + 1e-12) and upper < best
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        kx, ky = (x.real, x.imag), (y.real, y.imag)
-        if kx != ky:
-            return kx < ky
-    return False
 
 
 def _check_search_settings(degree: int, budget: int, seed: int) -> None:
@@ -475,12 +449,12 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     evals = 1
     if degree == 0:
         return RatioResult(best, PolySpec.of(best_c), evals, seed)
-    bound = _NumeratorBound(A, degree)
-    peaks = _PeakBound(degree)
+    bound = _TrialBound(A, degree)
 
     def record(val: float, c: np.ndarray):
         nonlocal best, best_c
-        if val > best or (val == best and _lex_less(c, best_c)):
+        if val > best or (val == best and [(x.real, x.imag) for x in c.tolist()]
+                          < [(x.real, x.imag) for x in best_c.tolist()]):
             best, best_c = val, c.copy()
 
     rng = np.random.default_rng(seed)
@@ -492,8 +466,7 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
             continue
         mats, grid, num, index, cur = evaluate(c)
         cs = c.tolist()
-        bound.track(c, num)
-        peaks.track(pts, index, grid[0], c)
+        bound.track(c, num, pts, index, grid[0])
         evals += 1
         record(cur, c)
         step = 0.5
@@ -509,9 +482,8 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                     # on top: first the bound on num, then num itself.  The
                     # trial's c_j is cs[j] + delta, the add of trial[j] += delta
                     s = (cs[j] + delta) - cs[j]
-                    upper = bound(j, s)
-                    low = peaks.low(j, s, upper, cur, best)
-                    if low > 0.0 and _ruled_out(upper / low, cur, best):
+                    low = bound.low(j, s, cur, best)
+                    if low is None:
                         continue
                     trial = c.copy()
                     trial[j] += delta
@@ -525,12 +497,11 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
                     if top >= _DENOM_FLOOR and _ruled_out(num / top, cur, best):
                         continue
                     index = _peaks(vals)
-                    val = num / _boundary_max(boundary, trial, vals, index)
+                    val = num / _boundary_max(boundary, trial, vals, index, top)
                     record(val, trial)
                     if val > cur * (1.0 + 1e-12):
                         c, cs, cur, mats, grid, improved = trial, trial.tolist(), val, trial_mats, trial_grid, True
-                        bound.track(c, num)
-                        peaks.track(pts, index, grid[0], c)
+                        bound.track(c, num, pts, index, grid[0])
                 if evals >= budget:
                     break
             if not improved:

@@ -703,14 +703,18 @@ def _perm_matrix(rng, n):
     return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * np.eye(n) + np.diag(d) @ P
 
 
+# no sample points, for a _TrialBound whose numerator bound alone is tested
+_NO_PEAKS = (np.zeros(0, dtype=complex), np.zeros(0, dtype=int), np.zeros(0, dtype=complex))
+
+
 class TestNumeratorBound:
     """The O(1) numerator bound is at least the computed ||p(A)|| of every trial, and never raises or warns."""
 
     @staticmethod
     def _check(A, c):
         degree = len(c) - 1
-        bound = ratio_search._NumeratorBound(A, degree)
-        bound.track(c, dense_small.operator_norm(dense_small.horner_states(A, c)[0]))
+        bound = ratio_search._TrialBound(A, degree)
+        bound.track(c, dense_small.operator_norm(dense_small.horner_states(A, c)[0]), *_NO_PEAKS)
         for j in range(degree + 1):
             # the search's steps, and steps so small that rounding outweighs them
             for step in (0.5, 2.0 ** -10, 2.0 ** -30, 2.0 ** -50):
@@ -718,7 +722,7 @@ class TestNumeratorBound:
                     trial = c.copy()
                     trial[j] += delta
                     num = dense_small.operator_norm(dense_small.horner_states(A, trial)[0])
-                    assert bound(j, trial[j] - c[j]) >= num
+                    assert bound.upper(j, trial[j] - c[j]) >= num
 
     @pytest.mark.parametrize("rho", (1.05, 2.0, 50.0, "ceiling"))
     def test_family(self, rho):
@@ -747,21 +751,21 @@ class TestNumeratorBound:
     def test_bound_is_the_triangle_inequality(self):
         # p = z^3 has p(A) = A^3 = A, and adding z doubles it: the bound is 2 ||A|| up to its rounding covers
         A = build_A_rho(3.0, 0.8)
-        bound = ratio_search._NumeratorBound(A, 4)
+        bound = ratio_search._TrialBound(A, 4)
         c = np.zeros(5, dtype=complex)
         c[3] = 1.0
-        bound.track(c, dense_small.operator_norm(A))
-        assert bound(1, 1.0) == pytest.approx(2 * dense_small.operator_norm(A), rel=1e-11)
+        bound.track(c, dense_small.operator_norm(A), *_NO_PEAKS)
+        assert bound.upper(1, 1.0) == pytest.approx(2 * dense_small.operator_norm(A), rel=1e-11)
 
     def test_overflow_makes_the_bound_infinite(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound = ratio_search._NumeratorBound(1e200 * np.eye(3, dtype=complex), 3)
-            bound.track(np.ones(4, dtype=complex), 1.0)
-            assert bound(0, 0.5) == math.inf
-            bound = ratio_search._NumeratorBound(np.eye(3, dtype=complex), 3)
-            bound.track(np.ones(4, dtype=complex), math.inf)
-            assert bound(2, 0.5) == math.inf
+            bound = ratio_search._TrialBound(1e200 * np.eye(3, dtype=complex), 3)
+            bound.track(np.ones(4, dtype=complex), 1.0, *_NO_PEAKS)
+            assert bound.upper(0, 0.5) == math.inf
+            bound = ratio_search._TrialBound(np.eye(3, dtype=complex), 3)
+            bound.track(np.ones(4, dtype=complex), math.inf, *_NO_PEAKS)
+            assert bound.upper(2, 0.5) == math.inf
 
 
 class TestSkipRule:
@@ -828,16 +832,20 @@ _PEAK_BOUND_SETS = {
 
 
 class TestPeakBound:
-    """Each peak's lower bound is at most the computed |p_trial| there, so at most the grid maximum."""
+    """Each peak's lower bound is at most the computed |p_trial| there, so at most the grid maximum.
+
+    With cur = best = 0 no trial is ruled out, so low returns the largest usable bound;
+    with cur = best = inf the first usable bound rules any trial out.
+    """
 
     @staticmethod
     def _tracked(pts, c, p):
-        """A _PeakBound at every peak of |p| and one at each peak alone, largest first."""
+        """A _TrialBound at every peak of |p| and one at each peak alone, largest first, with numerator 1."""
         index = ratio_search._peaks(np.abs(p))
         bounds = []
         for part in [index] + [index[i:i + 1] for i in range(index.size)]:
-            bounds.append(ratio_search._PeakBound(len(c) - 1))
-            bounds[-1].track(pts, part, p, c)
+            bounds.append(ratio_search._TrialBound(np.eye(1, dtype=complex), len(c) - 1))
+            bounds[-1].track(c, 1.0, pts, part, p)
         return index, bounds[0], bounds[1:]
 
     @staticmethod
@@ -858,12 +866,12 @@ class TestPeakBound:
                     s = (cs[j] + delta) - cs[j]
                     moves.add("absorbed" if s == 0 else "exact" if s == delta else "rounded")
                     vals = np.abs(_grid_states(pts, trial, j, grid)[0])
-                    lows = [single.low(j, s, math.inf, 0.0, 0.0) for single in singles]
+                    lows = [single.low(j, s, 0.0, 0.0) for single in singles]
                     for low, at in zip(lows, vals[index].tolist()):
                         assert low <= at
                         # and the bound is tight: it moves |p| by rounding only
                         assert low >= at * (1.0 - 1e-9)
-                    top = peaks.low(j, s, math.inf, 0.0, 0.0)
+                    top = peaks.low(j, s, 0.0, 0.0)
                     assert top == max(lows) <= vals.max()
 
     @pytest.mark.parametrize("name", list(_PEAK_BOUND_SETS))
@@ -881,16 +889,21 @@ class TestPeakBound:
                     self._check(pts, c, moves)
         assert moves == {"absorbed", "exact", "rounded"}
 
-    def test_first_ruling_peak_stops_the_scan(self):
+    def test_first_ruling_peak_stops_the_scan(self, monkeypatch):
         # this trial raises the current polynomial's second peak above its first
         pts = _PEAK_BOUND_SETS["m=2048"]
         c = np.random.default_rng(121).standard_normal(9) + 0j
         _, peaks, singles = self._tracked(pts, c, _grid_states(pts, c)[0])
-        lows = [single.low(7, 0.5, math.inf, 0.0, 0.0) for single in singles]
-        assert lows[0] < max(lows)
-        assert peaks.low(7, 0.5, math.inf, 0.0, 0.0) == max(lows)
-        # a numerator bound of 0 is ruled out by the first usable bound
-        assert peaks.low(7, 0.5, 0.0, 1.0, 1.0) == lows[0]
+        lows = [single.low(7, 0.5, 0.0, 0.0) for single in singles]
+        assert lows[0] < max(lows) and all(low > 0.0 for low in lows)
+        tested = []
+        monkeypatch.setattr(ratio_search, "_ruled_out", lambda *args: tested.append(args) or _ruled_out(*args))
+        assert peaks.low(7, 0.5, 0.0, 0.0) == max(lows)
+        assert len(tested) == len(lows)
+        # any finite numerator bound is ruled out by the first usable bound, and the scan stops there
+        tested.clear()
+        assert peaks.low(7, 0.5, math.inf, math.inf) is None
+        assert tested == [(peaks.upper(7, 0.5) / lows[0], math.inf, math.inf)]
 
     def test_overflowing_p_rules_nothing_out(self):
         # |p| overflows on the grid: no bound is usable, even for a trial any bound would rule out
@@ -902,5 +915,5 @@ class TestPeakBound:
         assert not np.isfinite(grid[0]).all() and index.size > 0
         for j in range(5):
             for s in (0.5, -0.5j, 0.0):
-                assert all(single.low(j, s, math.inf, 0.0, 0.0) == 0.0 for single in singles)
-                assert peaks.low(j, s, 0.0, math.inf, math.inf) == 0.0
+                assert all(single.low(j, s, 0.0, 0.0) == 0.0 for single in singles)
+                assert peaks.low(j, s, math.inf, math.inf) == 0.0
