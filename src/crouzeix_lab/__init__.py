@@ -9,6 +9,8 @@ chains behind each region of the parameter plane, and stress-tests the
 resulting certificates with a randomized worst-ratio search.
 """
 
+import types
+
 from .core_matrix import (
     EllipseGeometry,
     NormalizationRecord,
@@ -82,67 +84,6 @@ from .permutation_ext import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CBracket",
-    "SingularSpectrumX",
-    "QSignChainResult",
-    "ObservationReport",
-    "EllipseBoundary",
-    "CanonicalG",
-    "Certificate",
-    "CycleDecomposition",
-    "DegenerateDenominatorError",
-    "DomainError",
-    "EllipseGeometry",
-    "NormPolyP",
-    "NormalizationRecord",
-    "NormalizedParams",
-    "PermSpec",
-    "PolySpec",
-    "ProofReplayReport",
-    "RatioResult",
-    "RegionId",
-    "RhoParams",
-    "SimilarityX",
-    "SingularMatrixError",
-    "TridiagonalParams",
-    "boundary_samples",
-    "build_A",
-    "build_A_rho",
-    "build_X_critical",
-    "build_X_diagonalizing",
-    "build_X_smallr",
-    "build_X_strip",
-    "c_bracket",
-    "c_upper_closed",
-    "canonical_G",
-    "certify",
-    "certify_points",
-    "coordinate_search",
-    "check_mu_bound",
-    "classify",
-    "condition_number",
-    "cycle_decompose",
-    "eval_f",
-    "eval_poly",
-    "figure2_data",
-    "foci_of_general",
-    "mu_rho",
-    "norm_from_P",
-    "normalize",
-    "operator_norm",
-    "p_x1_residual",
-    "perm_from_cycles",
-    "psi",
-    "q_from_rho",
-    "q_sign_chain_check",
-    "r1",
-    "r3",
-    "ratio_for_poly",
-    "replay_proofs",
-    "singular_spectrum",
-    "sweep_grid",
-    "verify_fA_equals_cA",
-    "verify_observation",
-    "worst_ratio_search",
-]
+# every public name imported above; the submodules are not among them
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -51,7 +51,7 @@ def check_rho(rho):
     xp = namespace(rho)
     if xp is Floats:
         rho = float(rho)
-    xp.require((1.0 < rho) & (rho < math.inf), "rho must be finite and exceed 1, got {}", rho)
+    xp.check("rho", rho, (1.0, math.inf), rho)
     return rho
 
 
@@ -64,8 +64,8 @@ class NormalizedParams:
 
     def __post_init__(self) -> None:
         xp = namespace(self.q, self.r)
-        xp.require(self.q > 0.0, "q must be positive, got {}", self.q)
-        xp.require((0.0 < self.r) & (self.r <= 1.0), "r must lie in (0, 1], got {}", self.r)
+        xp.check("q", self.q, 0.0, self.q)
+        xp.check("r", self.r, (0.0, 1.0), self.r)
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ class RhoParams:
     def __post_init__(self) -> None:
         xp = namespace(self.rho, self.r)
         check_rho(self.rho)
-        xp.require((1.0 / xp.sqrt(self.rho) < self.r) & (self.r <= 1.0),
-                   "r={} outside (1/sqrt(rho), 1] for rho={}", self.r, self.rho)
+        xp.check("rho_r", self.r, (1.0 / xp.sqrt(self.rho), 1.0), self.r, self.rho)
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,8 @@ def _q_from_xy(rho: float, r: float, x: float, y: float) -> float:
     """q_from_rho past its RhoParams check, given x = r^2 + 1/r^2 and y = rho + 1/rho."""
     xp = namespace(x, y)
     q_sq = (y * y - x * x) / x
-    xp.require(xp.isfinite(q_sq), "rho={} overflows q^2 = {}", rho, q_sq)
-    xp.require(q_sq > 0.0, "(rho={}, r={}) gives q^2 = {} <= 0", rho, r, q_sq)
+    xp.check("q_sq_finite", abs(q_sq), math.inf, rho, q_sq)
+    xp.check("q_sq", q_sq, 0.0, rho, r, q_sq)
     return xp.sqrt(q_sq)
 
 

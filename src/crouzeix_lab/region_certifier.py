@@ -27,7 +27,7 @@ import numpy as np
 
 from .conformal_map import _extreme, c_upper_closed, q_sign_chain_check
 from .core_matrix import NormalizedParams, _q_from_xy, check_rho
-from .elementwise import _at, array_pass, namespace
+from .elementwise import CLAUSES, _at, array_pass, namespace
 from .errors import DomainError
 from .jsondata import plain
 from .similarity import (
@@ -61,9 +61,6 @@ __all__ = [
     "sweep_grid",
     "sweep_table",
 ]
-
-_PRODUCT_TOL = 1e-12
-_KAPPA_TOL = 1e-9
 
 
 class RegionId(enum.Enum):
@@ -205,22 +202,19 @@ def _certify_region(region: RegionId, rho, r) -> tuple:
         if region is not RegionId.LARGE_RHO_R:
             g = canonical_G(X, params)
             norm_sq = norm_from_P(g)
-        xp.require(xp.isfinite(norm_sq), "rho={} overflows ||G||^2 = {}", rho, norm_sq)
+        xp.check("norm_finite", abs(norm_sq), math.inf, rho, norm_sq)
         if region is not RegionId.LARGE_RHO_R:
             mu_ok = check_mu_bound(g, mu)
         product = c_up * xp.sqrt(norm_sq)
-    product_ok = product <= 1.0 + _PRODUCT_TOL
-    verdict = mu_ok & product_ok & xp.logical_not(kappa > 2.0 + _KAPPA_TOL)
+    product_ok = xp.check("product", product, 1.0)
+    verdict = mu_ok & product_ok & xp.check("kappa", kappa, 2.0)
     return X, kappa, norm_sq, c_up, product, verdict, mu_ok, product_ok, mu
 
 
 def _failure_reason(mu_ok, product_ok, mu, product, kappa) -> str:
     """The failure_reason of one point whose verdict is false: its first false clause."""
-    if not mu_ok:
-        return f"||G|| bound mu = {mu!r} not certified by the norm polynomial"
-    if not product_ok:
-        return f"product = {product!r} exceeds 1"
-    return f"kappa = {kappa!r} exceeds 2"
+    name, value = ("mu_p", mu) if not mu_ok else ("product", product) if not product_ok else ("kappa", kappa)
+    return CLAUSES[name].text.format(value)
 
 
 def certify(rho: float, r: float) -> Certificate:

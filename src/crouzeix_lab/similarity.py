@@ -17,7 +17,9 @@ matrix A by such an X yields G = [[1, alpha, gamma], [0, 0, beta],
 [0, 0, -1]] whose squared norm is the larger zero of an explicit quadratic
 P(lambda).  Four region-specific constructions of X are provided; each
 feeds the certifier for one part of the parameter domain.  Every function
-takes floats, or float arrays with one entry per point (see `elementwise`).
+takes floats, or float arrays with one entry per point, and checks its
+inputs and results through clauses of `elementwise.CLAUSES`, whose slacks
+forgive rounding at the window edges (criterion-1 counts in README).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .core_matrix import NormalizedParams
 from .elementwise import Floats, namespace
-from .errors import SingularMatrixError
 
 __all__ = [
     "CanonicalG",
@@ -47,9 +48,6 @@ __all__ = [
     "psi",
     "singular_spectrum",
 ]
-
-_RESIDUAL_TOL = 1e-10
-_CLAMP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -69,11 +67,10 @@ class SimilarityX:
         xp = namespace(xi)
         res1 = 2 * t * u * v - (s * s * v * v - t * t + t * t * v * v + t * t * w * w - v * v)
         res2 = 2.5 * s * w - xi
-        xp.forbid(abs(res1) > _RESIDUAL_TOL * (1.0 + xi * xi),
-                  "sigma=1 constraint violated, residual {:.3e}", res1)
-        xp.forbid(abs(res2) > _RESIDUAL_TOL * (1.0 + xi), "kappa=2 constraint violated, residual {:.3e}", res2)
+        xp.check("sigma_residual", abs(res1), 0.0, res1, scale=1.0 + xi * xi)
+        xp.check("kappa_residual", abs(res2), 0.0, res2, scale=1.0 + xi)
         sw = s * w
-        xp.require((0.5 - 1e-12 <= sw) & (sw <= 2.0 + 1e-12), "sw={} outside [1/2, 2]", sw)
+        xp.check("sw", sw, (0.5, 2.0), sw)
 
     @property
     def sw(self) -> float:
@@ -138,7 +135,7 @@ def singular_spectrum(X: SimilarityX) -> SingularSpectrumX:
     xp = namespace(xi)
     eta = s * s * w * w
     disc = xi * xi - 4.0 * eta
-    xp.forbid(disc < -_CLAMP * (1.0 + xi * xi), "negative discriminant {:.3e} in singular spectrum", disc)
+    xp.check("spectrum_disc", disc, 0.0, disc, scale=1.0 + xi * xi)
     root = xp.sqrt(xp.maximum(disc, 0.0))
     return SingularSpectrumX(
         xi=xi,
@@ -168,7 +165,7 @@ def canonical_G(X: SimilarityX, params: NormalizedParams) -> CanonicalG:
     """Closed-form entries of X A X^{-1} for the family matrix A(q, r)."""
     s, t, u, v, w = X.s, X.t, X.u, X.v, X.w
     xp = namespace(s, w)
-    xp.forbid(abs(s * w) < 1e-150, "X is singular: s*w = 0", error=SingularMatrixError)
+    xp.check("x_invertible", abs(s * w), 1e-150)
     q, r = params.q, params.r
     r2 = r * r
     alpha = (q * s - r * t) / r
@@ -225,19 +222,11 @@ def check_mu_bound(g: CanonicalG, mu: float) -> bool:
     """
     p = NormPolyP.from_G(g)
     xp = namespace(mu, p.c1)
-    xp.require(mu > 0.0, "mu must be positive, got {}", mu)
+    xp.check("mu", mu, 0.0, mu)
     mu2 = mu * mu
-    scale = 1.0 + mu2 * mu2 + abs(p.c0)
-    below = p.eval(mu2) < -5e-10 * scale
     squares = xp.power(g.alpha, 2) + xp.power(g.beta, 2) + xp.power(g.gamma, 2)
-    return xp.logical_not(below) & (2.0 + squares <= 2.0 * mu2 + 1e-9 * (1.0 + mu2))
-
-
-def _sqrt_clamped(radicand: float, scale: float, what: str) -> float:
-    """Square root that forgives roundoff-negative inputs near region edges."""
-    xp = namespace(radicand)
-    xp.forbid(radicand < -_CLAMP * scale, "{}: radicand {:.3e} is negative", what, radicand)
-    return xp.sqrt(xp.maximum(radicand, 0.0))
+    return (xp.check("mu_p", p.eval(mu2), 0.0, scale=1.0 + mu2 * mu2 + abs(p.c0))
+            & xp.check("mu_vertex", 2.0 + squares, 2.0 * mu2, scale=1.0 + mu2))
 
 
 def build_X_smallr(params: NormalizedParams) -> SimilarityX:
@@ -248,7 +237,9 @@ def build_X_smallr(params: NormalizedParams) -> SimilarityX:
     s = (1.0 + q2r2 + 4.0 * r4) / (2.0 * q2r2 + 2.0 * r4 + 2.0)
     t = (2.0 * s - 1.0) * q / (2.0 * r)
     rad = (2.0 - s) * (2.0 * s - 1.0) - 2.0 * t * t
-    u = -_sqrt_clamped(rad, 1.0 + s * s + t * t, "small-r builder") / math.sqrt(2.0)
+    xp = namespace(rad)
+    xp.check("smallr_radicand", rad, 0.0, rad, scale=1.0 + s * s + t * t)
+    u = -xp.sqrt(xp.maximum(rad, 0.0)) / math.sqrt(2.0)
     return SimilarityX(s=s, t=t, u=u, v=0.0, w=1.0)
 
 
@@ -258,7 +249,7 @@ def build_X_strip(r: float) -> SimilarityX:
     xp = namespace(r)
     if xp is Floats:
         r = float(r)
-    xp.require((0.0 < r) & (r <= 1.0), "r must lie in (0, 1], got {}", r)
+    xp.check("r", r, (0.0, 1.0), r)
     return SimilarityX(s=r / math.sqrt(2.0), t=0.0, u=0.0, v=0.0, w=r * math.sqrt(2.0))
 
 
@@ -284,7 +275,7 @@ def build_X_diagonalizing(params: NormalizedParams) -> SimilarityX:
     x = r * r + 1.0 / (r * r)
     xp = namespace(x, q)
     rad = 5.0 - 2.0 * x - 4.0 * q * q
-    xp.forbid(rad < -_CLAMP * (5.0 + 2.0 * x), "diagonalizing similarity needs 5 - 2x >= 4q^2, got {:.3e}", rad)
+    xp.check("diag_radicand", rad, 0.0, rad, scale=5.0 + 2.0 * x)
     rad = xp.maximum(rad, 0.0)
     s = r * (xp.sqrt(5.0 + 2.0 * x) - xp.sqrt(rad)) / (math.sqrt(2.0) * (q * q + x))
     return _xz_family(s=s, v=q * r, r=r)
@@ -298,7 +289,7 @@ def build_X_critical(params: NormalizedParams) -> SimilarityX:
     q, r = params.q, params.r
     x = r * r + 1.0 / (r * r)
     xp = namespace(x, q)
-    xp.forbid(x > 2.5 + 1e-12, "critical similarity needs r >= 1/sqrt2 (x <= 5/2), got x={}", x)
+    xp.check("critical_x", x, 2.5, x)
     five_minus = xp.maximum(0.0, 5.0 - 2.0 * x)
     q2 = q * q
     s = r * xp.sqrt(5.0 + 2.0 * x) / (math.sqrt(2.0) * x) - r * q * xp.sqrt(five_minus) / (
@@ -313,8 +304,8 @@ def psi(x: float, y: float) -> float:
     """Squared norm of the critically transformed matrix, as a function of
     x = r^2 + 1/r^2 and y = rho + 1/rho."""
     xp = namespace(x, y)
-    xp.require((2.0 - 1e-12 <= x) & (x <= 2.5 + 1e-12), "psi needs 2 <= x <= 5/2, got x={}", x)
-    xp.forbid(y < x - 1e-12, "psi needs y >= x, got x={}, y={}", x, y)
+    xp.check("psi_x", x, (2.0, 2.5), x)
+    xp.check("psi_y", y, x, x, y)
     ysq = xp.maximum(0.0, y * y - x * x)
     xsq = xp.maximum(0.0, 25.0 - 4.0 * x * x)
     return (10.0 * y * y - 5.0 * x * x - 2.0 * y * xp.sqrt(ysq) * xp.sqrt(xsq)) / (

@@ -7,6 +7,7 @@ import pytest
 
 from crouzeix_lab import cli, conformal_map, dense_small, region_certifier
 from crouzeix_lab.core_matrix import RhoParams
+from crouzeix_lab.elementwise import CLAUSES
 from crouzeix_lab.errors import DomainError
 from crouzeix_lab.region_certifier import (
     B_of,
@@ -293,6 +294,10 @@ def _seeded_draw():
     return rho.tolist(), r.tolist()
 
 
+def _set_slack(monkeypatch, name, slack):
+    monkeypatch.setitem(CLAUSES, name, CLAUSES[name]._replace(slack=slack))
+
+
 def _ulps(x, n=3):
     """x and its n nearest floats on either side."""
     out = [x]
@@ -308,8 +313,8 @@ class TestArraySweep:
     def test_failed_verdicts_carry_certifys_failure_reason(self, monkeypatch):
         # with no tolerance and no mu bound every verdict fails: SmallR and
         # Strip on mu, LargeRhoR on the product, Diagonalizable on kappa
-        monkeypatch.setattr(region_certifier, "_PRODUCT_TOL", -1.0)
-        monkeypatch.setattr(region_certifier, "_KAPPA_TOL", -1.0)
+        _set_slack(monkeypatch, "product", -1.0)
+        _set_slack(monkeypatch, "kappa", -1.0)
         monkeypatch.setattr(region_certifier, "check_mu_bound",
                             lambda g, mu: np.zeros(mu.shape, dtype=bool) if isinstance(mu, np.ndarray) else False)
         rho, r = _seeded_draw()
@@ -363,12 +368,29 @@ class TestArraySweep:
         texts = [text for label, text in zip(table.region, table.failure) if label == "Uncertified"]
         assert len(texts) == 12 and all("gives q^2" in text for text in texts)
         # every verdict fails, as in test_failed_verdicts_carry_certifys_failure_reason
-        monkeypatch.setattr(region_certifier, "_PRODUCT_TOL", -1.0)
-        monkeypatch.setattr(region_certifier, "_KAPPA_TOL", -1.0)
+        _set_slack(monkeypatch, "product", -1.0)
+        _set_slack(monkeypatch, "kappa", -1.0)
         monkeypatch.setattr(region_certifier, "check_mu_bound",
                             lambda g, mu: np.zeros(mu.shape, dtype=bool) if isinstance(mu, np.ndarray) else False)
         table = rows_without_certify(*_seeded_draw())
         assert {text.split(" = ")[0] for text in table.failure} == {"||G|| bound mu", "product", "kappa"}
+
+    @pytest.mark.parametrize("names, false_verdicts, uncertified", [
+        (("product",), 113, 0),
+        (("kappa",), 81_813, 0),
+        (("sigma_residual",), 74_882, 74_882),
+        (("kappa_residual",), 71_367, 71_367),
+        (("sigma_residual", "kappa_residual"), 93_883, 93_883),
+        # every other slack: the radicands', sw's, critical_x's, psi's and check_mu_bound's
+        (tuple(name for name, clause in CLAUSES.items() if clause.slack and name not in
+               ("product", "kappa", "sigma_residual", "kappa_residual")), 0, 0),
+    ])
+    def test_what_each_slack_decides_on_criterion_1(self, monkeypatch, names, false_verdicts, uncertified):
+        # criterion 1's 250,000 points certify with every slack in place
+        for name in names:
+            _set_slack(monkeypatch, name, 0.0)
+        table = sweep_table((1, 50, 500), (None, 1, 500))
+        assert (np.count_nonzero(~table.verdict), table.region.count("Uncertified")) == (false_verdicts, uncertified)
 
     def test_open_grid_rows_match_the_scalar_grid(self):
         ends = [0.5, 0.9, 1e-300, math.nan, -math.inf, 1.0]

@@ -6,6 +6,7 @@ import pytest
 
 from crouzeix_lab import dense_small
 from crouzeix_lab.core_matrix import NormalizedParams, build_A, q_from_rho
+from crouzeix_lab.elementwise import CLAUSES
 from crouzeix_lab.errors import DomainError
 from crouzeix_lab.region_certifier import RegionId, certify, r1, r3
 from crouzeix_lab.similarity import (
@@ -347,3 +348,31 @@ class TestSlackEdges:
         assert NormPolyP.from_G(g).eval(mu2) < 0.0 or 2.0 + g.alpha**2 + g.beta**2 + g.gamma**2 > 2.0 * mu2
         cert = certify(rho, r)
         assert (cert.region, cert.verdict, cert.failure_reason) == (RegionId.SMALL_R, True, "")
+
+
+@pytest.mark.parametrize("name, edge, values", [
+    ("diag_radicand", lambda: build_X_diagonalizing(NormalizedParams(0.4771960282553876, 0.9)), (-1.998e-15,)),
+    ("smallr_radicand", lambda: build_X_smallr(NormalizedParams(0.005, 5e-05)), (-3.331e-16,)),
+    ("sw", lambda: build_X_smallr(NormalizedParams(0.005, 5e-05)), (0.4999999999999999,)),
+    ("sw", lambda: SimilarityX(s=1.0, t=0.0, u=0.0, v=0.0, w=math.nextafter(2.0, 3.0)), (2.0000000000000004,)),
+    ("critical_x", lambda: build_X_critical(NormalizedParams(1.0, 0.7071067811865475)), (2.5000000000000004,)),
+    ("psi_x", lambda: psi(math.nextafter(2.0, 0.0), 3.0), (1.9999999999999998,)),
+    ("psi_x", lambda: psi(math.nextafter(2.5, 3.0), 3.0), (2.5000000000000004,)),
+    ("psi_y", lambda: psi(2.3, math.nextafter(2.3, 0.0)), (2.3, 2.2999999999999994)),
+    ("mu_p", lambda: certify(3.0, 0.577350269189626), (1.5,)),
+    ("mu_vertex", lambda: certify(2.0, 0.7071067811865476), (1.0,)),
+])
+def test_each_slack_at_zero_fails_its_slack_edge(monkeypatch, name, edge, values):
+    """Each TestSlackEdges point, with its clause's slack set to 0, raises the
+    clause's text or certifies with it as the failure reason.  spectrum_disc
+    has no such point: on SimilarityX's constraints its discriminant is
+    about 2.25 (sw)^2 >= 0.56."""
+    def outcome():
+        try:
+            return getattr(edge(), "failure_reason", "")
+        except DomainError as exc:
+            return str(exc)
+
+    assert outcome() == ""
+    monkeypatch.setitem(CLAUSES, name, CLAUSES[name]._replace(slack=0.0))
+    assert outcome() == CLAUSES[name].text.format(*values)

@@ -52,7 +52,11 @@ degree 0 to 12 scaled by 1e-320 and by 1e250 (rho in {1.05, 3}), and of the
 `normalize(B).to_json()` records (or the DomainError text) for disguised family members, mirrored members,
 degenerate and non-centered spectra, and the stdout and exit code of every
 subcommand for fixed arguments: `ratio`, `perm`, `verify`, `replay`,
-`figures --which regions` and `--which figure2`, and `sweep`s that reach
+`figures --which regions` and `--which figure2`, `verify` at points where
+a slack decides the verdict (the product's at (1.98, 1), a LargeRhoR point
+whose product is 1.0000000000000002, and `check_mu_bound`'s at the four SmallR
+points of `TestSlackEdges`: (3, 0.577350269189626), (5, 0.447213595499958),
+(3, 0.7260599988965409) and (2, 0.7071067811865476)), and `sweep`s that reach
 every branch of the array certification: `--rho 1.1 12 6 --r auto`,
 `--rho 1.5 30 4 --r 0.5 1 5`, `--rho 1 50 40 --r auto` (csv and json), the
 strip `--rho 10 50 8 --r 0.755 0.775 8`, the overflow band `--rho 1e76
@@ -109,6 +113,12 @@ CLI_RUNS = (
     ("perm", "--a", "0.5-0.25j", "--diag", "2j", "--perm", "()"),
     ("verify", "--rho", "2", "--r", "1"),
     ("verify", "--rho", "3.7", "--r", "0.9"),
+    # points where a slack decides the printed verdict: the product's, then check_mu_bound's
+    ("verify", "--rho", "1.98", "--r", "1"),
+    ("verify", "--rho", "3.0", "--r", "0.577350269189626"),
+    ("verify", "--rho", "5.0", "--r", "0.447213595499958"),
+    ("verify", "--rho", "3.0", "--r", "0.7260599988965409"),
+    ("verify", "--rho", "2.0", "--r", "0.7071067811865476"),
     ("replay",),
     ("sweep", "--rho", "1.1", "12", "6", "--r", "auto", "--workers", "1", "--format", "csv"),
     ("sweep", "--rho", "1.5", "30", "4", "--r", "0.5", "1", "5", "--workers", "1", "--format", "json"),
