@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementwise import Floats, namespace
+from .elementwise import Floats, check, namespace
 from .errors import DomainError
 from .jsondata import plain
 
@@ -51,7 +51,7 @@ def check_rho(rho):
     xp = namespace(rho)
     if xp is Floats:
         rho = float(rho)
-    xp.check("rho", rho, (1.0, math.inf), rho)
+    check("rho", rho, (1.0, math.inf), rho)
     return rho
 
 
@@ -63,9 +63,8 @@ class NormalizedParams:
     r: float
 
     def __post_init__(self) -> None:
-        xp = namespace(self.q, self.r)
-        xp.check("q", self.q, 0.0, self.q)
-        xp.check("r", self.r, (0.0, 1.0), self.r)
+        check("q", self.q, 0.0, self.q)
+        check("r", self.r, (0.0, 1.0), self.r)
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class RhoParams:
     def __post_init__(self) -> None:
         xp = namespace(self.rho, self.r)
         check_rho(self.rho)
-        xp.check("rho_r", self.r, (1.0 / xp.sqrt(self.rho), 1.0), self.r, self.rho)
+        check("rho_r", self.r, (1.0 / xp.sqrt(self.rho), 1.0), self.r, self.rho)
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,8 @@ def _q_from_xy(rho: float, r: float, x: float, y: float) -> float:
     """q_from_rho past its RhoParams check, given x = r^2 + 1/r^2 and y = rho + 1/rho."""
     xp = namespace(x, y)
     q_sq = (y * y - x * x) / x
-    xp.check("q_sq_finite", abs(q_sq), math.inf, rho, q_sq)
-    xp.check("q_sq", q_sq, 0.0, rho, r, q_sq)
+    check("q_sq_finite", abs(q_sq), math.inf, rho, q_sq)
+    check("q_sq", q_sq, 0.0, rho, r, q_sq)
     return xp.sqrt(q_sq)
 
 

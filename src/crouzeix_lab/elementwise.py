@@ -5,7 +5,7 @@ inputs are scalars, `Arrays` when one is an ndarray.  Both offer the same
 operations, so the certificate code is written once and runs on one point or
 on a whole sweep grid:
 
-    sqrt, maximum, minimum, where, select, power, check
+    sqrt, maximum, minimum, where, select, power
 
 Bit identity.  numpy's sqrt, +, -, * and / round exactly as Python's float
 operations do, but numpy's power does not: its SIMD kernels differ from
@@ -17,12 +17,14 @@ and both `power`s take an overflow as inf, where Python's float `**` raises.
 if it is strictly larger/smaller), NaN included.
 
 Checks.  Each check of the certificate path is a clause of `CLAUSES` (see
-`Clause`).  `check(name, value, bound, *values, scale=1.0)` raises the
-clause's error, its text formatted on values, where value fails it, and
-returns a verdict clause's truth value instead.  On arrays inside
-`array_pass(n)` a check keeps, for each point that fails it first, the text
-it would raise on that point's floats, and the pass goes on.  On arrays
-outside a pass, the first failing point raises.
+`Clause`), and one `check(name, value, bound, *values, scale=1.0)` decides
+every clause, on floats and arrays alike: its comparisons and `&` give a
+Python bool on floats and a bool array on arrays.  A failing float raises
+DomainError, its text formatted on values; a verdict clause returns its
+truth value instead.  On arrays inside `array_pass(n)` a check keeps, for
+each point that fails it first, the text it would raise on that point's
+floats, and the pass goes on.  On arrays outside a pass, the first failing
+point raises.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError
 
-__all__ = ["CLAUSES", "Arrays", "Clause", "Floats", "array_pass", "namespace"]
+__all__ = ["CLAUSES", "Arrays", "Clause", "Floats", "array_pass", "check", "namespace"]
 
 #: failure texts of the array pass in progress in this context, like np.errstate's state
 _PASS = contextvars.ContextVar("array_pass", default=None)
@@ -76,15 +78,14 @@ class Clause(NamedTuple):
     comparison fails it (`if not ok`), or with nan_passes passes it (`if bad`).
     A window op "()", "(]" or "[]" takes a (low, high) bound, widens both ends
     by slack * scale and fails at NaN.  kind: "domain" (a function's domain,
-    no slack), "witness" (a property of a constructed X, its spectrum or psi's
-    window) or "verdict" (never raised)."""
+    no slack), "witness" (a property of a constructed X or psi's window) or
+    "verdict" (never raised)."""
 
     kind: str
     op: str
     text: str
     slack: float = 0.0
     nan_passes: bool = False
-    error: type = DomainError
 
 
 _MU = "||G|| bound mu = {!r} not certified by the norm polynomial"
@@ -98,12 +99,10 @@ CLAUSES = {
     "rho_r": Clause("domain", "(]", "r={} outside (1/sqrt(rho), 1] for rho={}"),
     "q_sq_finite": Clause("domain", "<", "rho={} overflows q^2 = {}"),
     "q_sq": Clause("domain", ">", "(rho={}, r={}) gives q^2 = {} <= 0"),
-    # similarity: the constraints on X, its spectrum, G, the builders and psi
+    # similarity: the constraints on X, the builders and psi
     "sigma_residual": Clause("witness", "<=", "sigma=1 constraint violated, residual {:.3e}", 1e-10, True),
     "kappa_residual": Clause("witness", "<=", "kappa=2 constraint violated, residual {:.3e}", 1e-10, True),
     "sw": Clause("witness", "[]", "sw={} outside [1/2, 2]", 1e-12),
-    "spectrum_disc": Clause("witness", ">=", "negative discriminant {:.3e} in singular spectrum", 1e-14, True),
-    "x_invertible": Clause("domain", ">=", "X is singular: s*w = 0", 0.0, True, SingularMatrixError),
     "smallr_radicand": Clause("witness", ">=", "small-r builder: radicand {:.3e} is negative", 1e-14, True),
     "diag_radicand": Clause("witness", ">=", "diagonalizing similarity needs 5 - 2x >= 4q^2, got {:.3e}", 1e-14, True),
     "critical_x": Clause("witness", "<=", "critical similarity needs r >= 1/sqrt2 (x <= 5/2), got x={}", 1e-12, True),
@@ -140,22 +139,6 @@ class Floats:
                 return choice
         return default
 
-    def check(name: str, value, bound, *values, scale=1.0):
-        kind, op, text, slack, nan_passes, error = CLAUSES[name]
-        if op in _WINDOWS:
-            (above, below), (low, high) = _WINDOWS[op], bound
-            if slack:
-                low, high = low - slack * scale, high + slack * scale
-            ok = above(value, low) and below(value, high)
-        else:
-            sign, passes, fails = _COMPARE[op]
-            if slack:  # sign * slack * scale rounds as slack * scale does
-                bound = bound + sign * slack * scale
-            ok = not fails(value, bound) if nan_passes else passes(value, bound)
-        if ok or kind == "verdict":
-            return ok
-        raise error(text.format(*values))
-
 
 class Arrays:
     """Elementwise arithmetic on float64 arrays, rounding as Floats does."""
@@ -174,27 +157,36 @@ class Arrays:
         with np.errstate(over="ignore"):
             return np.float_power(v, k)
 
-    def check(name: str, value, bound, *values, scale=1.0):
-        kind, op, text, slack, nan_passes, error = CLAUSES[name]
-        if op in _WINDOWS:
-            (above, below), (low, high) = _WINDOWS[op], bound
-            if slack:
-                low, high = low - slack * scale, high + slack * scale
-            ok = above(value, low) & below(value, high)
-        else:
-            sign, passes, fails = _COMPARE[op]
-            if slack:
-                bound = bound + sign * slack * scale
-            ok = np.logical_not(fails(value, bound)) if nan_passes else passes(value, bound)
-        if kind == "verdict" or np.all(ok):
-            return ok
-        failure = _PASS.get()
-        if failure is None:
-            i = int(np.flatnonzero(np.logical_not(ok))[0])
-            raise error(text.format(*_at(values, i)))
-        for i in np.flatnonzero(np.logical_not(ok) & np.equal(failure, None)).tolist():
-            failure[i] = text.format(*_at(values, i))
+
+def check(name: str, value, bound, *values, scale=1.0):
+    """Decide clause name on value and bound, floats or arrays (see the module docstring)."""
+    kind, op, text, slack, nan_passes = CLAUSES[name]
+    if op in _WINDOWS:
+        (above, below), (low, high) = _WINDOWS[op], bound
+        if slack:
+            low, high = low - slack * scale, high + slack * scale
+        ok = above(value, low) & below(value, high)
+    else:
+        sign, passes, fails = _COMPARE[op]
+        if slack:  # sign * slack * scale rounds as slack * scale does
+            bound = bound + sign * slack * scale
+        # a NaN-passing clause passes where its failing test is false; ^ True negates bools and bool arrays
+        ok = fails(value, bound) ^ True if nan_passes else passes(value, bound)
+    if ok is True or kind == "verdict":
         return ok
+    if not isinstance(ok, _ndarray):
+        if ok:  # a numpy bool
+            return ok
+        raise DomainError(text.format(*values))
+    if ok.all():
+        return ok
+    failure = _PASS.get()
+    if failure is None:
+        i = int(np.flatnonzero(~ok)[0])
+        raise DomainError(text.format(*_at(values, i)))
+    for i in np.flatnonzero(~ok & np.equal(failure, None)).tolist():
+        failure[i] = text.format(*_at(values, i))
+    return ok
 
 
 @contextlib.contextmanager

@@ -31,7 +31,7 @@ import numpy as np
 from . import dense_small
 from .errors import DomainError
 from .jsondata import plain
-from .ratio_search import _RATIO_PASS, RatioResult, _check_search_settings, coordinate_search
+from .ratio_search import _RATIO_PASS, RatioResult, _check_search_settings, _grid_states, coordinate_search
 
 __all__ = [
     "PermSpec",
@@ -287,12 +287,11 @@ def verify_observation(a, D, P: PermSpec, degree: int, budget: int, seed: int) -
     shift_checked = a != 0
     shift_worst = 0.0
     if shift_checked:
-        polyval = np.polynomial.polynomial.polyval
         pts0 = pts - a
-        den = np.array([np.abs(polyval(pts, c)).max() for c in polys])
+        den = np.array([np.abs(_grid_states(pts, c)[0]).max() for c in polys])
         shifted = [_taylor_shift(c, a) for c in polys]
         num_s = _poly_norms(DP, shifted)
-        den_s = np.array([np.abs(polyval(pts0, c)).max() for c in shifted])
+        den_s = np.array([np.abs(_grid_states(pts0, c)[0]).max() for c in shifted])
         ratio_a = lhs / den
         ratio_0 = num_s / den_s
         shift_worst = float(np.max(np.abs(ratio_a - ratio_0) / (1.0 + ratio_a)))

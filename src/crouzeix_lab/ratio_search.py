@@ -160,15 +160,18 @@ class EllipseBoundary:
     def _at(self, t: np.ndarray) -> np.ndarray:
         return self._a * np.cos(t) + 1j * self._b * np.sin(t)
 
-    def max_abs_poly(self, coeffs, vals: np.ndarray | None = None) -> float:
-        """Polished maximum of |p| over the ellipse.
+    def max_abs_poly(self, coeffs, vals: np.ndarray | None = None, index: np.ndarray | None = None,
+                     top: float | None = None) -> float:
+        """Polished maximum of |p| over the ellipse: the peaks at or above _floor are polished.
 
-        vals is |p| on self.points; a caller holding the grid states of p
-        passes it, and it is computed here otherwise.  Coefficients below 2^-500
-        run scaled by an exact power of two, so that Horner's rule does not
-        underflow, and the result is scaled back; vals is not used then.
+        vals is |p| on self.points, index = _peaks(vals) and top =
+        float(vals.max()); a caller holding the grid states of p passes them,
+        and they are computed here otherwise.  Coefficients below 2^-500 run
+        scaled by an exact power of two, so that Horner's rule does not
+        underflow, and the result is scaled back; vals, index and top are not
+        used then.
         """
-        cs = [complex(c) for c in coeffs]
+        cs = np.asarray(coeffs, dtype=complex).tolist()
         scale = max(map(abs, cs), default=0.0)
         if 0.0 < scale < 2.0 ** -500:
             shift = -math.frexp(scale)[1]
@@ -176,18 +179,12 @@ class EllipseBoundary:
             return math.ldexp(self.max_abs_poly(unit), -shift)
         if vals is None:
             vals = np.abs(_grid_states(self.points, cs)[0])
-        return self._polished(cs, vals, _peaks(vals))
-
-    def _polished(self, coeffs, vals: np.ndarray, index: np.ndarray, top: float | None = None) -> float:
-        """max_abs_poly from vals, index = _peaks(vals) and, if given, top = float(vals.max());
-        the peaks at or above _floor are polished."""
-        cs = np.asarray(coeffs, dtype=complex).tolist()
         top = float(vals.max()) if top is None else top
         if not any(cs[1:]) or not 0.0 < top < math.inf:  # constant, zero, or p overflowed
             return top
+        index = _peaks(vals) if index is None else index
         # the steps do not depend on the scale of p, so they run on p / max|c_k|,
         # which neither overflows nor underflows
-        scale = max(map(abs, cs))
         unit = [c / scale for c in cs]
         near = index[vals[index] >= self._floor(cs, top)]
         t = np.array([self._polish_peak(unit, self._h * k) for k in near.tolist()])
@@ -280,14 +277,14 @@ def _peaks(vals: np.ndarray) -> np.ndarray:
 def _boundary_max(boundary, coeffs, vals: np.ndarray, index: np.ndarray | None = None, top: float | None = None) -> float:
     """Maximum of |p| over the boundary, from vals = |p| on its sample points.
 
-    Polished on an EllipseBoundary (from index = _peaks(vals) if given), the
-    grid maximum on a point array; top, if given, is float(vals.max()).
+    EllipseBoundary.max_abs_poly on an EllipseBoundary, the grid maximum on a
+    point array; index = _peaks(vals) and top = float(vals.max()), if given.
     Raises DegenerateDenominatorError below _DENOM_FLOOR.
     """
-    if not isinstance(boundary, EllipseBoundary):
-        denom = float(vals.max()) if top is None else top
+    if isinstance(boundary, EllipseBoundary):
+        denom = boundary.max_abs_poly(coeffs, vals, index, top)
     else:
-        denom = boundary.max_abs_poly(coeffs, vals) if index is None else boundary._polished(coeffs, vals, index, top)
+        denom = float(vals.max()) if top is None else top
     if denom < _DENOM_FLOOR:
         raise DegenerateDenominatorError(f"boundary maximum {denom} too small to divide by")
     return denom

@@ -27,7 +27,7 @@ import numpy as np
 
 from .conformal_map import _extreme, c_upper_closed, q_sign_chain_check
 from .core_matrix import NormalizedParams, _q_from_xy, check_rho
-from .elementwise import CLAUSES, _at, array_pass, namespace
+from .elementwise import CLAUSES, _at, array_pass, check, namespace
 from .errors import DomainError
 from .jsondata import plain
 from .similarity import (
@@ -174,7 +174,7 @@ def _certify_region(region: RegionId, rho, r) -> tuple:
 
     Checks that fail raise DomainError, or on arrays mark the point (see
     `elementwise`), in this order: q^2, NormalizedParams, the builder, psi
-    and c_upper_closed, the singular spectrum, G, a non-finite ||G||^2, mu.
+    and c_upper_closed, a non-finite ||G||^2, mu.
     """
     xp = namespace(rho, r)
     y = rho + 1.0 / rho
@@ -202,12 +202,12 @@ def _certify_region(region: RegionId, rho, r) -> tuple:
         if region is not RegionId.LARGE_RHO_R:
             g = canonical_G(X, params)
             norm_sq = norm_from_P(g)
-        xp.check("norm_finite", abs(norm_sq), math.inf, rho, norm_sq)
+        check("norm_finite", abs(norm_sq), math.inf, rho, norm_sq)
         if region is not RegionId.LARGE_RHO_R:
             mu_ok = check_mu_bound(g, mu)
         product = c_up * xp.sqrt(norm_sq)
-    product_ok = xp.check("product", product, 1.0)
-    verdict = mu_ok & product_ok & xp.check("kappa", kappa, 2.0)
+    product_ok = check("product", product, 1.0)
+    verdict = mu_ok & product_ok & check("kappa", kappa, 2.0)
     return X, kappa, norm_sq, c_up, product, verdict, mu_ok, product_ok, mu
 
 

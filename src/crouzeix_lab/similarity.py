@@ -18,8 +18,11 @@ matrix A by such an X yields G = [[1, alpha, gamma], [0, 0, beta],
 P(lambda).  Four region-specific constructions of X are provided; each
 feeds the certifier for one part of the parameter domain.  Every function
 takes floats, or float arrays with one entry per point, and checks its
-inputs and results through clauses of `elementwise.CLAUSES`, whose slacks
-forgive rounding at the window edges (criterion-1 counts in README).
+inputs and the X it builds with `elementwise.check`, one clause of
+`elementwise.CLAUSES` at a time, whose slacks forgive rounding at the window
+edges (criterion-1 counts in README).  The singular spectrum and G take a
+validated X and check nothing: its spectrum's discriminant is about
+2.25 (sw)^2 >= 0.56, and |sw| >= 1/2 keeps X invertible.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_matrix import NormalizedParams
-from .elementwise import Floats, namespace
+from .elementwise import Floats, check, namespace
 
 __all__ = [
     "CanonicalG",
@@ -64,13 +67,12 @@ class SimilarityX:
     def __post_init__(self) -> None:
         s, t, u, v, w = self.s, self.t, self.u, self.v, self.w
         xi = s * s + t * t + u * u + v * v + w * w
-        xp = namespace(xi)
         res1 = 2 * t * u * v - (s * s * v * v - t * t + t * t * v * v + t * t * w * w - v * v)
         res2 = 2.5 * s * w - xi
-        xp.check("sigma_residual", abs(res1), 0.0, res1, scale=1.0 + xi * xi)
-        xp.check("kappa_residual", abs(res2), 0.0, res2, scale=1.0 + xi)
+        check("sigma_residual", abs(res1), 0.0, res1, scale=1.0 + xi * xi)
+        check("kappa_residual", abs(res2), 0.0, res2, scale=1.0 + xi)
         sw = s * w
-        xp.check("sw", sw, (0.5, 2.0), sw)
+        check("sw", sw, (0.5, 2.0), sw)
 
     @property
     def sw(self) -> float:
@@ -126,17 +128,15 @@ class SingularSpectrumX:
 def singular_spectrum(X: SimilarityX) -> SingularSpectrumX:
     """Singular values of X from the split-off quadratic rather than an SVD.
 
-    sigma_{+-}^2 solve lambda^2 - xi lambda + eta = 0, whose discriminant
-    has no cancellation, so kappa is exact where the dense route loses
+    sigma_{+-}^2 solve lambda^2 - xi lambda + eta = 0, whose discriminant,
+    about 2.25 (sw)^2 on a validated X, has no cancellation, so kappa is exact where the dense route loses
     digits near sw = 1/2; the SVD cross-check lives in the tests.
     """
     s, t, u, v, w = X.s, X.t, X.u, X.v, X.w
     xi = s * s + t * t + u * u + v * v + w * w
     xp = namespace(xi)
     eta = s * s * w * w
-    disc = xi * xi - 4.0 * eta
-    xp.check("spectrum_disc", disc, 0.0, disc, scale=1.0 + xi * xi)
-    root = xp.sqrt(xp.maximum(disc, 0.0))
+    root = xp.sqrt(xi * xi - 4.0 * eta)
     return SingularSpectrumX(
         xi=xi,
         eta=eta,
@@ -164,8 +164,6 @@ class CanonicalG:
 def canonical_G(X: SimilarityX, params: NormalizedParams) -> CanonicalG:
     """Closed-form entries of X A X^{-1} for the family matrix A(q, r)."""
     s, t, u, v, w = X.s, X.t, X.u, X.v, X.w
-    xp = namespace(s, w)
-    xp.check("x_invertible", abs(s * w), 1e-150)
     q, r = params.q, params.r
     r2 = r * r
     alpha = (q * s - r * t) / r
@@ -222,11 +220,11 @@ def check_mu_bound(g: CanonicalG, mu: float) -> bool:
     """
     p = NormPolyP.from_G(g)
     xp = namespace(mu, p.c1)
-    xp.check("mu", mu, 0.0, mu)
+    check("mu", mu, 0.0, mu)
     mu2 = mu * mu
     squares = xp.power(g.alpha, 2) + xp.power(g.beta, 2) + xp.power(g.gamma, 2)
-    return (xp.check("mu_p", p.eval(mu2), 0.0, scale=1.0 + mu2 * mu2 + abs(p.c0))
-            & xp.check("mu_vertex", 2.0 + squares, 2.0 * mu2, scale=1.0 + mu2))
+    return (check("mu_p", p.eval(mu2), 0.0, scale=1.0 + mu2 * mu2 + abs(p.c0))
+            & check("mu_vertex", 2.0 + squares, 2.0 * mu2, scale=1.0 + mu2))
 
 
 def build_X_smallr(params: NormalizedParams) -> SimilarityX:
@@ -238,7 +236,7 @@ def build_X_smallr(params: NormalizedParams) -> SimilarityX:
     t = (2.0 * s - 1.0) * q / (2.0 * r)
     rad = (2.0 - s) * (2.0 * s - 1.0) - 2.0 * t * t
     xp = namespace(rad)
-    xp.check("smallr_radicand", rad, 0.0, rad, scale=1.0 + s * s + t * t)
+    check("smallr_radicand", rad, 0.0, rad, scale=1.0 + s * s + t * t)
     u = -xp.sqrt(xp.maximum(rad, 0.0)) / math.sqrt(2.0)
     return SimilarityX(s=s, t=t, u=u, v=0.0, w=1.0)
 
@@ -249,7 +247,7 @@ def build_X_strip(r: float) -> SimilarityX:
     xp = namespace(r)
     if xp is Floats:
         r = float(r)
-    xp.check("r", r, (0.0, 1.0), r)
+    check("r", r, (0.0, 1.0), r)
     return SimilarityX(s=r / math.sqrt(2.0), t=0.0, u=0.0, v=0.0, w=r * math.sqrt(2.0))
 
 
@@ -275,7 +273,7 @@ def build_X_diagonalizing(params: NormalizedParams) -> SimilarityX:
     x = r * r + 1.0 / (r * r)
     xp = namespace(x, q)
     rad = 5.0 - 2.0 * x - 4.0 * q * q
-    xp.check("diag_radicand", rad, 0.0, rad, scale=5.0 + 2.0 * x)
+    check("diag_radicand", rad, 0.0, rad, scale=5.0 + 2.0 * x)
     rad = xp.maximum(rad, 0.0)
     s = r * (xp.sqrt(5.0 + 2.0 * x) - xp.sqrt(rad)) / (math.sqrt(2.0) * (q * q + x))
     return _xz_family(s=s, v=q * r, r=r)
@@ -289,7 +287,7 @@ def build_X_critical(params: NormalizedParams) -> SimilarityX:
     q, r = params.q, params.r
     x = r * r + 1.0 / (r * r)
     xp = namespace(x, q)
-    xp.check("critical_x", x, 2.5, x)
+    check("critical_x", x, 2.5, x)
     five_minus = xp.maximum(0.0, 5.0 - 2.0 * x)
     q2 = q * q
     s = r * xp.sqrt(5.0 + 2.0 * x) / (math.sqrt(2.0) * x) - r * q * xp.sqrt(five_minus) / (
@@ -304,8 +302,8 @@ def psi(x: float, y: float) -> float:
     """Squared norm of the critically transformed matrix, as a function of
     x = r^2 + 1/r^2 and y = rho + 1/rho."""
     xp = namespace(x, y)
-    xp.check("psi_x", x, (2.0, 2.5), x)
-    xp.check("psi_y", y, x, x, y)
+    check("psi_x", x, (2.0, 2.5), x)
+    check("psi_y", y, x, x, y)
     ysq = xp.maximum(0.0, y * y - x * x)
     xsq = xp.maximum(0.0, 25.0 - 4.0 * x * x)
     return (10.0 * y * y - 5.0 * x * x - 2.0 * y * xp.sqrt(ysq) * xp.sqrt(xsq)) / (

@@ -226,6 +226,14 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--rho", "20", "1", "5")
         assert code == 4
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--rho", "1", "2", "3", "--r", "0.5", "1"), "--r takes three values"),
+        (("--rho", "a", "b", "3"), "cannot parse --rho range"),
+    ])
+    def test_unreadable_range_exit_4(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, "sweep", *argv)
+        assert code == 4 and message in err
+
     def test_io_error_exit_3(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--rho", "1", "2", "2",
                              "--out", "/nonexistent-dir/x.csv")
@@ -406,6 +414,10 @@ class TestPerm:
         code, _, _ = run_cli(capsys, "perm", "--a", "x", "--diag", "1,2,3",
                              "--perm", "(0 1 2)")
         assert code == 4
+
+    def test_empty_diagonal_exit_4(self, capsys):
+        code, _, err = run_cli(capsys, "perm", "--diag", ",")
+        assert code == 4 and "empty diagonal" in err
 
     def test_bad_cycle_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "perm", "--a", "0", "--diag", "1,2,3",

@@ -8,6 +8,7 @@ import pytest
 from crouzeix_lab import conformal_map, core_matrix
 from crouzeix_lab.conformal_map import (
     Q_CHAIN_COEFFS,
+    CBracket,
     c_bracket,
     c_upper_closed,
     default_n_factors,
@@ -114,6 +115,15 @@ class TestBrackets:
         br = c_bracket(2.0, 3)
         assert br.lower <= br.upper
         assert abs(br.width - (br.upper - br.lower)) == 0.0
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: eval_f(0.5, 2.0, n_terms=0), "n_terms must be at least 1"),
+        (lambda: c_bracket(2.0, n_factors=-1), "n_factors must be nonnegative"),
+        (lambda: CBracket(2.0, 1.0, 0), "not ordered"),
+    ])
+    def test_rejects_bad_counts_and_an_unordered_bracket(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
 
     def test_default_factor_count_converges(self):
         for rho in (1.2, 2.0, 10.0):

@@ -91,6 +91,10 @@ class TestConstruction:
         assert geo.foci == (-1.0, 1.0)
         with pytest.raises(DomainError):
             EllipseGeometry(mu=1.0, rho=2.0, major=2.5, minor=1.5)
+        with pytest.raises(DomainError, match="rho must be >= 1"):
+            EllipseGeometry(mu=2.5, rho=0.5, major=2.5, minor=1.5)
+        with pytest.raises(DomainError, match="major\\^2 - minor\\^2 = 4"):
+            EllipseGeometry(mu=2.5, rho=2.0, major=3.0, minor=1.0)
 
 
 class TestFoci:
@@ -306,3 +310,13 @@ class TestNormalize:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DomainError):
             normalize(np.eye(4))
+
+    def test_focus_relabeling_keeps_the_scale_in_the_right_half_plane(self):
+        # the foci of i A are -i and i, so 1/delta = -i and the labels swap: the scale becomes i
+        rec = normalize(1j * build_A(0.7, 0.8))
+        assert rec.affine[0] == 1j
+        assert abs(rec.params.q - 0.7) < 1e-12 and abs(rec.params.r - 0.8) < 1e-12
+
+    def test_nilpotent_jordan_block_has_coincident_foci(self):
+        with pytest.raises(DomainError, match="focal eigenvalues coincide"):
+            normalize(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))

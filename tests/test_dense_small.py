@@ -33,6 +33,10 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             ds.operator_norm(np.eye(9))
 
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            ds.operator_norm(np.ones((2, 3)))
+
 
 class TestConditionNumber:
     def test_vs_numpy(self):
@@ -133,6 +137,10 @@ class TestPolynomialsAndCalculus:
             cs = rand_complex(rng, 7)
             direct = sum(c * np.linalg.matrix_power(M, k) for k, c in enumerate(cs))
             assert np.abs(ds.eval_poly(M, cs) - direct).max() < 1e-10 * (1 + np.abs(direct).max())
+
+    def test_eval_poly_needs_a_coefficient(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            ds.eval_poly(np.eye(3), [])
 
     def test_identity_polynomial(self):
         M = build_A(1.0, 0.9)

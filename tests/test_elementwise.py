@@ -1,10 +1,10 @@
-"""One formula on floats and on arrays: the arithmetic namespaces and their checks."""
+"""One formula on floats and on arrays: the arithmetic namespaces and the one check."""
 import math
 
 import numpy as np
 import pytest
 
-from crouzeix_lab.elementwise import CLAUSES, Arrays, Clause, Floats, array_pass, namespace
+from crouzeix_lab.elementwise import CLAUSES, Arrays, Clause, Floats, array_pass, check, namespace
 from crouzeix_lab.errors import DomainError
 
 
@@ -60,33 +60,33 @@ def clauses(monkeypatch):
 
 
 def test_a_clauses_nan_rule_decides_a_nan_value(clauses):
-    Floats.check("at_most_one", math.nan, 1.0)
+    check("at_most_one", math.nan, 1.0)
     with pytest.raises(DomainError, match="nan"):
-        Floats.check("positive", math.nan, 0.0, math.nan)
+        check("positive", math.nan, 0.0, math.nan)
 
 
 def test_slack_widens_the_bound_by_its_scale_and_a_verdict_is_returned(monkeypatch):
     monkeypatch.setitem(CLAUSES, "near_one", Clause("verdict", "<=", "{} exceeds 1", 0.25))
     x = np.array([1.4, 1.6, math.nan])
-    assert Floats.check("near_one", 1.4, 1.0, scale=2.0) and not Floats.check("near_one", 1.6, 1.0, scale=2.0)
-    assert Arrays.check("near_one", x, 1.0, scale=2.0).tolist() == [True, False, False]
+    assert check("near_one", 1.4, 1.0, scale=2.0) and not check("near_one", 1.6, 1.0, scale=2.0)
+    assert check("near_one", x, 1.0, scale=2.0).tolist() == [True, False, False]
     monkeypatch.setitem(CLAUSES, "near_zero", Clause("witness", ">=", "{} is negative", 0.25, True))
     y = np.array([-0.4, -0.6, math.nan])
-    assert Arrays.check("near_zero", y, 0.0, y, scale=4.0).tolist() == [True, True, True]
+    assert check("near_zero", y, 0.0, y, scale=4.0).tolist() == [True, True, True]
     with pytest.raises(DomainError, match="^-0.6 is negative$"):
-        Arrays.check("near_zero", y, 0.0, y, scale=2.0)
+        check("near_zero", y, 0.0, y, scale=2.0)
 
 
 def test_a_window_widens_both_ends_and_fails_at_nan(monkeypatch):
     monkeypatch.setitem(CLAUSES, "unit", Clause("witness", "(]", "{} outside (0, 1]", 0.25))
     x = np.array([-0.4, 1.4, -0.6, 1.6, math.nan])
-    assert Arrays.check("unit", x[:2], (0.0, 1.0), x[:2], scale=2.0).tolist() == [True, True]
-    assert [Floats.check("unit", v, (0.0, 1.0), v, scale=2.0) for v in x[:2].tolist()] == [True, True]
+    assert check("unit", x[:2], (0.0, 1.0), x[:2], scale=2.0).tolist() == [True, True]
+    assert [check("unit", v, (0.0, 1.0), v, scale=2.0) for v in x[:2].tolist()] == [True, True]
     with array_pass(5) as failure:
-        Arrays.check("unit", x, (0.0, 1.0), x, scale=2.0)
+        check("unit", x, (0.0, 1.0), x, scale=2.0)
     assert failure.tolist() == [None, None, "-0.6 outside (0, 1]", "1.6 outside (0, 1]", "nan outside (0, 1]"]
     with pytest.raises(DomainError, match="^nan outside"):
-        Floats.check("unit", math.nan, (0.0, 1.0), math.nan)
+        check("unit", math.nan, (0.0, 1.0), math.nan)
 
 
 def test_only_witness_and_verdict_clauses_carry_a_slack():
@@ -98,17 +98,17 @@ def test_only_witness_and_verdict_clauses_carry_a_slack():
 def test_array_checks_mark_exactly_the_failing_points_of_a_pass(clauses):
     x = np.array([0.5, 2.0, -1.0, 3.0, 0.25, 20.0])
     with array_pass(6) as failure:
-        Arrays.check("positive", x, 0.0, x)
-        Arrays.check("at_most_one", x, 1.0, x)  # -1.0 passes here and keeps its first text
-        Arrays.check("below_ten", x, 10.0, x)  # 20.0 fails a second check
+        check("positive", x, 0.0, x)
+        check("at_most_one", x, 1.0, x)  # -1.0 passes here and keeps its first text
+        check("below_ten", x, 10.0, x)  # 20.0 fails a second check
     assert failure.tolist() == [None, "2.0 exceeds 1", "-1.0 is not positive", "3.0 exceeds 1", None,
                                 "20.0 exceeds 1"]
     with pytest.raises(DomainError, match="^2.0 exceeds 1$"):
-        Arrays.check("at_most_one", x, 1.0, x)
+        check("at_most_one", x, 1.0, x)
 
 
 def test_array_checks_outside_a_pass_raise_at_the_first_failing_point(monkeypatch):
     monkeypatch.setitem(CLAUSES, "positive", Clause("domain", ">", "{} at {}"))
     x = np.array([1.0, 2.0, -1.0, -2.0])
     with pytest.raises(DomainError, match="^-1.0 at 2$"):
-        Arrays.check("positive", x, 0.0, x, np.arange(4))
+        check("positive", x, 0.0, x, np.arange(4))

@@ -51,6 +51,10 @@ class TestCycleNotation:
 
 
 class TestCycleDecompose:
+    def test_rejects_a_diagonal_of_the_wrong_length(self):
+        with pytest.raises(DomainError, match="diagonal has length 2, permutation acts on 3"):
+            cycle_decompose([1, 2], PermSpec(3, (0, 1, 2)))
+
     def test_identity_permutation(self):
         rng = np.random.default_rng(5)
         d = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -65,6 +65,14 @@ class TestSpecs:
         with pytest.raises(DomainError, match="finite"):
             PolySpec.of([1, bad])
 
+    def test_polyspec_rejects_a_degree_its_coefficients_disagree_with(self):
+        with pytest.raises(DomainError, match="coeffs length must be degree \\+ 1"):
+            PolySpec(2, (1, 1))
+
+    def test_search_rejects_an_empty_point_array(self):
+        with pytest.raises(DomainError, match="boundary sample set is empty"):
+            coordinate_search(build_A(0.5, 0.8), np.array([], dtype=complex), 3, 10, 0)
+
     def test_polyspec_rejects_degree_13(self):
         with pytest.raises(DomainError):
             PolySpec.of([1] * 14)
@@ -347,7 +355,7 @@ class TestPeakFloor:
             return 0, 0
         polished = []
         eb._polish_peak = lambda c, t: polished.append(t) or EllipseBoundary._polish_peak(eb, c, t)
-        got = eb._polished(cs, vals, index)
+        got = eb.max_abs_poly(cs, vals, index)
         del eb._polish_peak
         # the reference: every peak within _REFINE_SLACK of the top, each one's |p| where its steps end
         scale = max(map(abs, cs.tolist()))
@@ -596,10 +604,10 @@ class TestPolishSkip:
         assert coordinate_search(A, pts, 5, 200, 9) == expect
 
     def test_most_trials_skip_the_polish(self, monkeypatch):
-        # every polish, the search's and max_abs_poly's, runs _polished
+        # every polish, the search's and each start's normalization, runs max_abs_poly
         calls = []
-        polish = EllipseBoundary._polished
-        monkeypatch.setattr(EllipseBoundary, "_polished",
+        polish = EllipseBoundary.max_abs_poly
+        monkeypatch.setattr(EllipseBoundary, "max_abs_poly",
                             lambda self, *args: calls.append(1) or polish(self, *args))
         res = worst_ratio_search(*_criterion_6_point(0), 8, 500, 0)
         assert res.evaluations == 500
@@ -620,7 +628,7 @@ class TestPolishSkip:
         # every evaluation of p on the 2048-point grid is one of the search's
         # own Horner passes: a polish takes |p| there from them
         polishes, in_polish, full = [], [False], {True: 0, False: 0}
-        grid_states, polyval, polish = ratio_search._grid_states, np.polyval, EllipseBoundary._polished
+        grid_states, polyval, polish = ratio_search._grid_states, np.polyval, EllipseBoundary.max_abs_poly
 
         def count(pts):
             if np.size(pts) == 2048:
@@ -636,7 +644,7 @@ class TestPolishSkip:
 
         monkeypatch.setattr(ratio_search, "_grid_states", lambda pts, *args: count(pts) or grid_states(pts, *args))
         monkeypatch.setattr(np, "polyval", lambda p, x: count(x) or polyval(p, x))
-        monkeypatch.setattr(EllipseBoundary, "_polished", counted_polish)
+        monkeypatch.setattr(EllipseBoundary, "max_abs_poly", counted_polish)
         assert worst_ratio_search(7.3, 0.8, 8, 500, 2).evaluations == 500
         assert len(polishes) > 10 and full[False] > 0
         assert full[True] == 0

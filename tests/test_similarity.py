@@ -364,9 +364,7 @@ class TestSlackEdges:
 ])
 def test_each_slack_at_zero_fails_its_slack_edge(monkeypatch, name, edge, values):
     """Each TestSlackEdges point, with its clause's slack set to 0, raises the
-    clause's text or certifies with it as the failure reason.  spectrum_disc
-    has no such point: on SimilarityX's constraints its discriminant is
-    about 2.25 (sw)^2 >= 0.56."""
+    clause's text or certifies with it as the failure reason."""
     def outcome():
         try:
             return getattr(edge(), "failure_reason", "")

@@ -50,7 +50,9 @@ degree 0 to 12 scaled by 1e-320 and by 1e250 (rho in {1.05, 3}), and of the
 `best_poly` of the first 20 criterion 6 searches at their rho (m in {8, 64,
 2048}), which have about five near-equal peaks, 48 seeded
 `normalize(B).to_json()` records (or the DomainError text) for disguised family members, mirrored members,
-degenerate and non-centered spectra, and the stdout and exit code of every
+degenerate and non-centered spectra, the record of `1j * build_A(0.7, 0.8)`, whose
+affine scale normalize relabels to 1j, and the "focal eigenvalues coincide" text of the
+nilpotent Jordan block `np.eye(3, k=1)`, and the stdout and exit code of every
 subcommand for fixed arguments: `ratio`, `perm`, `verify`, `replay`,
 `figures --which regions` and `--which figure2`, `verify` at points where
 a slack decides the verdict (the product's at (1.98, 1), a LargeRhoR point
@@ -394,7 +396,9 @@ def main() -> None:
             cs = (rng.standard_normal(1 + k) + 1j * rng.standard_normal(1 + k)) * scale
             _emit(f"max_abs_poly scaled {scale!r} {k}", [EllipseBoundary(rho).max_abs_poly(cs) for rho in (1.05, 3.0)])
 
-    for k, B in enumerate(_normalize_inputs(707, 48)):
+    # then the focus relabeling (a = -a) and the nilpotent Jordan block's coincident foci
+    for k, B in [*enumerate(_normalize_inputs(707, 48)), ("relabeled", 1j * build_A(0.7, 0.8)),
+                 ("jordan", np.eye(3, k=1))]:
         try:
             _emit(f"normalize {k}", normalize(B).to_json())
         except DomainError as exc:
