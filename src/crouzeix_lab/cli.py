@@ -84,25 +84,13 @@ _SWEEP_ROW = "%s,%.17g,%s,%s,%.17g,%s,%.17g,%s\n"
 
 
 def _sweep_text(table, fmt: str) -> str:
-    """A SweepTable as JSON records or as CSV rows, row-major, each one % call over a row template.
+    """A SweepTable as JSON records, _dump(table.records()), or as CSV rows, one % call over a row template.
 
     Floats go in for %.17g, which prints as _fmt.  In the CSV rho, kappa and c_upper repeat, so _fmt
-    runs once per distinct bit pattern (-0.0 apart from 0.0).  The JSON is _dump(table.records()), X
-    from one template of its keys and any other value as its _dump text, once per distinct value.
+    runs once per distinct bit pattern (-0.0 apart from 0.0).
     """
     if fmt == "json":
-        records, heads, cells = table.records(), [], []
-        for key, *values in zip(records[0] if records else (), *(rec.values() for rec in records)):
-            floats = all(type(v) is float for v in values)
-            heads.append(f"{json.dumps(key)}: {'%.17g' if floats else '%s'}")
-            if key == "X":
-                x = "{" + ", ".join(f"{json.dumps(k)}: %.17g" for k in next(filter(None, values), ())) + "}"
-                values = [x % tuple(v.values()) if v else "null" for v in values]
-            elif not floats:
-                values = list(map({v: _dump(v) for v in set(values)}.get, values))
-            cells.append(values)
-        rows = ", ".join(["{" + ", ".join(heads) + "}"] * len(records))
-        return "[" + rows % tuple(v for row in zip(*cells) for v in row) + "]\n"
+        return _dump(table.records()) + "\n"
     cells = np.empty((table.rho.size, len(_SWEEP_COLUMNS)), dtype=object)
     for j, col in ((0, table.rho), (3, table.kappa), (5, table.c_upper)):
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)

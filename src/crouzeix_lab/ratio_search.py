@@ -421,12 +421,15 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     boundary is an EllipseBoundary or an array of points, as in ratio_for_poly.
     Candidate order is a fixed function of the seed alone, so a larger budget
     evaluates a superset of candidates and the recorded best never decreases.
-    Raises DomainError when max|z|^max(degree, 1) on the boundary exceeds 1e300.
+    Raises DomainError when A or a boundary point is not finite, or when
+    max|z|^max(degree, 1) on the boundary exceeds 1e300.
     """
     _check_search_settings(degree, budget, seed)
     A = dense_small._as_square(A)
     pts = _points(boundary)
-    reach = float(np.abs(pts).max())
+    reach = float(np.abs(pts).max())  # NaN if a point is NaN
+    if not (np.isfinite(A).all() and math.isfinite(reach)):
+        raise DomainError("A and the boundary points must be finite")
     if reach > _POWER_CEILING ** (1.0 / max(degree, 1)):
         raise DomainError(f"boundary points reach |z| = {reach:.6g}: "
                           f"|z|^{max(degree, 1)} must not exceed 1e300 at degree {degree}")

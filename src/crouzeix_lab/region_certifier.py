@@ -140,7 +140,8 @@ def classify(rho: float, r: float) -> RegionId:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Replayable record of one certified point.
+    """Replayable record of certified points: floats for one point, or
+    arrays of one region's points (as SimilarityX and NormalizedParams hold).
 
     For product regions the content is c_upper * sqrt(norm_sq_upper) <= 1;
     the diagonalizable region certifies through kappa alone and stores 0.0
@@ -168,9 +169,8 @@ class Certificate:
         return cls(**{**d, "region": RegionId(d["region"]), "X": SimilarityX(**d["X"])})
 
 
-def _certify_region(region: RegionId, rho, r) -> tuple:
-    """(X, kappa, norm_sq_upper, c_upper, product, verdict, mu_ok, product_ok, mu)
-    of points that all lie in one admissible region, as floats or arrays.
+def _certify_region(region: RegionId, rho, r) -> Certificate:
+    """The Certificate of points that all lie in one admissible region, as floats or arrays.
 
     Checks that fail raise DomainError, or on arrays mark the point (see
     `elementwise`), in this order: q^2, NormalizedParams, the builder, psi
@@ -208,11 +208,20 @@ def _certify_region(region: RegionId, rho, r) -> tuple:
         product = c_up * xp.sqrt(norm_sq)
     product_ok = check("product", product, 1.0)
     verdict = mu_ok & product_ok & check("kappa", kappa, 2.0)
-    return X, kappa, norm_sq, c_up, product, verdict, mu_ok, product_ok, mu
+    return Certificate(region, rho, r, X, kappa, norm_sq, c_up, product, xp.where(verdict, 2.0, 0.0), verdict,
+                       _failure_reason(verdict, mu_ok, product_ok, mu, product, kappa))
 
 
-def _failure_reason(mu_ok, product_ok, mu, product, kappa) -> str:
-    """The failure_reason of one point whose verdict is false: its first false clause."""
+def _failure_reason(verdict, mu_ok, product_ok, mu, product, kappa):
+    """"" where the verdict holds, else the text of the first false clause; on
+    arrays, an object array of one such text per point."""
+    if isinstance(verdict, np.ndarray):
+        reason = np.full(verdict.size, "", dtype=object)
+        for i in np.flatnonzero(~verdict).tolist():
+            reason[i] = _failure_reason(False, *_at((mu_ok, product_ok, mu, product, kappa), i))
+        return reason
+    if verdict:
+        return ""
     name, value = ("mu_p", mu) if not mu_ok else ("product", product) if not product_ok else ("kappa", kappa)
     return CLAUSES[name].text.format(value)
 
@@ -222,13 +231,7 @@ def certify(rho: float, r: float) -> Certificate:
     region = classify(rho, r)
     if region is RegionId.OUT_OF_DOMAIN:
         raise DomainError(f"(rho={rho}, r={r}) is not in the admissible domain")
-    X, kappa, norm_sq, c_up, product, verdict, mu_ok, product_ok, mu = _certify_region(region, rho, r)
-    return Certificate(
-        region=region, rho=rho, r=r, X=X, kappa=kappa,
-        norm_sq_upper=norm_sq, c_upper=c_up, product=product,
-        crouzeix_constant=2.0 if verdict else 0.0,
-        verdict=verdict, failure_reason="" if verdict else _failure_reason(mu_ok, product_ok, mu, product, kappa),
-    )
+    return _certify_region(region, rho, r)
 
 
 def open_grid(lo: float, hi: float, steps: int) -> list:
@@ -312,21 +315,18 @@ def certify_points(rho, r) -> SweepTable:
     """Certify the points (rho[i], r[i]) in one array pass per region.
 
     Each region's points go through `_certify_region` together, the code
-    that certify runs on one point, and the pass writes every row.  A point
-    that failed a check is "Uncertified", with zeros and the first failed
-    check's text, the DomainError certify raises; a false verdict carries
-    certify's failure_reason.  So every field is the one certify gives or
-    raises.
+    that certify runs on one point, and the pass writes every row from the
+    Certificate it returns.  A point that failed a check is "Uncertified",
+    with zeros and the first failed check's text, the DomainError certify
+    raises.  So every field is the one certify gives or raises.
     """
     rho, r = np.asarray(rho, dtype=float).ravel(), np.asarray(r, dtype=float).ravel()
     n = rho.size
     with np.errstate(all="ignore"):
         regions = classify(rho, r)
-    x_keys = [f.name for f in fields(SimilarityX)]
-    X = tuple(np.zeros(n) for _ in x_keys)
-    kappa, norm_sq, c_up, product = (np.zeros(n) for _ in range(4))
-    verdict = np.zeros(n, dtype=bool)
-    columns = (*X, kappa, norm_sq, c_up, product, verdict)
+    X = {f.name: np.zeros(n) for f in fields(SimilarityX)}
+    columns = {name: np.zeros(n) for name in ("kappa", "norm_sq_upper", "c_upper", "product")}
+    columns["verdict"] = np.zeros(n, dtype=bool)
     labels = np.full(n, RegionId.OUT_OF_DOMAIN.value, dtype=object)
     failure = np.full(n, _OUTSIDE, dtype=object)
     for region in (RegionId.DIAGONALIZABLE, RegionId.SMALL_R, RegionId.STRIP, RegionId.LARGE_RHO_R):
@@ -334,19 +334,18 @@ def certify_points(rho, r) -> SweepTable:
         if idx.size == 0:
             continue
         with array_pass(idx.size) as raised:
-            Xk, *values, mu_ok, product_ok, mu = _certify_region(region, rho[idx], r[idx])
-        for col, val in zip(columns, (*(getattr(Xk, k) for k in x_keys), *values)):
-            col[idx] = val
-        labels[idx], failure[idx] = region.value, ""
+            cert = _certify_region(region, rho[idx], r[idx])
+        for name, col in X.items():
+            col[idx] = getattr(cert.X, name)
+        for name, col in columns.items():
+            col[idx] = getattr(cert, name)
+        labels[idx], failure[idx] = region.value, cert.failure_reason
         uncertified = np.not_equal(raised, None)
         bad = idx[uncertified]
-        for col in columns:
+        for col in (*X.values(), *columns.values()):
             col[bad] = 0
         labels[bad], failure[bad] = _UNCERTIFIED, raised[uncertified]
-        kappa_k, _, _, product_k, verdict_k = values
-        for i in np.flatnonzero(np.logical_not(verdict_k | uncertified)).tolist():
-            failure[idx[i]] = _failure_reason(*_at((mu_ok, product_ok, mu, product_k, kappa_k), i))
-    return SweepTable(rho, r, labels.tolist(), X, kappa, norm_sq, c_up, product, verdict, failure.tolist())
+    return SweepTable(rho, r, labels.tolist(), tuple(X.values()), **columns, failure=failure.tolist())
 
 
 def sweep_table(rho_range: tuple, r_range: tuple) -> SweepTable:

@@ -159,6 +159,40 @@ class TestHugeRho:
         assert eval_f(0.5, 1e300) == 2.0 * 0.5 / 1e300
         assert eval_f(1.0, 1.2e77) == 2.0 / 1.2e77
 
+    def test_series_stops_where_T_2k_overflows(self, monkeypatch):
+        # T_2(1e199) = 2e398 - 1 overflows at k = 1, so f(z) = (2 z / rho) exp(0)
+        assert eval_f(1e199, 1e200) == (2.0 * 1e199 / 1e200) * cmath.exp(0) == 0.20000000000000004
+        # with rho^4 held finite, only the break on T_2k keeps an inf term out of the series
+        monkeypatch.setattr(conformal_map, "_pow4", lambda rho: 1e300)
+        assert eval_f(1e199, 1e200) == 0.20000000000000004
+
+
+class TestJacobiForms:
+    """Oracles independent of the product formula, with q = rho^-4: c = theta_2(q) / theta_3(q),
+    and Schwarz's map f(z) = sqrt(k) sn((2K/pi) asin z, k) with modulus k = c^2."""
+
+    def test_bracket_encloses_the_theta_quotient(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for rho in np.geomspace(1.001, 1e4, 11).tolist():
+                q = mpmath.mpf(rho) ** -4
+                c = mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)
+                br = c_bracket(rho)
+                assert mpmath.mpf(br.lower) <= c <= mpmath.mpf(br.upper), (rho, br)
+
+    def test_eval_f_is_the_sn_map(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1414)
+        draws = zip(*(v.tolist() for v in (rng.uniform(1.05, 20.0, 50), rng.uniform(0.0, 0.95, 50),
+                                            rng.uniform(0.0, 2.0 * math.pi, 50))))
+        with mpmath.workdps(30):
+            for rho, t, theta in draws:
+                z = t * complex((rho + 1.0 / rho) / 2.0 * math.cos(theta), (rho - 1.0 / rho) / 2.0 * math.sin(theta))
+                k = mpmath.kfrom(q=mpmath.mpf(rho) ** -4)
+                u = 2 * mpmath.ellipk(k**2) / mpmath.pi * mpmath.asin(z)
+                want = complex(mpmath.sqrt(k) * mpmath.ellipfun("sn", u, m=k**2))
+                assert abs(eval_f(z, rho) - want) <= 1e-13 * abs(want), (rho, z)
+
 
 class TestMatrixIdentity:
     def test_fA_equals_cA(self):

@@ -468,6 +468,40 @@ class TestSearch:
             with pytest.raises(DomainError, match=re.escape(f"|z| = {rho / 2:.6g}: |z|^12 must not exceed 1e300")):
                 coordinate_search(build_A_rho(rho, 0.9), EllipseBoundary(rho), 12, 40, 0)
 
+    @pytest.mark.parametrize("degree", (0, 3))
+    @pytest.mark.parametrize("case", ("nan point", "nan * 1j point", "all-nan A", "inf entry"))
+    def test_coordinate_search_rejects_non_finite_input(self, monkeypatch, case, degree):
+        # these gave best_ratio 1.0 or nan at degree 0, and an SVD that did not converge at degree 3
+        A, pts = build_A_rho(3.0, 0.8), boundary_samples(3.0, 64)
+        if case == "nan point":
+            pts[5] = math.nan
+        elif case == "nan * 1j point":
+            pts[5] = math.nan * 1j
+        elif case == "all-nan A":
+            A = np.full((3, 3), math.nan)
+        else:
+            A[0, 2] = math.inf
+        monkeypatch.setattr(dense_small, "horner_states", None)
+        with pytest.raises(DomainError, match="A and the boundary points must be finite"):
+            coordinate_search(A, pts, degree, 20, 0)
+
+    def test_a_degenerate_random_start_is_redrawn(self, monkeypatch):
+        # call 1 scores the constant start, call 2 normalizes the first random start
+        calls, boundary_max = [], ratio_search._boundary_max
+
+        def degenerate_once(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise DegenerateDenominatorError("first random start")
+            return boundary_max(*args)
+
+        monkeypatch.setattr(ratio_search, "_boundary_max", degenerate_once)
+        A, boundary = build_A_rho(3.0, 0.8), EllipseBoundary(3.0)
+        res = coordinate_search(A, boundary, 4, 50, 0)
+        assert len(calls) > 2 and res.evaluations == 50
+        assert 1.0 < res.best_ratio <= 2.0
+        assert abs(ratio_for_poly(A, res.best_poly, boundary) - res.best_ratio) < 1e-12
+
     @pytest.mark.parametrize("degree", (0, 1))
     def test_below_degree_two_the_family_bound_binds_first(self, degree):
         # rho^1 <= 1e300 never binds: build_A_rho refuses rho above about 1.3e154

@@ -61,12 +61,13 @@ points of `TestSlackEdges`: (3, 0.577350269189626), (5, 0.447213595499958),
 (3, 0.7260599988965409) and (2, 0.7071067811865476)), and `sweep`s that reach
 every branch of the array certification: `--rho 1.1 12 6 --r auto`,
 `--rho 1.5 30 4 --r 0.5 1 5`, `--rho 1 50 40 --r auto` (csv and json), the
-strip `--rho 10 50 8 --r 0.755 0.775 8`, the overflow band `--rho 1e76
-1.7e308 4 --r 0.05 1 4` (all Uncertified; csv and json), `--rho 1e77 1e154
-12 --r 0.05 1 12` (csv and json), where rho**4 and ||G||^2 overflow, rows
-with OutOfDomain points (`--rho 0.5 3 5 --r 0.3 1 5`, csv and json, and
-`--rho 2 inf 3 --r 0 1.5 6`), the OutOfDomain row `--rho -1 -0.0 1 --r 0.5
-1 2`, whose rho cells are -0, the
+strip `--rho 10 50 8 --r 0.755 0.775 8` (csv and json), whose X fields
+hold integral floats, the overflow band `--rho 1e76 1.7e308 4 --r 0.05 1
+4` (all Uncertified; csv and json), `--rho 1e77 1e154 12 --r 0.05 1 12`
+(csv and json), where rho**4 and ||G||^2 overflow, rows with OutOfDomain
+points (`--rho 0.5 3 5 --r 0.3 1 5`, csv and json, and `--rho 2 inf 3 --r
+0 1.5 6`, csv and json, with inf cells), the OutOfDomain row `--rho -1
+-0.0 1 --r 0.5 1 2` (csv and json), whose rho cells are -0, the
 `plane` workload's shape `--rho LO LO+2 24 --r auto` at 6 seeded LO in
 [1.05, 48] (seed 1111; csv and json), and the one-point json `sweep` at
 each of 16 seeded points (seed 1010) within 3 ulps of r = 1/sqrt(rho) where
@@ -127,6 +128,7 @@ CLI_RUNS = (
     ("sweep", "--rho", "1", "50", "40", "--r", "auto", "--workers", "1", "--format", "csv"),
     ("sweep", "--rho", "1", "50", "40", "--r", "auto", "--workers", "1", "--format", "json"),
     ("sweep", "--rho", "10", "50", "8", "--r", "0.755", "0.775", "8", "--format", "csv"),
+    ("sweep", "--rho", "10", "50", "8", "--r", "0.755", "0.775", "8", "--format", "json"),
     ("sweep", "--rho", "1e76", "1.7e308", "4", "--r", "0.05", "1", "4", "--format", "csv"),
     ("sweep", "--rho", "1e76", "1.7e308", "4", "--r", "0.05", "1", "4", "--format", "json"),
     ("sweep", "--rho", "1e77", "1e154", "12", "--r", "0.05", "1", "12", "--format", "csv"),
@@ -134,7 +136,9 @@ CLI_RUNS = (
     ("sweep", "--rho", "0.5", "3", "5", "--r", "0.3", "1", "5", "--format", "csv"),
     ("sweep", "--rho", "0.5", "3", "5", "--r", "0.3", "1", "5", "--format", "json"),
     ("sweep", "--rho", "-1", "-0.0", "1", "--r", "0.5", "1", "2", "--format", "csv"),
+    ("sweep", "--rho", "-1", "-0.0", "1", "--r", "0.5", "1", "2", "--format", "json"),
     ("sweep", "--rho", "2", "inf", "3", "--r", "0", "1.5", "6", "--format", "csv"),
+    ("sweep", "--rho", "2", "inf", "3", "--r", "0", "1.5", "6", "--format", "json"),
     ("figures", "--which", "regions", "--grid", "15"),
     ("figures", "--which", "regions", "--grid", "7", "--format", "json"),
     ("figures", "--which", "figure2", "--grid", "25"),
