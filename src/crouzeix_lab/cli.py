@@ -110,7 +110,7 @@ def cmd_sweep(args) -> int:
     rho_range = _parse_range(args.rho, "--rho")
     r_range = "auto" if args.r == ["auto"] else _parse_range(args.r, "--r")
     if args.workers < 0:
-        raise DomainError("need at least one worker")
+        raise DomainError(f"--workers must not be negative, got {args.workers}")
     if r_range == "auto":
         r_range = (None, 1.0, rho_range[2])
     table = sweep_table(rho_range, r_range)
@@ -143,24 +143,17 @@ _REGION_CURVES = (
 )
 
 
-def _figures_regions(grid: int) -> list:
-    return [{"curve": name, "rho": rho, "r": r}
-            for name, (lo, hi), at in _REGION_CURVES for rho, r in map(at, open_grid(lo, hi, grid))]
-
-
 def cmd_figures(args) -> int:
     if args.which == "regions":
-        rows = _figures_regions(args.grid)
-        if args.format == "json":
-            text = _dump(rows) + "\n"
-        else:
-            text = "curve,rho,r\n" + "".join(f"{row['curve']},{_fmt(row['rho'])},{_fmt(row['r'])}\n" for row in rows)
+        rows = [{"curve": name, "rho": rho, "r": r}
+                for name, (lo, hi), at in _REGION_CURVES for rho, r in map(at, open_grid(lo, hi, args.grid))]
     else:
-        data = figure2_data(args.grid)
-        if args.format == "json":
-            text = _dump([{"rho": rho, "value": val} for rho, val in data]) + "\n"
-        else:
-            text = "rho,value\n" + "".join(f"{_fmt(rho)},{_fmt(val)}\n" for rho, val in data)
+        rows = [{"rho": rho, "value": val} for rho, val in figure2_data(args.grid)]
+    if args.format == "json":
+        text = _dump(rows) + "\n"
+    else:
+        lines = [list(rows[0])] + [[v if isinstance(v, str) else _fmt(v) for v in row.values()] for row in rows]
+        text = "".join(",".join(line) + "\n" for line in lines)
     return _write_output(text, args.out)
 
 

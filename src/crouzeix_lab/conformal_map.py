@@ -65,14 +65,12 @@ def default_n_factors(rho: float) -> int:
     return max(1, math.ceil(16.0 / (8.0 * math.log10(rho))))
 
 
-def _default_terms_eval(rho: float) -> int:
-    # on the boundary the series terms decay like rho^{-2n}/n, the slowest
-    # case; aim the bare power at e^{-42} and let the in-loop break finish
-    return max(8, math.ceil(21.0 / math.log(rho)))
-
-
-def eval_f(z: complex, rho: float, n_terms: int | None = None) -> complex:
+def eval_f(z: complex, rho: float) -> complex:
     """The disk map evaluated at an interior point of the ellipse.
+
+    The series stops at a term below 1e-22 (1 + |sum|), where rho^{4k}
+    overflows (the terms are then below 2 rho^{-2k} < 1e-154, and T_{2k},
+    at most rho^{2k} on the ellipse, is still finite), or after n terms.
 
     Raises DomainError when z lies outside the (closed) elliptic disk with
     foci -1, +1 and half-axes (rho +- 1/rho)/2.
@@ -83,9 +81,9 @@ def eval_f(z: complex, rho: float, n_terms: int | None = None) -> complex:
     b = (rho - 1.0 / rho) / 2.0
     if (z.real / a) ** 2 + (z.imag / b) ** 2 > 1.0 + 1e-12:
         raise DomainError(f"z={z} lies outside the ellipse for rho={rho}")
-    n = _default_terms_eval(rho) if n_terms is None else int(n_terms)
-    if n < 1:
-        raise DomainError("n_terms must be at least 1")
+    # on the boundary the series terms decay like rho^{-2n}/n, the slowest
+    # case; aim the bare power at e^{-42} and let the in-loop break finish
+    n = max(8, math.ceil(21.0 / math.log(rho)))
     # T_{2k}(z) by coupled recurrence on (T_{2k}, T_{2k+1})
     s = 0.0 + 0.0j
     t_even = 1.0 + 0.0j  # T_0
@@ -99,8 +97,6 @@ def eval_f(z: complex, rho: float, n_terms: int | None = None) -> complex:
         t_odd = 2.0 * z * t_even - t_odd
         rho_pow *= rho4
         sign = -sign
-        if not (math.isfinite(t_even.real) and math.isfinite(t_even.imag)):
-            break
         if math.isinf(rho_pow):
             break
         term = 2.0 * sign * t_even / (k * (1.0 + rho_pow))

@@ -308,37 +308,29 @@ def normalize(B: np.ndarray | TridiagonalParams) -> NormalizationRecord:
 
     s = 1.0 + alpha + beta + abs(gamma)
     if max(alpha, beta) <= _DEGENERATE_TOL * s:
-        return NormalizationRecord(
-            affine=(a, b),
-            unitary=W,
-            params=None,
-            mirrored=False,
-            degenerate_case="Diagonal" if abs(gamma) <= _DEGENERATE_TOL * s else "TwoByTwoReducible",
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            elliptic_residual=0.0,
-        )
+        params, mirrored, residual = None, False, 0.0
+        degenerate_case = "Diagonal" if abs(gamma) <= _DEGENERATE_TOL * s else "TwoByTwoReducible"
+    else:
+        scale = 1.0 + alpha * alpha + beta * beta + abs(gamma) ** 2
+        residual = abs(2.0 * alpha * beta * gamma.conjugate() + alpha * alpha - beta * beta)
+        if residual > _ELLIPTIC_TOL * scale * shift:
+            raise DomainError(
+                f"numerical range is not an ellipse centered at the middle eigenvalue (residual {residual:.3g})"
+            )
 
-    scale = 1.0 + alpha * alpha + beta * beta + abs(gamma) ** 2
-    residual = abs(2.0 * alpha * beta * gamma.conjugate() + alpha * alpha - beta * beta)
-    if residual > _ELLIPTIC_TOL * scale * shift:
-        raise DomainError(
-            f"numerical range is not an ellipse centered at the middle eigenvalue (residual {residual:.3g})"
-        )
-
-    q = 2.0 * math.sqrt(alpha * beta)
-    g = gamma.real
-    r_sq = g + math.sqrt(g * g + 1.0)
-    r = math.sqrt(r_sq)
-    mirrored = r > 1.0
-    params = NormalizedParams(q, 1.0 / r if mirrored else r)
+        q = 2.0 * math.sqrt(alpha * beta)
+        g = gamma.real
+        r_sq = g + math.sqrt(g * g + 1.0)
+        r = math.sqrt(r_sq)
+        mirrored = r > 1.0
+        params = NormalizedParams(q, 1.0 / r if mirrored else r)
+        degenerate_case = None
     return NormalizationRecord(
         affine=(a, b),
         unitary=W,
         params=params,
         mirrored=mirrored,
-        degenerate_case=None,
+        degenerate_case=degenerate_case,
         alpha=alpha,
         beta=beta,
         gamma=gamma,

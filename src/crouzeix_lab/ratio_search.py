@@ -290,17 +290,25 @@ def _boundary_max(boundary, coeffs, vals: np.ndarray, index: np.ndarray | None =
     return denom
 
 
+def _evaluate(A: np.ndarray, boundary, pts: np.ndarray, c) -> tuple:
+    """(mats, grid, index, num, denom): the Horner states of p(A) and of p on pts, _peaks(|p|) there,
+    num = ||p(A)|| (inf where p(A) is not finite) and denom = _boundary_max, the ratio's one evaluation."""
+    mats = dense_small.horner_states(A, c)
+    grid = _grid_states(pts, c)
+    vals = np.abs(grid[0])
+    index = _peaks(vals)
+    num = dense_small.operator_norm(mats[0]) if np.isfinite(mats[0]).all() else math.inf
+    return mats, grid, index, num, _boundary_max(boundary, c, vals, index)
+
+
 def ratio_for_poly(A: np.ndarray, p: PolySpec, boundary) -> float:
-    """||p(A)|| divided by the maximum of |p| over the sampled boundary.
+    """||p(A)|| divided by the maximum of |p| over the sampled boundary, from _evaluate.
 
     boundary is either an EllipseBoundary (polished maximum) or a plain array
     of boundary points (grid maximum).  Raises DomainError if either overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.abs(_grid_states(_points(boundary), p.coeffs)[0])
-        mat = dense_small.eval_poly(A, p.coeffs)
-    denom = _boundary_max(boundary, p.coeffs, vals)
-    num = dense_small.operator_norm(mat) if np.isfinite(mat).all() else math.inf
+        num, denom = _evaluate(A, boundary, _points(boundary), p.coeffs)[3:]
     if not (math.isfinite(num) and math.isfinite(denom)):
         raise DomainError(f"||p(A)|| = {num} and boundary maximum {denom} must be finite")
     return num / denom
@@ -434,18 +442,10 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
         raise DomainError(f"boundary points reach |z| = {reach:.6g}: "
                           f"|z|^{max(degree, 1)} must not exceed 1e300 at degree {degree}")
 
-    def evaluate(c: np.ndarray) -> tuple:
-        """The Horner states of p(A) and of p on the grid, ||p(A)||, the peaks of |p| there, and the ratio they give."""
-        mats = dense_small.horner_states(A, c)
-        grid = _grid_states(pts, c)
-        vals = np.abs(grid[0])
-        index = _peaks(vals)
-        num = dense_small.operator_norm(mats[0])
-        return mats, grid, num, index, num / _boundary_max(boundary, c, vals, index)
-
     best_c = np.zeros(degree + 1, dtype=complex)
     best_c[0] = 1.0
-    best = evaluate(best_c)[4]
+    num, denom = _evaluate(A, boundary, pts, best_c)[3:]
+    best = num / denom
     evals = 1
     if degree == 0:
         return RatioResult(best, PolySpec.of(best_c), evals, seed)
@@ -464,7 +464,8 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
             c /= _boundary_max(boundary, c, np.abs(_grid_states(pts, c)[0]))
         except DegenerateDenominatorError:
             continue
-        mats, grid, num, index, cur = evaluate(c)
+        mats, grid, index, num, denom = _evaluate(A, boundary, pts, c)
+        cur = num / denom
         cs = c.tolist()
         bound.track(c, num, pts, index, grid[0])
         evals += 1

@@ -182,9 +182,10 @@ class TestSweep:
         assert runs[0][1] == runs[1][1] == runs[2][1]
 
     def test_negative_workers_exit_4(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--rho", "1", "10", "5", "--workers", "-1")
+        code, out, err = run_cli(capsys, "sweep", "--rho", "1", "10", "5", "--workers", "-1")
         assert code == 4
         assert out == ""
+        assert err == "--workers must not be negative, got -1\n"
 
     def test_sweep_starts_no_process(self, capsys, monkeypatch):
         import multiprocessing.process
@@ -318,6 +319,20 @@ class TestFigures:
         assert code == 0
         assert max(row["value"] for row in data) <= 1.0 + 1e-9
         assert abs(data[-1]["rho"] - 10.0) < 1e-9
+
+    @pytest.mark.parametrize("which, grid", [("regions", "1"), ("regions", "17"), ("figure2", "2"), ("figure2", "33")])
+    def test_csv_and_json_carry_the_same_rows(self, capsys, which, grid):
+        # one writer: the CSV header is the JSON rows' keys, each cell the JSON string or _fmt of the JSON float
+        code_csv, csv_out, _ = run_cli(capsys, "figures", "--which", which, "--grid", grid)
+        code_json, json_out, _ = run_cli(capsys, "figures", "--which", which, "--grid", grid, "--format", "json")
+        assert code_csv == code_json == 0
+        rows = json.loads(json_out)
+        header, *lines = csv_out.splitlines()
+        assert header.split(",") == list(rows[0])
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            assert list(row) == list(rows[0])
+            assert line.split(",") == [v if isinstance(v, str) else cli._fmt(v) for v in row.values()]
 
     @pytest.mark.parametrize("which, grid", [("figure2", "1"), ("regions", "0"), ("regions", "-3")])
     def test_bad_grid_exit_4(self, capsys, which, grid):

@@ -69,14 +69,14 @@ class TestScalarValue:
 
     def test_small_rho_limit(self):
         # thin ellipse: c creeps up to 1 (equals 1.0 in floats well before rho = 1)
-        c = eval_f(1.0, 1.0005, n_terms=40000).real
+        c = eval_f(1.0, 1.0005).real
         assert 0.97 < c <= 1.0
 
 
 class TestBrackets:
     def test_enclosure(self):
         for rho in RHOS:
-            c = eval_f(1.0, rho, n_terms=400).real
+            c = eval_f(1.0, rho).real
             br = c_bracket(rho)
             assert br.lower - 1e-15 <= c <= br.upper + 1e-15
 
@@ -117,7 +117,6 @@ class TestBrackets:
         assert abs(br.width - (br.upper - br.lower)) == 0.0
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: eval_f(0.5, 2.0, n_terms=0), "n_terms must be at least 1"),
         (lambda: c_bracket(2.0, n_factors=-1), "n_factors must be nonnegative"),
         (lambda: CBracket(2.0, 1.0, 0), "not ordered"),
     ])
@@ -134,7 +133,7 @@ class TestBrackets:
 class TestClosedEnvelope:
     def test_dominates_c(self):
         for rho in (1.05, 1.2, 1.41, math.sqrt(2.0), 1.5, 2.0, 3.0, 10.0):
-            c = eval_f(1.0, rho, n_terms=400).real
+            c = eval_f(1.0, rho).real
             assert c < c_upper_closed(rho)
 
     def test_sharpened_branch_below_leading(self):
@@ -159,12 +158,9 @@ class TestHugeRho:
         assert eval_f(0.5, 1e300) == 2.0 * 0.5 / 1e300
         assert eval_f(1.0, 1.2e77) == 2.0 / 1.2e77
 
-    def test_series_stops_where_T_2k_overflows(self, monkeypatch):
-        # T_2(1e199) = 2e398 - 1 overflows at k = 1, so f(z) = (2 z / rho) exp(0)
+    def test_series_stops_where_T_2k_overflows(self):
+        # T_2(1e199) = 2e398 - 1 overflows at k = 1, where rho^4 has too, so f(z) = (2 z / rho) exp(0)
         assert eval_f(1e199, 1e200) == (2.0 * 1e199 / 1e200) * cmath.exp(0) == 0.20000000000000004
-        # with rho^4 held finite, only the break on T_2k keeps an inf term out of the series
-        monkeypatch.setattr(conformal_map, "_pow4", lambda rho: 1e300)
-        assert eval_f(1e199, 1e200) == 0.20000000000000004
 
 
 class TestJacobiForms:
@@ -192,6 +188,23 @@ class TestJacobiForms:
                 u = 2 * mpmath.ellipk(k**2) / mpmath.pi * mpmath.asin(z)
                 want = complex(mpmath.sqrt(k) * mpmath.ellipfun("sn", u, m=k**2))
                 assert abs(eval_f(z, rho) - want) <= 1e-13 * abs(want), (rho, z)
+
+    def test_r1_envelope_law(self):
+        # along r = 1 the product is c_upper_closed * sqrt(norm_sq) = 1: the tie belongs to the
+        # envelope E = 2 / (rho sqrt(1 + 4 rho^-4)), and c falls below it by (1 - c / E) rho^8 -> 1
+        mpmath = pytest.importorskip("mpmath")
+        small = {1.5: 0.144232, 2.0: 0.598260, 3.0: 0.905640}
+        with mpmath.workdps(60):
+            for rho in (1.5, 2.0, 3.0, 10.0, 20.0, 50.0, 100.0, 1000.0):
+                R = mpmath.mpf(rho)
+                c = mpmath.jtheta(2, 0, R**-4) / mpmath.jtheta(3, 0, R**-4)
+                envelope = 2 / (R * mpmath.sqrt(1 + 4 * R**-4))
+                law = (1 - c / envelope) * R**8
+                if rho in small:
+                    assert abs(law - small[rho]) < 1e-6, (rho, law)
+                else:
+                    assert law < 1 and 1 - law < 9 * R**-4, (rho, law)
+                assert abs(mpmath.mpf(c_upper_closed(rho)) - envelope) < 4e-16 * envelope, rho
 
 
 class TestMatrixIdentity:

@@ -71,7 +71,14 @@ points (`--rho 0.5 3 5 --r 0.3 1 5`, csv and json, and `--rho 2 inf 3 --r
 `plane` workload's shape `--rho LO LO+2 24 --r auto` at 6 seeded LO in
 [1.05, 48] (seed 1111; csv and json), and the one-point json `sweep` at
 each of 16 seeded points (seed 1010) within 3 ulps of r = 1/sqrt(rho) where
-the tests r^2 rho > 1 and r > 1/sqrt(rho) disagree by rounding.  It takes
+the tests r^2 rho > 1 and r > 1/sqrt(rho) disagree by rounding.  Also the
+exception type and text of `ratio_for_poly` for [1, nan], [1, inf], [1e308,
+1e308] and [0, 0, 1e-320] on EllipseBoundary(2.0) and on 64 boundary points,
+and the conformal map: `c_bracket(rho)` at 20 fixed rho from 1.0005 to 1.7e308
+and 40 seeded ones (seed 1212, log-uniform in [1.001, 1e6]), `eval_f` on each
+such ellipse with rho < 1e6 at -1, 0, 1, both semi-axis ends and four seeded
+interior points, and `verify_fA_equals_cA(rho, r)` (or its DomainError) at r
+in {1, 0.95, 0.9} for rho < 1e150.  It takes
 about 6 s on one core of a 2-vCPU x86 host.
 """
 
@@ -93,6 +100,7 @@ from pathlib import Path
 import numpy as np
 
 from crouzeix_lab import cli, permutation_ext
+from crouzeix_lab.conformal_map import c_bracket, eval_f, verify_fA_equals_cA
 from crouzeix_lab.core_matrix import build_A, build_A_rho, normalize
 from crouzeix_lab.errors import DomainError
 from crouzeix_lab.ratio_search import (
@@ -205,6 +213,33 @@ def _domain_edge_points(seed: int, count: int) -> list:
             near = [math.nextafter(near[0], 0.0)] + near + [math.nextafter(near[-1], 2.0)]
         found += [(rho, r) for r in near if (r * r * rho > 1.0) != (1.0 / math.sqrt(rho) < r)]
     return found[:count]
+
+
+def _outcome(call):
+    """call()'s value, or its exception as "Type: text"."""
+    try:
+        return call()
+    except Exception as exc:  # the type is part of what is compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _conformal_values() -> None:
+    """c_bracket at fixed and seeded rho; eval_f on each ellipse with rho < 1e6 and
+    verify_fA_equals_cA at r in {1, 0.95, 0.9} for rho < 1e150."""
+    fixed = [1.0005, 1.001, 1.01, 1.05, 1.2, math.sqrt(2.0), 1.5, 2.0, 3.0, 7.3, 10.0, 50.0, 100.0,
+             9999.0, 1e4, 1e8, 1e77, 1.2e77, 1e200, 1.7e308]
+    rng = np.random.default_rng(1212)
+    seeded = np.exp(rng.uniform(math.log(1.001), math.log(1e6), 40)).tolist()
+    for rho in fixed + seeded:
+        bracket = c_bracket(rho)
+        _emit(f"c_bracket {rho!r}", [bracket.lower, bracket.upper])
+        if rho < 1e6:
+            a, b = (rho + 1.0 / rho) / 2.0, (rho - 1.0 / rho) / 2.0
+            t, theta = rng.uniform(0.0, 1.0, 4).tolist(), rng.uniform(0.0, 2.0 * math.pi, 4).tolist()
+            zs = [-1.0, 0.0, 1.0, a, 1j * b] + [s * complex(a * math.cos(h), b * math.sin(h)) for s, h in zip(t, theta)]
+            _emit(f"eval_f {rho!r}", [[w.real, w.imag] for w in (eval_f(z, rho) for z in zs)])
+        if rho < 1e150:
+            _emit(f"verify_fA_equals_cA {rho!r}", [_outcome(lambda: verify_fA_equals_cA(rho, r)) for r in (1.0, 0.95, 0.9)])
 
 
 def _load(path: str) -> dict:
@@ -376,6 +411,9 @@ def main() -> None:
     for k in range(40):
         cs = rng.standard_normal(1 + k % 13) + 1j * rng.standard_normal(1 + k % 13)
         _emit(f"ratio_for_poly {k}", [ratio_for_poly(A, PolySpec.of(cs), b) for b in boundaries])
+    for k, cs in enumerate(([1, math.nan], [1, math.inf], [1e308, 1e308], [0, 0, 1e-320])):
+        _emit(f"ratio_for_poly error {k}", [_outcome(lambda: ratio_for_poly(build_A_rho(2.0, 1.0), PolySpec.of(cs), b))
+                                            for b in (EllipseBoundary(2.0), boundary_samples(2.0, 64))])
 
     # Chebyshev T_d has d near-maximal peaks on a thin ellipse, so the polish cap binds
     for d in range(1, 13):
@@ -407,6 +445,7 @@ def main() -> None:
             _emit(f"normalize {k}", normalize(B).to_json())
         except DomainError as exc:
             _emit(f"normalize {k}", "DomainError: " + str(exc))
+    _conformal_values()
 
     for argv in CLI_RUNS:
         _emit("cli " + " ".join(argv), _cli(argv))
