@@ -26,11 +26,9 @@ from .core_matrix import (
 )
 from .conformal_map import (
     CBracket,
-    QSignChainResult,
     c_bracket,
     c_upper_closed,
     eval_f,
-    q_sign_chain_check,
     verify_fA_equals_cA,
 )
 from .dense_small import condition_number, eval_poly, operator_norm
@@ -52,6 +50,7 @@ from .region_certifier import (
     certify_points,
     classify,
     figure2_data,
+    q_sign_chain_check,
     r1,
     r3,
     replay_proofs,

@@ -146,7 +146,7 @@ _REGION_CURVES = (
 def cmd_figures(args) -> int:
     if args.which == "regions":
         rows = [{"curve": name, "rho": rho, "r": r}
-                for name, (lo, hi), at in _REGION_CURVES for rho, r in map(at, open_grid(lo, hi, args.grid))]
+                for name, (lo, hi), at in _REGION_CURVES for rho, r in map(at, open_grid(lo, hi, args.grid).tolist())]
     else:
         rows = [{"rho": rho, "value": val} for rho, val in figure2_data(args.grid)]
     if args.format == "json":

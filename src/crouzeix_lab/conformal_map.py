@@ -13,7 +13,8 @@ product representation
 whose truncations, rounded outward, give two-sided brackets (`c_bracket`),
 and the closed envelopes c < 2/rho (all rho > 1) and
 c < 2 / (rho sqrt(1 + 4 rho^{-4})) (rho >= sqrt(2)); the latter rests on a
-one-variable polynomial sign chain checked by `q_sign_chain_check`.
+one-variable polynomial sign chain, chain (a) of the proof replay, which
+`region_certifier.q_sign_chain_check` checks.
 
 The family matrix A has spectrum {-1, 0, 1}, so any f acts on it through
 its three values there; `verify_fA_equals_cA` checks f(A) = c A on the
@@ -26,43 +27,23 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import core_matrix, dense_small
 from .elementwise import namespace
 from .errors import DomainError
 
 __all__ = [
     "CBracket",
-    "QSignChainResult",
     "c_bracket",
     "c_upper_closed",
-    "default_n_factors",
     "eval_f",
-    "q_sign_chain_check",
     "verify_fA_equals_cA",
 ]
-
-#: Coefficients (degree 0..23) of
-#: q(t) = (4 + t)(1 + t^2)^4 (1 + t^4)^4 - t^9 (1 + t)^4 (1 + t^3)^4;
-#: the degree 24/25 terms cancel.  q(t) <= 0 for t >= 4 is what upgrades the
-#: 2/rho envelope to the sqrt(1 + 4 rho^{-4}) form.
-Q_CHAIN_COEFFS = (
-    4, 1, 16, 4, 40, 10, 80, 20, 124, 30, 156, 34,
-    168, 27, 136, 18, 96, -5, 52, -2, 16, -7, 8, -2,
-)
 
 
 def _pow4(rho: float) -> float:
     """rho**4, taken as inf from rho = 1e77 on, just below where Python's
     float ** raises OverflowError; 4 / rho**4 is then below 1e-307."""
     return rho**4 if rho < 1e77 else math.inf
-
-
-def default_n_factors(rho: float) -> int:
-    """Bracket length heuristic: factors shrink like rho^{-8n}."""
-    rho = core_matrix.check_rho(rho)
-    return max(1, math.ceil(16.0 / (8.0 * math.log10(rho))))
 
 
 def eval_f(z: complex, rho: float) -> complex:
@@ -145,7 +126,8 @@ def c_bracket(rho: float, n_factors: int | None = None) -> CBracket:
     absorbed by the first factor's gap of about 2 rho^{-4} while rho < 1e4.
     """
     rho = core_matrix.check_rho(rho)
-    n = default_n_factors(rho) if n_factors is None else int(n_factors)
+    # by default the least n >= 1 with rho^{-8n} <= 1e-16: the factors approach 1 like rho^{-8n}
+    n = max(1, math.ceil(16.0 / (8.0 * math.log10(rho)))) if n_factors is None else int(n_factors)
     if n < 0:
         raise DomainError("n_factors must be nonnegative")
     u = 2.0**-53  # unit roundoff
@@ -179,7 +161,8 @@ def c_upper_closed(rho: float) -> float:
     """Closed upper envelope for c: 2/rho, sharpened for rho >= sqrt(2).
 
     The sharpened form 2 / (rho sqrt(1 + 4 rho^{-4})) is valid once
-    rho^4 >= 4, which is exactly where the sign chain q(t) <= 0 applies.
+    rho^4 >= 4, which is exactly where the sign chain q(t) <= 0 applies
+    (`region_certifier.q_sign_chain_check`, with t = rho^4).
     Floats or arrays; where rho**4 overflows, 4 rho^{-4} is 0.
     """
     rho = core_matrix.check_rho(rho)
@@ -202,76 +185,3 @@ def verify_fA_equals_cA(rho: float, r: float) -> float:
     F = f_plus * E_plus + f_minus * E_minus + f_zero * E_zero
     c = f_plus.real
     return max(dense_small.operator_norm(A @ A @ A - A), dense_small.operator_norm(F - c * A))
-
-
-def _extreme(vals, *coords, largest=False) -> tuple:
-    """First minimum of a grid, or first maximum if largest, as (value, point).
-
-    vals and every coordinate array share one shape (or flatten to one
-    order); the point holds each coordinate at the extremum's index.
-    """
-    vals = np.asarray(vals)
-    k = int(np.argmax(vals) if largest else np.argmin(vals))
-    return float(vals.flat[k]), tuple(float(np.ravel(c)[k]) for c in coords)
-
-
-@dataclass(frozen=True)
-class QSignChainResult:
-    """Outcome of the q(t) <= 0 verification (truthy on success)."""
-
-    passed: bool
-    coefficients_match: bool
-    tail_bound_negative: bool
-    grid_max: float
-    worst_t: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-#: the grid of route (ii) in `q_sign_chain_check`
-_Q_GRID_T_MAX = 1000.0
-_Q_GRID_POINTS = 20001
-
-
-def q_sign_chain_check() -> QSignChainResult:
-    """Verify q(t) <= 0 for all t >= 4 by three independent routes.
-
-    (i) exact integer expansion of the defining product against the stored
-    coefficients; (ii) grid evaluation at 20001 points of [4, 1000]; (iii)
-    sign of the chained tail bound -1276 t^16 - 5 t^17 - 2 t^19, which
-    dominates q for t >= 4 once the low-order positive terms are absorbed.
-    """
-    P = np.polynomial.polynomial
-
-    def power(k, *coeffs):  # (c0 + c1 t + ...)^k on object coefficients, exact integers
-        return P.polypow(np.array(coeffs, dtype=object), k)
-
-    # (i) exact expansion of (4 + t)(1 + t^2)^4 (1 + t^4)^4 - t^9 (1 + t)^4 (1 + t^3)^4
-    first = P.polymul(P.polymul(power(1, 4, 1), power(4, 1, 0, 1)), power(4, 1, 0, 0, 0, 1))
-    second = P.polymul(P.polymul(power(9, 0, 1), power(4, 1, 1)), power(4, 1, 0, 0, 1))
-    coeff_ok = P.polysub(first, second).tolist() == list(Q_CHAIN_COEFFS)
-
-    # (ii) grid sign check; Horner in float on the verified coefficients
-    ts = np.linspace(4.0, _Q_GRID_T_MAX, _Q_GRID_POINTS)
-    vals = P.polyval(ts, Q_CHAIN_COEFFS)
-    # scale out t^19 to keep the comparison finite for large t
-    scaled = vals / ts**19
-    grid_max, (worst_t,) = _extreme(scaled, ts, largest=True)
-    grid_ok = bool(np.all(scaled < 0.0))
-
-    # (iii) the chained bound's coefficients are all negative, so it is
-    # negative for every t > 0; the absorption steps also give
-    # q(t) <= bound pointwise for t >= 4, checked on the same grid
-    bound = -1276.0 * ts**16 - 5.0 * ts**17 - 2.0 * ts**19
-    tail_ok = all(c < 0 for c in (-1276, -5, -2)) and bool(
-        np.all(vals <= bound + 1e-9 * np.abs(bound))
-    )
-
-    return QSignChainResult(
-        passed=coeff_ok and grid_ok and tail_ok,
-        coefficients_match=coeff_ok,
-        tail_bound_negative=tail_ok,
-        grid_max=grid_max,
-        worst_t=worst_t,
-    )

@@ -18,7 +18,6 @@ recording every transform so the reduction can be replayed and checked.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -228,12 +227,11 @@ class NormalizationRecord:
         B1 = a * np.asarray(B, dtype=complex) + b * np.eye(3, dtype=complex)
         return self.unitary @ B1 @ self.unitary.conj().T
 
-    def to_json(self) -> str:
-        return json.dumps(plain(self))
+    def to_json(self) -> dict:
+        return plain(self)
 
     @classmethod
-    def from_json(cls, text: str) -> "NormalizationRecord":
-        d = json.loads(text)
+    def from_json(cls, d: dict) -> "NormalizationRecord":
         return cls(**{
             **d,
             "affine": tuple(complex(*z) for z in d["affine"]),

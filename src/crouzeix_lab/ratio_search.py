@@ -68,9 +68,9 @@ _REFINE_CAP = 8
 _REFINE_SLACK = 0.98
 # Newton steps per peak: the fewest that reach rounding on an m = 8 grid
 _NEWTON_STEPS = 6
-# coordinate_search refuses max|z|^max(degree, 1) above this on the boundary,
-# worst_ratio_search rho^max(degree, 1): beyond it the boundary maximum of a
-# normalized p and the SVD of p(A) break down
+# coordinate_search refuses max|z|^max(degree, 1) above this on the boundary
+# and (||A|| / 2)^max(degree, 1), worst_ratio_search rho^max(degree, 1): beyond
+# it the boundary maximum of a normalized p and the SVD of p(A) break down
 _POWER_CEILING = 1e300
 
 
@@ -430,7 +430,9 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     Candidate order is a fixed function of the seed alone, so a larger budget
     evaluates a superset of candidates and the recorded best never decreases.
     Raises DomainError when A or a boundary point is not finite, or when
-    max|z|^max(degree, 1) on the boundary exceeds 1e300.
+    max|z|^max(degree, 1) on the boundary or (||A|| / 2)^max(degree, 1)
+    exceeds 1e300.  ||A|| / 2 is at most the numerical radius of A, so for
+    a family member that ceiling is never the stricter one on its ellipse.
     """
     _check_search_settings(degree, budget, seed)
     A = dense_small._as_square(A)
@@ -438,9 +440,14 @@ def coordinate_search(A: np.ndarray, boundary, degree: int, budget: int, seed: i
     reach = float(np.abs(pts).max())  # NaN if a point is NaN
     if not (np.isfinite(A).all() and math.isfinite(reach)):
         raise DomainError("A and the boundary points must be finite")
-    if reach > _POWER_CEILING ** (1.0 / max(degree, 1)):
+    ceiling = _POWER_CEILING ** (1.0 / max(degree, 1))
+    if reach > ceiling:
         raise DomainError(f"boundary points reach |z| = {reach:.6g}: "
                           f"|z|^{max(degree, 1)} must not exceed 1e300 at degree {degree}")
+    half_norm = dense_small.operator_norm(A) / 2.0
+    if half_norm > ceiling:
+        raise DomainError(f"||A|| / 2 = {half_norm:.6g}: "
+                          f"(||A|| / 2)^{max(degree, 1)} must not exceed 1e300 at degree {degree}")
 
     best_c = np.zeros(degree + 1, dtype=complex)
     best_c[0] = 1.0

@@ -12,8 +12,10 @@ with x = r^2 + 1/r^2 and y = rho + 1/rho.  `certify` emits a replayable
 Certificate per point.  `sweep_table` runs the same code once over arrays
 that hold a whole sweep grid (see `elementwise`), bit for bit as `certify`
 would point by point, failed points included.
-`replay_proofs` re-runs every displayed inequality chain behind the two
-hardest regions on documented grids.
+`replay_proofs` re-runs the ten displayed inequality chains behind the two
+hardest regions on documented grids, each read by `_extreme` into a
+ChainCheck; chain (a), `q_sign_chain_check`, is the sign chain behind
+`c_upper_closed`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conformal_map import _extreme, c_upper_closed, q_sign_chain_check
+from .conformal_map import c_upper_closed
 from .core_matrix import NormalizedParams, _q_from_xy, check_rho
 from .elementwise import CLAUSES, _at, array_pass, check, namespace
 from .errors import DomainError
@@ -47,6 +49,7 @@ __all__ = [
     "Certificate",
     "ChainCheck",
     "ProofReplayReport",
+    "Q_CHAIN_COEFFS",
     "RegionId",
     "SweepTable",
     "certify",
@@ -55,6 +58,7 @@ __all__ = [
     "figure2_data",
     "open_grid",
     "p_smallr",
+    "q_sign_chain_check",
     "r1",
     "r3",
     "replay_proofs",
@@ -234,8 +238,8 @@ def certify(rho: float, r: float) -> Certificate:
     return _certify_region(region, rho, r)
 
 
-def open_grid(lo: float, hi: float, steps: int) -> list:
-    """Nodes lo + (hi - lo) k / steps for k = 1..steps, on (lo, hi].
+def open_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    """Nodes lo + (hi - lo) k / steps for k = 1..steps, on (lo, hi], as an array.
 
     Each node is capped at hi, so rounding never steps past the right end;
     a single step is hi itself.  Near the float maximum, where (hi - lo) k
@@ -246,14 +250,12 @@ def open_grid(lo: float, hi: float, steps: int) -> list:
     if steps < 1:
         raise DomainError(f"a grid needs at least one step, got {steps}")
     if steps == 1:
-        return np.full((np.size(lo), 1), float(hi)) if np.ndim(lo) else [hi]
+        return np.full(np.shape(lo) + (1,), float(hi))
     rows = np.asarray(lo, dtype=float)[..., None]
     k = np.arange(1, steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         stride = (hi - rows) * k
         node = np.where(np.isfinite(stride), rows + stride / steps, rows * (1.0 - k / steps) + hi * (k / steps))
-    if not np.ndim(lo):
-        return [x if x < hi else hi for x in node.tolist()]
     return np.where(node < hi, node, hi)  # min(hi, node), which keeps hi for a NaN node too
 
 
@@ -300,7 +302,7 @@ class SweepTable:
 def _sweep_nodes(rho_range: tuple, r_range: tuple) -> tuple:
     """(rho, r) arrays of the sweep grid in row-major order; see sweep_table."""
     lo, hi, steps = r_range
-    rho = np.asarray(open_grid(*rho_range), dtype=float)
+    rho = open_grid(*rho_range)
     if lo is None:
         # the row's edge; a row with rho <= 0 has none, and no admissible r
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -405,6 +407,14 @@ def figure2_data(grid: int) -> list[tuple[float, float]]:
 # Proof replay: the displayed inequality chains of the two hardest regions.
 # Ascending-order integer coefficient lists, exactly as displayed.
 
+#: Coefficients (degree 0..23) of
+#: q(t) = (4 + t)(1 + t^2)^4 (1 + t^4)^4 - t^9 (1 + t)^4 (1 + t^3)^4;
+#: the degree 24/25 terms cancel.  q(t) <= 0 for t >= 4 is what upgrades the
+#: 2/rho envelope to the sqrt(1 + 4 rho^{-4}) form (see `c_upper_closed`).
+Q_CHAIN_COEFFS = (
+    4, 1, 16, 4, 40, 10, 80, 20, 124, 30, 156, 34,
+    168, 27, 136, 18, 96, -5, 52, -2, 16, -7, 8, -2,
+)
 _P1 = (2, 0, -4, -60, -20, 240, -20, 0, -6)
 _P2 = (-2, 10, -4, 0, -2)
 _P3 = (1, 0, -7, 0, 7, 0, 24, 0, 9)  # (1+t^2)(1-8t^2+15t^4+9t^6) expanded
@@ -507,12 +517,64 @@ class ProofReplayReport:
 
 _GRID_1D = 10001
 _GRID_2D = 200
+#: the grid of route (ii) in `q_sign_chain_check`
+_Q_GRID_T_MAX = 1000.0
+_Q_GRID_POINTS = 20001
+
+
+def _extreme(vals, *coords, largest=False) -> tuple:
+    """First minimum of a grid, or first maximum if largest, as (value, point).
+
+    vals and every coordinate array share one shape (or flatten to one
+    order); the point holds each coordinate at the extremum's index.
+    """
+    vals = np.asarray(vals)
+    k = int(np.argmax(vals) if largest else np.argmin(vals))
+    return float(vals.flat[k]), tuple(float(np.ravel(c)[k]) for c in coords)
 
 
 def _poly_grid(coeffs, lo: float, hi: float) -> tuple:
     """A polynomial's values on _GRID_1D evenly spaced nodes of [lo, hi], and the nodes."""
     ts = np.linspace(lo, hi, _GRID_1D)
     return np.polynomial.polynomial.polyval(ts, coeffs), ts
+
+
+def q_sign_chain_check() -> ChainCheck:
+    """Chain (a): verify q(t) <= 0 for all t >= 4 by three independent routes.
+
+    (i) exact integer expansion of the defining product against the stored
+    coefficients; (ii) grid evaluation at 20001 points of [4, 1000]; (iii)
+    sign of the chained tail bound -1276 t^16 - 5 t^17 - 2 t^19, which
+    dominates q for t >= 4 once the low-order positive terms are absorbed.
+    It passes only if all three do; the worst margin is the grid's largest
+    q(t) / t^19, at its first t.
+    """
+    P = np.polynomial.polynomial
+
+    def power(k, *coeffs):  # (c0 + c1 t + ...)^k on object coefficients, exact integers
+        return P.polypow(np.array(coeffs, dtype=object), k)
+
+    # (i) exact expansion of (4 + t)(1 + t^2)^4 (1 + t^4)^4 - t^9 (1 + t)^4 (1 + t^3)^4
+    first = P.polymul(P.polymul(power(1, 4, 1), power(4, 1, 0, 1)), power(4, 1, 0, 0, 0, 1))
+    second = P.polymul(P.polymul(power(9, 0, 1), power(4, 1, 1)), power(4, 1, 0, 0, 1))
+    coeff_ok = P.polysub(first, second).tolist() == list(Q_CHAIN_COEFFS)
+
+    # (ii) grid sign check; Horner in float on the verified coefficients
+    ts = np.linspace(4.0, _Q_GRID_T_MAX, _Q_GRID_POINTS)
+    vals = P.polyval(ts, Q_CHAIN_COEFFS)
+    # scale out t^19 to keep the comparison finite for large t
+    scaled = vals / ts**19
+    grid_max, worst_point = _extreme(scaled, ts, largest=True)
+    grid_ok = bool(np.all(scaled < 0.0))
+
+    # (iii) the chained bound's coefficients are all negative, so it is
+    # negative for every t > 0; the absorption steps also give
+    # q(t) <= bound pointwise for t >= 4, checked on the same grid
+    bound = -1276.0 * ts**16 - 5.0 * ts**17 - 2.0 * ts**19
+    tail_ok = all(c < 0 for c in (-1276, -5, -2)) and bool(
+        np.all(vals <= bound + 1e-9 * np.abs(bound))
+    )
+    return ChainCheck(passed=coeff_ok and grid_ok and tail_ok, worst_margin=grid_max, worst_point=worst_point)
 
 
 def replay_proofs() -> ProofReplayReport:
@@ -524,10 +586,7 @@ def replay_proofs() -> ProofReplayReport:
     slack.
     """
     # (a) q(t) <= 0 for t >= 4
-    qres = q_sign_chain_check()
-    q_chain = ChainCheck(
-        passed=bool(qres), worst_margin=qres.grid_max, worst_point=(qres.worst_t,)
-    )
+    q_chain = q_sign_chain_check()
 
     # (b) strip: P(mu^2) positive at the anchor and increasing in x and y;
     # the "ij" grid flattens x-major, so a tie goes to the smallest x, then y

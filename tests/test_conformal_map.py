@@ -7,13 +7,10 @@ import pytest
 
 from crouzeix_lab import conformal_map, core_matrix
 from crouzeix_lab.conformal_map import (
-    Q_CHAIN_COEFFS,
     CBracket,
     c_bracket,
     c_upper_closed,
-    default_n_factors,
     eval_f,
-    q_sign_chain_check,
     verify_fA_equals_cA,
 )
 from crouzeix_lab.errors import DomainError
@@ -126,8 +123,7 @@ class TestBrackets:
 
     def test_default_factor_count_converges(self):
         for rho in (1.2, 2.0, 10.0):
-            n = default_n_factors(rho)
-            assert c_bracket(rho, n).width < 1e-12
+            assert c_bracket(rho).width < 1e-12
 
 
 class TestClosedEnvelope:
@@ -228,27 +224,3 @@ class TestMatrixIdentity:
         f = conformal_map.eval_f
         monkeypatch.setattr(conformal_map, "eval_f", lambda z, rho: f(z, rho) + (1e-6 if z == -1.0 else 0.0))
         assert verify_fA_equals_cA(2.0, 0.9) > 1e-8
-
-
-class TestSignChain:
-    def test_chain_passes(self):
-        res = q_sign_chain_check()
-        assert bool(res)
-        assert res.coefficients_match
-        assert res.tail_bound_negative
-
-    def test_coefficients_vs_independent_expansion(self):
-        # (4+t)(1+t^2)^4(1+t^4)^4 - t^9(1+t)^4(1+t^3)^4 against the stored
-        # coefficients at 26 integers: both sides have degree <= 25, so that
-        # is equality, in Python ints that share no code with numpy's polymul
-        for t in range(-13, 13):
-            q = (4 + t) * (1 + t**2) ** 4 * (1 + t**4) ** 4 - t**9 * (1 + t) ** 4 * (1 + t**3) ** 4
-            assert q == sum(c * t**k for k, c in enumerate(Q_CHAIN_COEFFS)), t
-
-    def test_value_below_tail_bound_at_four(self):
-        t = 4.0
-        qv = 0.0
-        for c in reversed(Q_CHAIN_COEFFS):
-            qv = qv * t + c
-        bound = -1276 * t**16 - 5 * t**17 - 2 * t**19
-        assert qv <= bound < 0

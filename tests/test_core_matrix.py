@@ -1,4 +1,5 @@
 """Family construction, ellipse geometry, and normalization round-trips."""
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from crouzeix_lab.core_matrix import (
     spectral_projectors,
 )
 from crouzeix_lab.errors import DomainError
+from crouzeix_lab.jsondata import plain
 
 
 def rand_unitary(rng, n=3):
@@ -301,7 +303,8 @@ class TestNormalize:
 
     def test_record_json_roundtrip(self):
         rec = normalize(build_A(1.1, 0.8))
-        back = NormalizationRecord.from_json(rec.to_json())
+        assert rec.to_json() == plain(rec)
+        back = NormalizationRecord.from_json(json.loads(json.dumps(rec.to_json())))
         assert back.params == rec.params
         assert back.mirrored == rec.mirrored
         assert np.abs(back.unitary - rec.unitary).max() == 0.0

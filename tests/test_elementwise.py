@@ -1,4 +1,5 @@
 """One formula on floats and on arrays: the arithmetic namespaces and the one check."""
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from crouzeix_lab.elementwise import CLAUSES, Arrays, Clause, Floats, array_pass, check, namespace
 from crouzeix_lab.errors import DomainError
+from crouzeix_lab.region_certifier import certify
 
 
 def test_namespace_follows_the_input_type():
@@ -112,3 +114,26 @@ def test_array_checks_outside_a_pass_raise_at_the_first_failing_point(monkeypatc
     x = np.array([1.0, 2.0, -1.0, -2.0])
     with pytest.raises(DomainError, match="^-1.0 at 2$"):
         check("positive", x, 0.0, x, np.arange(4))
+
+
+def test_numpy_scalars_certify_as_python_floats_do():
+    # on np.float64 the comparisons give numpy bools, which check returns where they pass
+    regions = set()
+    for rho, r in ((1.2, 1.0), (3.0, 0.6), (20.0, 0.76), (3.7, 0.9)):
+        want, got = certify(rho, r), certify(np.float64(rho), np.float64(r))
+        regions.add(want.region)
+        assert got == want
+        # each float bit for bit; SmallR's and Strip's verdict comes as a numpy bool here
+        assert json.dumps(got.to_json(), default=bool) == json.dumps(want.to_json())
+    assert len(regions) == 4
+
+
+@pytest.mark.parametrize("name, value, bound", [("r", 1.5, (0.0, 1.0)), ("q", -0.25, 0.0),
+                                                ("sigma_residual", 2.5e-3, 0.0), ("psi_x", 3.0, (2.0, 2.5)),
+                                                ("rho", math.nan, (1.0, math.inf))])
+def test_a_failing_numpy_scalar_raises_the_python_floats_text(name, value, bound):
+    with pytest.raises(DomainError) as want:
+        check(name, value, bound, value)
+    with pytest.raises(DomainError) as got:
+        check(name, np.float64(value), bound, np.float64(value))
+    assert str(got.value) == str(want.value)

@@ -468,6 +468,16 @@ class TestSearch:
             with pytest.raises(DomainError, match=re.escape(f"|z| = {rho / 2:.6g}: |z|^12 must not exceed 1e300")):
                 coordinate_search(build_A_rho(rho, 0.9), EllipseBoundary(rho), 12, 40, 0)
 
+    def test_coordinate_search_refuses_a_beyond_the_power_ceiling(self, monkeypatch):
+        # (||A|| / 2)^3 is 5.8e299 at scale 1e100 and 5.8e599 at 1e200, where a
+        # trial's p(A) would overflow into an SVD that does not converge
+        A = build_A_rho(2.0, 0.9)
+        assert coordinate_search(1e100 * A, EllipseBoundary(2.0), 3, 30, 0).evaluations == 30
+        monkeypatch.setattr(dense_small, "horner_states", None)
+        half_norm = 1e200 * dense_small.operator_norm(A) / 2.0
+        with pytest.raises(DomainError, match=re.escape(f"||A|| / 2 = {half_norm:.6g}: (||A|| / 2)^3 must not")):
+            coordinate_search(1e200 * A, EllipseBoundary(2.0), 3, 30, 0)
+
     @pytest.mark.parametrize("degree", (0, 3))
     @pytest.mark.parametrize("case", ("nan point", "nan * 1j point", "all-nan A", "inf entry"))
     def test_coordinate_search_rejects_non_finite_input(self, monkeypatch, case, degree):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from crouzeix_lab import cli, conformal_map, dense_small, region_certifier
+from crouzeix_lab import cli, dense_small, region_certifier
 from crouzeix_lab.core_matrix import RhoParams
 from crouzeix_lab.elementwise import CLAUSES
 from crouzeix_lab.errors import DomainError
 from crouzeix_lab.region_certifier import (
+    Q_CHAIN_COEFFS,
     B_of,
     Certificate,
     F_of,
@@ -20,6 +21,7 @@ from crouzeix_lab.region_certifier import (
     figure2_data,
     open_grid,
     p_smallr,
+    q_sign_chain_check,
     r1,
     r3,
     replay_proofs,
@@ -396,22 +398,29 @@ class TestArraySweep:
         ends = [0.5, 0.9, 1e-300, math.nan, -math.inf, 1.0]
         rows = open_grid(np.array(ends), 1.0, 7)
         for lo, row in zip(ends, rows.tolist()):
-            assert [repr(x) for x in row] == [repr(x) for x in open_grid(lo, 1.0, 7)]
+            assert [repr(x) for x in row] == [repr(x) for x in open_grid(lo, 1.0, 7).tolist()]
 
 
 class TestOpenGrid:
     def test_matches_the_plain_formula_below_overflow(self):
         for lo, hi, steps in ((1.0, 50.0, 500), (1.0, 7.3, 41), (0.05, 1.0, 7), (1e76, 1e300, 9)):
             nodes = [min(hi, lo + (hi - lo) * k / steps) for k in range(1, steps + 1)]
-            assert open_grid(lo, hi, steps) == nodes
+            assert open_grid(lo, hi, steps).tolist() == nodes
 
     def test_nodes_stay_distinct_near_the_float_maximum(self):
         # (hi - lo) k overflows for k >= 2 here; the nodes must not collapse onto hi
-        nodes = open_grid(1e76, 1.7e308, 4)
+        nodes = open_grid(1e76, 1.7e308, 4).tolist()
         assert len(set(nodes)) == 4
         assert nodes == sorted(nodes)
         assert nodes[-1] == 1.7e308
         assert nodes[0] == 1.7e308 / 4
+
+    def test_nodes_come_as_an_array_for_every_input(self):
+        for lo, steps, shape in ((0.5, 7, (7,)), (np.array([0.5, 0.9]), 7, (2, 7)), (0.5, 1, (1,)),
+                                 (np.array([0.5, math.nan]), 1, (2, 1))):
+            nodes = open_grid(lo, 1.0, steps)
+            assert isinstance(nodes, np.ndarray) and nodes.shape == shape
+        assert open_grid(math.nan, 1.0, 1).tolist() == [1.0]
 
 
 class TestFigure2:
@@ -445,7 +454,7 @@ class TestReplay:
             assert isinstance(d[name]["worst_margin"], float)
 
     @pytest.mark.parametrize("chain, module, name, broken", [
-        ("q_chain", conformal_map, "Q_CHAIN_COEFFS", (5,) + conformal_map.Q_CHAIN_COEFFS[1:]),
+        ("q_chain", region_certifier, "Q_CHAIN_COEFFS", (5,) + Q_CHAIN_COEFFS[1:]),
         ("strip_P", region_certifier, "_strip_P_mu2", None),
         ("p1_p2_p3_chain", region_certifier, "_P2", (-2, 10, -4, 0, -3)),
         ("p4_p5_chain", region_certifier, "_P5", tuple(-c for c in region_certifier._P5)),
@@ -477,6 +486,37 @@ class TestReplay:
         assert replay_proofs().all_passed
         assert calls["_strip_P_mu2"] <= 4
         assert calls["B_of"] == 1
+
+
+class TestSignChain:
+    def test_chain_passes(self):
+        res = q_sign_chain_check()
+        assert res.passed
+        assert res == replay_proofs().q_chain
+
+    def test_grid_and_tail_routes_alone_can_fail(self, monkeypatch):
+        # |q| leaves the exact expansion of route (i) intact, and is positive on the grid
+        polyval = np.polynomial.polynomial.polyval
+        monkeypatch.setattr(np.polynomial.polynomial, "polyval", lambda x, c: np.abs(polyval(x, c)))
+        res = q_sign_chain_check()
+        assert res.passed is False
+        assert res.worst_margin > 0.0
+
+    def test_coefficients_vs_independent_expansion(self):
+        # (4+t)(1+t^2)^4(1+t^4)^4 - t^9(1+t)^4(1+t^3)^4 against the stored
+        # coefficients at 26 integers: both sides have degree <= 25, so that
+        # is equality, in Python ints that share no code with numpy's polymul
+        for t in range(-13, 13):
+            q = (4 + t) * (1 + t**2) ** 4 * (1 + t**4) ** 4 - t**9 * (1 + t) ** 4 * (1 + t**3) ** 4
+            assert q == sum(c * t**k for k, c in enumerate(Q_CHAIN_COEFFS)), t
+
+    def test_value_below_tail_bound_at_four(self):
+        t = 4.0
+        qv = 0.0
+        for c in reversed(Q_CHAIN_COEFFS):
+            qv = qv * t + c
+        bound = -1276 * t**16 - 5 * t**17 - 2 * t**19
+        assert qv <= bound < 0
 
 
 class TestAlgebraicIdentities:

@@ -49,7 +49,7 @@ polynomials T_1..T_12 (rho in {1.01, 1.05, 1.2}, m in {8, 64, 2048}), of
 degree 0 to 12 scaled by 1e-320 and by 1e250 (rho in {1.05, 3}), and of the
 `best_poly` of the first 20 criterion 6 searches at their rho (m in {8, 64,
 2048}), which have about five near-equal peaks, 48 seeded
-`normalize(B).to_json()` records (or the DomainError text) for disguised family members, mirrored members,
+`jsondata.plain(normalize(B))` records (or the DomainError text) for disguised family members, mirrored members,
 degenerate and non-centered spectra, the record of `1j * build_A(0.7, 0.8)`, whose
 affine scale normalize relabels to 1j, and the "focal eigenvalues coincide" text of the
 nilpotent Jordan block `np.eye(3, k=1)`, and the stdout and exit code of every
@@ -74,11 +74,16 @@ each of 16 seeded points (seed 1010) within 3 ulps of r = 1/sqrt(rho) where
 the tests r^2 rho > 1 and r > 1/sqrt(rho) disagree by rounding.  Also the
 exception type and text of `ratio_for_poly` for [1, nan], [1, inf], [1e308,
 1e308] and [0, 0, 1e-320] on EllipseBoundary(2.0) and on 64 boundary points,
-and the conformal map: `c_bracket(rho)` at 20 fixed rho from 1.0005 to 1.7e308
+and the conformal map: `c_bracket(rho)`'s lower and upper end and its
+`terms_used` at 20 fixed rho from 1.0005 to 1.7e308
 and 40 seeded ones (seed 1212, log-uniform in [1.001, 1e6]), `eval_f` on each
 such ellipse with rho < 1e6 at -1, 0, 1, both semi-axis ends and four seeded
 interior points, and `verify_fA_equals_cA(rho, r)` (or its DomainError) at r
-in {1, 0.95, 0.9} for rho < 1e150.  It takes
+in {1, 0.95, 0.9} for rho < 1e150.  Last, `open_grid(lo, hi, steps)` as a
+list, at (1, 50, 500), (1, 7.3, 41), (0.05, 1, 7), (1e76, 1e300, 9) and
+(1e76, 1.7e308, 4), at a NaN lower end with 7 steps and with 1, at (0.5, 1, 1),
+and at the lower ends [0.5, 0.9, 1e-300, nan, -inf, 1] with hi 1 and 7 steps
+and 1 step.  It takes
 about 6 s on one core of a 2-vCPU x86 host.
 """
 
@@ -103,6 +108,7 @@ from crouzeix_lab import cli, permutation_ext
 from crouzeix_lab.conformal_map import c_bracket, eval_f, verify_fA_equals_cA
 from crouzeix_lab.core_matrix import build_A, build_A_rho, normalize
 from crouzeix_lab.errors import DomainError
+from crouzeix_lab.jsondata import plain
 from crouzeix_lab.ratio_search import (
     EllipseBoundary,
     PolySpec,
@@ -111,6 +117,7 @@ from crouzeix_lab.ratio_search import (
     ratio_for_poly,
     worst_ratio_search,
 )
+from crouzeix_lab.region_certifier import open_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -232,7 +239,7 @@ def _conformal_values() -> None:
     seeded = np.exp(rng.uniform(math.log(1.001), math.log(1e6), 40)).tolist()
     for rho in fixed + seeded:
         bracket = c_bracket(rho)
-        _emit(f"c_bracket {rho!r}", [bracket.lower, bracket.upper])
+        _emit(f"c_bracket {rho!r}", [bracket.lower, bracket.upper, bracket.terms_used])
         if rho < 1e6:
             a, b = (rho + 1.0 / rho) / 2.0, (rho - 1.0 / rho) / 2.0
             t, theta = rng.uniform(0.0, 1.0, 4).tolist(), rng.uniform(0.0, 2.0 * math.pi, 4).tolist()
@@ -240,6 +247,16 @@ def _conformal_values() -> None:
             _emit(f"eval_f {rho!r}", [[w.real, w.imag] for w in (eval_f(z, rho) for z in zs)])
         if rho < 1e150:
             _emit(f"verify_fA_equals_cA {rho!r}", [_outcome(lambda: verify_fA_equals_cA(rho, r)) for r in (1.0, 0.95, 0.9)])
+
+
+def _open_grids() -> None:
+    """open_grid at the inputs of its tests, at a NaN lower end and at one step."""
+    for lo, hi, steps in ((1.0, 50.0, 500), (1.0, 7.3, 41), (0.05, 1.0, 7), (1e76, 1e300, 9), (1e76, 1.7e308, 4),
+                          (math.nan, 1.0, 7), (math.nan, 1.0, 1), (0.5, 1.0, 1)):
+        _emit(f"open_grid {lo!r} {hi!r} {steps}", np.asarray(open_grid(lo, hi, steps)).tolist())
+    ends = np.array([0.5, 0.9, 1e-300, math.nan, -math.inf, 1.0])
+    for steps in (7, 1):
+        _emit(f"open_grid rows 1.0 {steps}", np.asarray(open_grid(ends, 1.0, steps)).tolist())
 
 
 def _load(path: str) -> dict:
@@ -442,10 +459,11 @@ def main() -> None:
     for k, B in [*enumerate(_normalize_inputs(707, 48)), ("relabeled", 1j * build_A(0.7, 0.8)),
                  ("jordan", np.eye(3, k=1))]:
         try:
-            _emit(f"normalize {k}", normalize(B).to_json())
+            _emit(f"normalize {k}", plain(normalize(B)))
         except DomainError as exc:
             _emit(f"normalize {k}", "DomainError: " + str(exc))
     _conformal_values()
+    _open_grids()
 
     for argv in CLI_RUNS:
         _emit("cli " + " ".join(argv), _cli(argv))
