@@ -31,8 +31,8 @@ from .conformal_map import (
     eval_f,
     verify_fA_equals_cA,
 )
-from .dense_small import condition_number, eval_poly, operator_norm
-from .errors import DegenerateDenominatorError, DomainError, SingularMatrixError
+from .dense_small import eval_poly, operator_norm
+from .errors import DegenerateDenominatorError, DomainError
 from .ratio_search import (
     EllipseBoundary,
     PolySpec,
@@ -68,7 +68,6 @@ from .similarity import (
     canonical_G,
     check_mu_bound,
     norm_from_P,
-    p_x1_residual,
     psi,
     singular_spectrum,
 )

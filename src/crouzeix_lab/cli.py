@@ -54,7 +54,7 @@ def _dump(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump(v) for v in obj) + "]"
-    return _dump(float(obj))
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,8 +1,8 @@
 """Dense linear algebra for complex matrices up to 8x8.
 
-Operator norms and condition numbers come from the singular values of one
-`numpy.linalg` SVD at every size, and the support function from numpy's
-Hermitian eigensystems.  The support function is sampled on
+Every spectral norm in the package is `operator_norm`'s: the largest of
+numpy's singular values, of one matrix or of a stack.  The support function
+comes from numpy's Hermitian eigensystems, sampled on
 even grids of m directions: K(theta + pi) = -K(theta), so one batched
 eigen-solve over the first half-turn gives the second half from its bottom
 eigenpairs.  p(M) has one Horner chain, `horner_states`, which the ratio
@@ -19,11 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularMatrixError
-
 __all__ = [
     "MAX_N",
-    "condition_number",
     "eval_poly",
     "horner_states",
     "operator_norm",
@@ -34,34 +31,27 @@ MAX_N = 8
 _IDENTITY = [np.broadcast_to(np.eye(n, dtype=complex), (n, n)) for n in range(MAX_N + 1)]  # read-only: every chain shares it
 
 
-def _as_square(M: np.ndarray) -> np.ndarray:
+def _as_square(M: np.ndarray, stack: bool = False) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if not (A.ndim == 2 or stack and A.ndim > 2) or A.shape[-2] != A.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] > MAX_N:
+    if A.shape[-1] > MAX_N:
         raise ValueError(f"matrices above {MAX_N}x{MAX_N} are out of scope here")
     return A
 
 
 # ---------------------------------------------------------------------------
-# operator norm and condition number
+# operator norm
 
 
-def operator_norm(M: np.ndarray) -> float:
-    """Spectral norm ||M||_2: the largest of numpy's singular values."""
-    return float(np.linalg.svd(_as_square(M), compute_uv=False)[0])
+def operator_norm(M: np.ndarray) -> float | np.ndarray:
+    """Spectral norm ||M||_2: the largest of numpy's singular values.
 
-
-def condition_number(M: np.ndarray) -> float:
-    """2-norm condition number sigma_max / sigma_min.
-
-    Raises SingularMatrixError when sigma_min <= 1e-14 sigma_max.
+    One matrix gives a float; a stack (..., n, n) gives an array of the
+    norms, each what its matrix alone gives, from the same batched SVD.
     """
-    s = np.linalg.svd(_as_square(M), compute_uv=False)
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= 1e-14 * smax:
-        raise SingularMatrixError("matrix is numerically singular; condition number undefined")
-    return smax / smin
+    norms = np.linalg.svd(_as_square(M, stack=True), compute_uv=False)[..., 0]
+    return float(norms) if norms.ndim == 0 else norms
 
 
 # ---------------------------------------------------------------------------

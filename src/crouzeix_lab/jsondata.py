@@ -14,8 +14,9 @@ import numpy as np
 
 def plain(obj):
     """obj as JSON data: a dataclass as a dict of its fields in field order,
-    an enum as its value, a complex number as [real, imag], and a tuple or
-    numpy array as a list; anything else as it is."""
+    an enum as its value, a complex number as [real, imag], a tuple or
+    numpy array as a list and a numpy scalar as its Python value; anything
+    else as it is."""
     if dataclasses.is_dataclass(obj):
         return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, enum.Enum):
@@ -24,4 +25,6 @@ def plain(obj):
         return [obj.real, obj.imag]
     if isinstance(obj, (tuple, np.ndarray)):
         return [plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return plain(obj.item())
     return obj

@@ -180,7 +180,7 @@ class ObservationReport:
 
 def _poly_norms(M: np.ndarray, polys: list) -> np.ndarray:
     """||p(M)||_2 for every coefficient vector p in polys."""
-    return np.linalg.svd(np.stack([dense_small.eval_poly(M, c) for c in polys]), compute_uv=False)[:, 0]
+    return dense_small.operator_norm(np.stack([dense_small.eval_poly(M, c) for c in polys]))
 
 
 def _taylor_shift(coeffs: np.ndarray, a: complex) -> np.ndarray:

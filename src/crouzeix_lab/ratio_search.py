@@ -354,11 +354,10 @@ class _TrialBound:
         with np.errstate(all="ignore"):
             fro = float(np.linalg.norm(A)) * (1.0 + gamma)
             powers = np.array(dense_small.horner_states(A, [0.0] * degree + [1.0])[degree::-1])
-        # the computed A^k of one chain, each normed by numpy's SVD as in
-        # operator_norm, all in one batch; an overflowed power has norm inf
+        # the computed A^k of one chain, normed in one batch; an overflowed power has norm inf
         finite = np.isfinite(powers).all(axis=(1, 2))
         norms = np.full(degree + 1, math.inf)
-        norms[finite] = np.linalg.svd(powers[finite], compute_uv=False)[:, 0]
+        norms[finite] = dense_small.operator_norm(powers[finite])
         # weight[k] = gamma ||A||_F^k bounds the Horner error of a unit c_k, and
         # reach[k] >= ||A^k|| + weight[k]
         self._weight = [gamma]

@@ -231,7 +231,8 @@ def _failure_reason(verdict, mu_ok, product_ok, mu, product, kappa):
 
 
 def certify(rho: float, r: float) -> Certificate:
-    """Certificate for one admissible point; raises on OutOfDomain input."""
+    """Certificate for one admissible point, taken as Python floats; raises on OutOfDomain input."""
+    rho, r = float(rho), float(r)
     region = classify(rho, r)
     if region is RegionId.OUT_OF_DOMAIN:
         raise DomainError(f"(rho={rho}, r={r}) is not in the admissible domain")

@@ -47,7 +47,6 @@ __all__ = [
     "canonical_G",
     "check_mu_bound",
     "norm_from_P",
-    "p_x1_residual",
     "psi",
     "singular_spectrum",
 ]
@@ -83,23 +82,6 @@ class SimilarityX:
             [[self.s, self.t, self.u], [0.0, 1.0, self.v], [0.0, 0.0, self.w]],
             dtype=complex,
         )
-
-
-def p_x1_residual(X: SimilarityX) -> float:
-    """det(I - X*X): vanishes exactly when 1 is a singular value of X."""
-    s, t, u, v, w = X.s, X.t, X.u, X.v, X.w
-    # Gram matrix entries; the (2,2) entry of X*X is t^2+1 so I - X*X has -t^2
-    a00 = 1.0 - s * s
-    a01 = -s * t
-    a02 = -s * u
-    a11 = -t * t
-    a12 = -(t * u + v)
-    a22 = 1.0 - u * u - v * v - w * w
-    return (
-        a00 * (a11 * a22 - a12 * a12)
-        - a01 * (a01 * a22 - a12 * a02)
-        + a02 * (a01 * a12 - a11 * a02)
-    )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 
-from crouzeix_lab import dense_small
 from crouzeix_lab.conformal_map import c_bracket, verify_fA_equals_cA
 from crouzeix_lab.core_matrix import (
     MIRROR_Z,
@@ -229,7 +228,7 @@ def test_criterion_5_similarity_families():
             if X is None:
                 continue
             done += 1
-            worst_k = max(worst_k, abs(dense_small.condition_number(X.matrix()) - 2.0))
+            worst_k = max(worst_k, abs(np.linalg.cond(X.matrix()) - 2.0))
             a, b = _raw_residuals(X)
             worst_r1 = max(worst_r1, a)
             worst_r2 = max(worst_r2, b)

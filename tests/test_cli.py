@@ -219,6 +219,12 @@ class TestSweep:
         assert len(numbers) == 6 * 7 + 4 * 5 and all(n == cli._fmt(float(n)) for n in numbers)
         assert text == cli._dump(table.records()) + "\n"
 
+    @pytest.mark.parametrize("value", [np.True_, np.int64(3), np.float32(0.5), 1j])
+    def test_dump_refuses_what_is_not_plain_json(self, value):
+        # plain() turns numpy scalars into Python ones before anything is written
+        with pytest.raises(TypeError):
+            cli._dump([value])
+
     def test_bad_nargs_exit_4(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--rho", "1", "20")
         assert code == 4

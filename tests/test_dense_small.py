@@ -6,7 +6,7 @@ import pytest
 
 from crouzeix_lab import dense_small as ds
 from crouzeix_lab.core_matrix import build_A, build_A_rho
-from crouzeix_lab.errors import DomainError, SingularMatrixError
+from crouzeix_lab.errors import DomainError
 
 
 def rand_complex(rng, *shape):
@@ -37,25 +37,44 @@ class TestOperatorNorm:
         with pytest.raises(ValueError, match="square"):
             ds.operator_norm(np.ones((2, 3)))
 
+    def test_one_matrix_gives_a_python_float(self):
+        assert type(ds.operator_norm(np.eye(3))) is float
+        assert type(ds.operator_norm(build_A(0.7, 0.8))) is float
 
-class TestConditionNumber:
-    def test_vs_numpy(self):
-        rng = np.random.default_rng(51)
-        for _ in range(200):
-            n = int(rng.integers(2, 9))
-            M = rand_complex(rng, n, n)
-            c_np = np.linalg.cond(M, 2)
-            assert abs(ds.condition_number(M) - c_np) < 1e-7 * c_np
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_each_entry_of_a_stack_is_its_matrix_alone_bit_for_bit(self, n, kind):
+        rng = np.random.default_rng(60 + n)
+        stack = rng.standard_normal((2, 3, n, n)) if kind == "real" else rand_complex(rng, 2, 3, n, n)
+        norms = ds.operator_norm(stack)
+        assert isinstance(norms, np.ndarray) and norms.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert norms[index] == ds.operator_norm(stack[index])
+        assert ds.operator_norm(stack[0]).tolist() == norms[0].tolist()
 
-    def test_unitary_is_one(self):
-        rng = np.random.default_rng(52)
-        U, _ = np.linalg.qr(rand_complex(rng, 3, 3))
-        assert abs(ds.condition_number(U) - 1.0) < 1e-12
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_an_empty_stack_gives_no_norms(self, n):
+        # _TrialBound passes one when every power of A overflows
+        norms = ds.operator_norm(np.empty((0, n, n), dtype=complex))
+        assert isinstance(norms, np.ndarray) and norms.shape == (0,)
 
-    def test_singular_raises(self):
-        M = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrixError):
-            ds.condition_number(M)
+    @pytest.mark.parametrize("shape, text", [
+        ((9, 9), "matrices above 8x8 are out of scope here"),
+        ((2, 9, 9), "matrices above 8x8 are out of scope here"),
+        ((2, 3), "expected a square matrix, got shape (2, 3)"),
+        ((4, 2, 3), "expected a square matrix, got shape (4, 2, 3)"),
+        ((3,), "expected a square matrix, got shape (3,)"),
+        ((), "expected a square matrix, got shape ()"),
+    ])
+    def test_bad_shapes_raise_the_same_texts(self, shape, text):
+        with pytest.raises(ValueError) as err:
+            ds.operator_norm(np.ones(shape))
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("kernel", [ds.horner_states, ds.eval_poly])
+    def test_the_other_kernels_still_take_one_matrix(self, kernel):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3, 3\)"):
+            kernel(np.ones((2, 3, 3)), [1.0, 2.0])
 
 
 def hermitian_part(M, th):

@@ -1,4 +1,5 @@
 """Worst polynomial ratio search: boundary oracle, evaluator, and optimizer."""
+import json
 import math
 import re
 import warnings
@@ -85,6 +86,10 @@ class TestSpecs:
     def test_ratio_result_roundtrip(self):
         res = worst_ratio_search(2.0, 1.0, 3, 40, 5)
         assert RatioResult.from_json(res.to_json()) == res
+
+    def test_a_numpy_seed_gives_plain_json(self):
+        res = worst_ratio_search(2.0, 0.9, 3, 20, np.int64(4))
+        assert json.dumps(res.to_json()) == json.dumps(worst_ratio_search(2.0, 0.9, 3, 20, 4).to_json())
 
 
 class TestRatioForPoly:

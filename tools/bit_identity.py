@@ -83,7 +83,9 @@ in {1, 0.95, 0.9} for rho < 1e150.  Last, `open_grid(lo, hi, steps)` as a
 list, at (1, 50, 500), (1, 7.3, 41), (0.05, 1, 7), (1e76, 1e300, 9) and
 (1e76, 1.7e308, 4), at a NaN lower end with 7 steps and with 1, at (0.5, 1, 1),
 and at the lower ends [0.5, 0.9, 1e-300, nan, -inf, 1] with hi 1 and 7 steps
-and 1 step.  It takes
+and 1 step.  Then `dense_small.operator_norm` of five seeded matrices (seed
+1313) per size n = 1..8, real and complex, one matrix a call, as the labels
+"operator_norm real N" and "operator_norm complex N".  It takes
 about 6 s on one core of a 2-vCPU x86 host.
 """
 
@@ -104,7 +106,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crouzeix_lab import cli, permutation_ext
+from crouzeix_lab import cli, dense_small, permutation_ext
 from crouzeix_lab.conformal_map import c_bracket, eval_f, verify_fA_equals_cA
 from crouzeix_lab.core_matrix import build_A, build_A_rho, normalize
 from crouzeix_lab.errors import DomainError
@@ -257,6 +259,17 @@ def _open_grids() -> None:
     ends = np.array([0.5, 0.9, 1e-300, math.nan, -math.inf, 1.0])
     for steps in (7, 1):
         _emit(f"open_grid rows 1.0 {steps}", np.asarray(open_grid(ends, 1.0, steps)).tolist())
+
+
+def _operator_norms() -> None:
+    """operator_norm of five seeded matrices per size n = 1..8, real and complex."""
+    rng = np.random.default_rng(1313)
+    for n in range(1, 9):
+        for kind in ("real", "complex"):
+            Ms = rng.standard_normal((5, n, n))
+            if kind == "complex":
+                Ms = Ms + 1j * rng.standard_normal((5, n, n))
+            _emit(f"operator_norm {kind} {n}", [dense_small.operator_norm(M) for M in Ms])
 
 
 def _load(path: str) -> dict:
@@ -464,6 +477,7 @@ def main() -> None:
             _emit(f"normalize {k}", "DomainError: " + str(exc))
     _conformal_values()
     _open_grids()
+    _operator_norms()
 
     for argv in CLI_RUNS:
         _emit("cli " + " ".join(argv), _cli(argv))
